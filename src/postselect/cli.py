@@ -32,7 +32,7 @@ from .regions import (
     write_region_svg,
 )
 from .stats import diversity, diversity_profile, evaluate_witness
-from .witness_io import load_witness, load_witness_metadata, witness_to_dict
+from .witness_io import load_witness_with_metadata, witness_to_dict
 
 
 def _fmt(x: float) -> str:
@@ -50,8 +50,6 @@ def _parse_probs(text: str) -> OutcomeDistribution:
         raise InputError(f"cannot parse probabilities {text!r}: {exc}") from exc
     if not values:
         raise InputError("empty probability list")
-    if any(v < 0 for v in values):
-        raise InputError(f"negative probability in {values}")
     total = sum(values)
     if abs(total - 1.0) > 1e-9:
         raise InputError(f"probabilities sum to {total!r}, more than 1e-9 away from 1")
@@ -59,12 +57,7 @@ def _parse_probs(text: str) -> OutcomeDistribution:
 
 
 def _parse_scenario(args) -> ScenarioTriple:
-    dist = _parse_probs(args.p)
-    if not 0.0 <= args.t <= 1.0:
-        raise InputError(f"--t {args.t!r} outside [0, 1]")
-    if not 0.0 < args.s <= 1.0:
-        raise InputError(f"--s {args.s!r} outside (0, 1]")
-    return ScenarioTriple(args.t, args.s, dist)
+    return ScenarioTriple(args.t, args.s, _parse_probs(args.p))
 
 
 def cmd_check(args) -> int:
@@ -101,7 +94,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    witness = load_witness(args.witness)
+    witness, metadata = load_witness_with_metadata(args.witness)
     sc = evaluate_witness(witness)
     print(f"kind: {'projective' if hasattr(witness, 'projectors') else 'generalized'}")
     print(f"dimension: {witness.dimension}  outcomes: {witness.n_outcomes}")
@@ -109,15 +102,12 @@ def cmd_verify(args) -> int:
     print(f"T = {_fmt(sc.t)}")
     print(f"S = {_fmt(sc.s)}")
     print(f"P = ({','.join(_fmt(p) for p in sc.dist)})")
-    target = load_witness_metadata(args.witness).get("target")
-    if target:
+    target = metadata.get("target")
+    if target is not None:
         dev = max(
             abs(sc.t - target["t"]),
             abs(sc.s - target["s"]),
-            max(
-                abs(a - b)
-                for a, b in zip(sc.dist.probs, target["p"])
-            ),
+            max(abs(a - b) for a, b in zip(sc.dist.probs, target["p"])),
         )
         print(f"deviation from target: {_fmt(dev)}")
         if dev > 1e-9:

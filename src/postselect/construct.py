@@ -9,7 +9,6 @@ is one fixed vector, decoupling the measurement from the postselection.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,26 +70,21 @@ def _triangle_dirs(sums: list[float]) -> list[complex] | None:
     return dirs
 
 
-def _realize(xs: list[float], groups: list[int]) -> tuple[complex, ...] | None:
-    sums = [0.0, 0.0, 0.0]
-    for x, g in zip(xs, groups):
-        sums[g] += x
-    dirs = _triangle_dirs(sums)
-    if dirs is None:
-        return None
-    zs = tuple(x * dirs[g] for x, g in zip(xs, groups))
-    if abs(sum(zs)) > EPS_CLOSE:
-        return None
-    return zs
-
-
 def close_polygon(xs) -> ClosedPolygon:
     """Find complex z_k with |z_k| = x_k and sum_k z_k = 0.
 
     Possible exactly when the polygon inequalities x_k <= sum_{j != k} x_j
     hold.  Magnitudes are split greedily into three groups whose sums form a
-    triangle; all members of a group share their edge's direction.  Falls
-    back to exhaustive 3-partition search for up to 12 magnitudes.
+    triangle; all members of a group share their edge's direction.
+
+    The greedy split cannot fail once the polygon inequalities hold: each
+    group sum G is at most the other two, B + C.  Magnitudes are placed in
+    descending order, and the first three positive ones open the three
+    groups.  A group with one member holds a single x_k <= total / 2.  For
+    a larger group, let x be its last member.  When x arrived the group was
+    the smallest, so G - x <= B; and x is at most the magnitude that opened
+    C, so x <= C.  ClosureFailure therefore signals a bug or a roundoff
+    blow-up, never an unlucky split.
     """
     xs = [float(x) for x in xs]
     if any(x < 0.0 for x in xs):
@@ -107,15 +101,13 @@ def close_polygon(xs) -> ClosedPolygon:
         g = min(range(3), key=lambda j: sums[j])
         groups[i] = g
         sums[g] += xs[i]
-    zs = _realize(xs, groups)
-    if zs is not None:
-        return ClosedPolygon(zs=zs)
-    if len(xs) <= 12:
-        for assignment in itertools.product(range(3), repeat=len(xs)):
-            zs = _realize(xs, list(assignment))
-            if zs is not None:
-                return ClosedPolygon(zs=zs)
-    raise ClosureFailure(f"no closing configuration found for {xs}")
+    dirs = _triangle_dirs(sums)
+    if dirs is None:
+        raise ClosureFailure(f"greedy group sums {sums} form no triangle")
+    zs = tuple(x * dirs[g] for x, g in zip(xs, groups))
+    if abs(sum(zs)) > EPS_CLOSE:
+        raise ClosureFailure(f"closure residual {abs(sum(zs))!r} for {xs}")
+    return ClosedPolygon(zs=zs)
 
 
 def _factor_real(rs: list[float]) -> tuple[list[float], list[float]]:

@@ -35,6 +35,9 @@ class OutcomeDistribution:
         if any(x < 0.0 for x in p):
             raise ValueError(f"negative probability in {p}")
         total = sum(p)
+        # The entries are non-negative, so a NaN or inf among them makes the total non-finite.
+        if not math.isfinite(total):
+            raise ValueError(f"non-finite probability in {p}")
         if abs(total - 1.0) > EPS_PROB:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", p)
@@ -223,4 +226,4 @@ class GeneralizedWitness:
 
 
 def sqrt_probs(dist: OutcomeDistribution) -> list[float]:
-    return [math.sqrt(p) for p in dist.probs]
+    return list(map(math.sqrt, dist.probs))

@@ -1,8 +1,11 @@
 """Analytic feasibility predicates for scenario triples.
 
 All regions are closed; a constraint with signed slack >= -EPS_FEAS counts
-as satisfied.  Verdicts report every violated constraint, not just the
-first, so region maps can color by violation type.
+as satisfied, and a NaN slack counts as violated.  Verdicts report every
+violated constraint, not just the first, so region maps can color by
+violation type.  Every projective chain check goes through chain_slacks;
+check_projective_raw alone keeps the literal per-outcome form, as the
+reference the chain is checked against.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ class FeasibilityVerdict:
 
 
 def _verdict(slack: dict[str, float], eps: float = EPS_FEAS) -> FeasibilityVerdict:
-    violated = tuple(tag for tag, v in slack.items() if v < -eps)
-    return FeasibilityVerdict(feasible=not violated, violated=violated, slack=slack)
+    violated = tuple([tag for tag, v in slack.items() if not v >= -eps])
+    return FeasibilityVerdict(not violated, violated, slack)
 
 
 @dataclass(frozen=True)
@@ -44,18 +47,36 @@ class ConeDecomposition:
     lambdas: tuple[float, ...]
 
 
-def check_projective_raw(sc: ScenarioTriple) -> FeasibilityVerdict:
-    """Projective feasibility in the raw square-root inequality form.
+def chain_slacks(root_ts, root_sum, root_max, root_s):
+    """Slacks of the projective chain 2/sqrt(D_inf) - sqrt(D_1/2) <= sqrt(T/S)
+    <= sqrt(D_1/2) <= 1/sqrt(S).
 
-    Feasible iff sqrt(P(k)) <= sqrt(T/S) + sum_{j != k} sqrt(P(j)) for all k,
-    sqrt(T/S) <= sum_k sqrt(P(k)) <= 1/sqrt(S).
+    Takes sqrt(T/S), sum_k sqrt(P(k)) = sqrt(D_1/2), max_k sqrt(P(k)) =
+    1/sqrt(D_inf) and sqrt(S).  Uses only + - * /, so Python floats and
+    equally shaped arrays both pass through unchanged.  LowerChain is the
+    polygon inequality of the largest outcome.
+    """
+    return {
+        LOWER_CHAIN: root_ts - (2.0 * root_max - root_sum),
+        UPPER_CHAIN: root_sum - root_ts,
+        S_BOUND: 1.0 / root_s - root_sum,
+    }
+
+
+def check_projective_raw(sc: ScenarioTriple) -> FeasibilityVerdict:
+    """Projective feasibility in the literal square-root inequality form.
+
+    Feasible iff sqrt(P(k)) <= sqrt(T/S) + sum_{j != k} sqrt(P(j)) for every
+    k (the smallest of these n slacks is reported as MaxOutcomePolygon),
+    sqrt(T/S) <= sum_k sqrt(P(k)) <= 1/sqrt(S).  Written out independently
+    of chain_slacks.
     """
     root_ts = math.sqrt(sc.t / sc.s)
     sq = sqrt_probs(sc.dist)
     total = sum(sq)
     return _verdict(
         {
-            MAX_OUTCOME_POLYGON: root_ts + total - 2.0 * max(sq),
+            MAX_OUTCOME_POLYGON: min([root_ts + (total - x) - x for x in sq]),
             UPPER_CHAIN: total - root_ts,
             S_BOUND: 1.0 / math.sqrt(sc.s) - total,
         }
@@ -63,38 +84,17 @@ def check_projective_raw(sc: ScenarioTriple) -> FeasibilityVerdict:
 
 
 def check_projective_chain(sc: ScenarioTriple) -> FeasibilityVerdict:
-    """Projective feasibility in the diversity-index chain form.
-
-    Feasible iff 2/sqrt(D_inf) - sqrt(D_1/2) <= sqrt(T/S) <= sqrt(D_1/2)
-    <= 1/sqrt(S).
-    """
-    root_ts = math.sqrt(sc.t / sc.s)
+    """Projective feasibility in the diversity-index chain form (chain_slacks)."""
     sq = sqrt_probs(sc.dist)
-    root_d_half = sum(sq)
-    inv_root_d_inf = max(sq)  # 1/sqrt(D_inf) = sqrt(max_k P(k))
     return _verdict(
-        {
-            LOWER_CHAIN: root_ts - (2.0 * inv_root_d_inf - root_d_half),
-            UPPER_CHAIN: root_d_half - root_ts,
-            S_BOUND: 1.0 / math.sqrt(sc.s) - root_d_half,
-        }
+        chain_slacks(math.sqrt(sc.t / sc.s), sum(sq), max(sq), math.sqrt(sc.s))
     )
 
 
 def projective_raw_slack_arrays(t: np.ndarray, s: np.ndarray, probs: np.ndarray):
-    """Vectorized slacks of the raw projective inequalities.
-
-    t and s have shape (B,), probs shape (B, n).  Same formulas as
-    check_projective_raw, evaluated per row.
-    """
-    root_ts = np.sqrt(t / s)
+    """Row-wise chain slacks for t, s of shape (B,) and probs of shape (B, n)."""
     sq = np.sqrt(probs)
-    total = sq.sum(axis=1)
-    return {
-        MAX_OUTCOME_POLYGON: root_ts + total - 2.0 * sq.max(axis=1),
-        UPPER_CHAIN: total - root_ts,
-        S_BOUND: 1.0 / np.sqrt(s) - total,
-    }
+    return chain_slacks(np.sqrt(t / s), sq.sum(axis=1), sq.max(axis=1), np.sqrt(s))
 
 
 def check_generalized(sc: ScenarioTriple) -> FeasibilityVerdict:
@@ -119,19 +119,13 @@ def check_ts_region(t: float, s: float, n: int) -> FeasibilityVerdict:
 
 
 def dichotomic_slacks(p, t, s):
-    """Vectorizable slacks of the two-outcome (p, T, S) region.
+    """Vectorizable chain slacks of the two-outcome (p, T, S) region.
 
     Feasible iff |sqrt(p) - sqrt(1-p)| <= sqrt(T/S) <= sqrt(p) + sqrt(1-p)
     <= 1/sqrt(S).
     """
-    root_ts = np.sqrt(t / s)
-    lo = np.abs(np.sqrt(p) - np.sqrt(1.0 - p))
-    hi = np.sqrt(p) + np.sqrt(1.0 - p)
-    return {
-        LOWER_CHAIN: root_ts - lo,
-        UPPER_CHAIN: hi - root_ts,
-        S_BOUND: 1.0 / np.sqrt(s) - hi,
-    }
+    a, b = np.sqrt(p), np.sqrt(1.0 - p)
+    return chain_slacks(np.sqrt(t / s), a + b, np.maximum(a, b), np.sqrt(s))
 
 
 def check_dichotomic(p: float, t: float, s: float) -> FeasibilityVerdict:
@@ -148,14 +142,11 @@ def check_dichotomic(p: float, t: float, s: float) -> FeasibilityVerdict:
 def ternary_disk_slack(p1, p2, p3):
     """Vectorizable slack of the three-outcome orthogonal-postselection disk.
 
-    The square-root polygon inequalities for n = 3 are equivalent to the
-    three quadratics (P(i) - P(j) - P(k))^2 <= 4 P(j) P(k); the returned
-    slack is the minimum over the three cyclic instances.
+    The LowerChain entry of chain_slacks at T = 0: S is left free, since
+    some S admits any P that meets the polygon inequalities.
     """
-    s1 = 4.0 * p2 * p3 - (p1 - p2 - p3) ** 2
-    s2 = 4.0 * p3 * p1 - (p2 - p3 - p1) ** 2
-    s3 = 4.0 * p1 * p2 - (p3 - p1 - p2) ** 2
-    return np.minimum(np.minimum(s1, s2), s3)
+    a, b, c = np.sqrt(p1), np.sqrt(p2), np.sqrt(p3)
+    return chain_slacks(0.0, a + b + c, np.maximum(np.maximum(a, b), c), 1.0)[LOWER_CHAIN]
 
 
 def check_ternary_disk(p: OutcomeDistribution) -> bool:
@@ -176,7 +167,7 @@ def cone_decompose(p: OutcomeDistribution) -> ConeDecomposition:
     if n < 2:
         raise ValueError("cone decomposition needs n >= 2")
     sq = np.array(sqrt_probs(p))
-    if max(sq) > sq.sum() - max(sq) + EPS_FEAS:
+    if not chain_slacks(0.0, sq.sum(), sq.max(), 1.0)[LOWER_CHAIN] >= -EPS_FEAS:
         raise PolygonViolation(f"polygon inequalities fail for {p.probs}")
     rays = np.ones((n, n)) + (2.0 - n) * np.eye(n)  # column m = ray y^m
     try:

@@ -189,7 +189,7 @@ def fuzz_projective(
         probs = weights[keep] / s[keep, None]
         slacks = projective_raw_slack_arrays(t_k, s_k, probs)
         min_slack = np.minimum.reduce(list(slacks.values()))
-        bad = np.flatnonzero(min_slack < -eps)
+        bad = np.flatnonzero(~(min_slack >= -eps))
         if bad.size:
             keep_idx = np.flatnonzero(keep)
             for i in bad:
@@ -198,7 +198,7 @@ def fuzz_projective(
                 for arr in (psi[orig], phi[orig], u[orig], labels[orig]):
                     h.update(np.ascontiguousarray(arr).tobytes())
                 tags = tuple(
-                    tag for tag, arr in slacks.items() if arr[i] < -eps
+                    tag for tag, arr in slacks.items() if not arr[i] >= -eps
                 )
                 violations.append(
                     FuzzViolation(

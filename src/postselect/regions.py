@@ -34,8 +34,8 @@ class Axis:
 class RegionGrid:
     axes: tuple[Axis, ...]
     coords: np.ndarray  # (N, len(axes)) cell centers, row-major
-    feasible: np.ndarray  # (N,) bool
-    violated: tuple[tuple[str, ...], ...]  # per-cell violated tags
+    tags: tuple[str, ...]  # constraint tags, at most 8
+    violated: np.ndarray  # (N,) uint8, bit k set when the cell violates tags[k]
     polylines: tuple[tuple[str, np.ndarray], ...] = field(default=())
 
     def __post_init__(self):
@@ -44,15 +44,17 @@ class RegionGrid:
             expected *= ax.resolution
         if self.coords.shape != (expected, len(self.axes)):
             raise ValueError("cell count does not match axis resolutions")
-        if self.feasible.shape != (expected,) or len(self.violated) != expected:
-            raise ValueError("feasibility data does not match cell count")
+        if self.violated.shape != (expected,) or len(self.tags) > 8:
+            raise ValueError("violation bitmask does not match cell count or tags")
 
-    def feasible_fraction(self, *, exclude: str | None = None) -> float:
-        """Fraction of feasible cells, optionally ignoring cells carrying a tag."""
-        if exclude is None:
-            return float(self.feasible.mean())
-        mask = np.array([exclude not in v for v in self.violated])
-        return float(self.feasible[mask].mean())
+    @property
+    def feasible(self) -> np.ndarray:
+        """(N,) bool: the cell violates no tag."""
+        return self.violated == 0
+
+    def has(self, tag: str) -> np.ndarray:
+        """(N,) bool: the cell violates `tag`."""
+        return (self.violated >> self.tags.index(tag)) & 1 == 1
 
 
 def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
@@ -61,19 +63,12 @@ def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
 
 
 def _tags_from_slacks(slacks: dict[str, np.ndarray], extra_masks=None):
-    """Per-cell violated-tag tuples and the combined feasibility mask."""
-    n_cells = next(iter(slacks.values())).size
-    bad = {tag: arr < -EPS_FEAS for tag, arr in slacks.items()}
+    """Tag names and the per-cell violation bitmask; NaN slacks count as violated."""
+    bad = {tag: ~(arr >= -EPS_FEAS) for tag, arr in slacks.items()}
     if extra_masks:
         bad.update(extra_masks)
-    feasible = ~np.logical_or.reduce(list(bad.values()))
-    tags = list(bad.keys())
-    columns = np.stack([bad[t] for t in tags], axis=1)
-    violated = tuple(
-        tuple(t for t, hit in zip(tags, row) if hit) for row in columns
-    )
-    assert len(violated) == n_cells
-    return feasible, violated
+    bits = [mask.astype(np.uint8) << k for k, mask in enumerate(bad.values())]
+    return tuple(bad), np.bitwise_or.reduce(bits)
 
 
 def emit_ternary(resolution: int) -> RegionGrid:
@@ -89,14 +84,11 @@ def emit_ternary(resolution: int) -> RegionGrid:
     p3 = 1.0 - p1 - p2
     outside = p3 < -EPS_FEAS
     disk = feasibility.ternary_disk_slack(p1, p2, np.maximum(p3, 0.0))
-    feasible, violated = _tags_from_slacks(
+    tags, violated = _tags_from_slacks(
         {MAX_OUTCOME_POLYGON: disk}, extra_masks={OUTSIDE_SIMPLEX: outside}
     )
     return RegionGrid(
-        axes=axes,
-        coords=np.stack([p1, p2], axis=1),
-        feasible=feasible,
-        violated=violated,
+        axes=axes, coords=np.stack([p1, p2], axis=1), tags=tags, violated=violated
     )
 
 
@@ -106,14 +98,14 @@ def emit_ps_region(resolution: int) -> RegionGrid:
         raise ValueError("resolution must be >= 2")
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
     p, s = _mesh(axes)
-    slack = 1.0 / (1.0 + 2.0 * np.sqrt(p * (1.0 - p))) - s
-    feasible, violated = _tags_from_slacks({S_BOUND: slack})
+    slack = feasibility.dichotomic_slacks(p, 0.0, s)[S_BOUND]
+    tags, violated = _tags_from_slacks({S_BOUND: slack})
     pp = np.linspace(0.0, 1.0, 4 * resolution + 1)
     boundary = np.stack([pp, 1.0 / (1.0 + 2.0 * np.sqrt(pp * (1.0 - pp)))], axis=1)
     return RegionGrid(
         axes=axes,
         coords=np.stack([p, s], axis=1),
-        feasible=feasible,
+        tags=tags,
         violated=violated,
         polylines=(("s_max", boundary),),
     )
@@ -133,7 +125,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("t", 0.0, 1.0, resolution))
     p, t = _mesh(axes)
     slacks = feasibility.dichotomic_slacks(p, t, s)
-    feasible, violated = _tags_from_slacks(slacks)
+    tags, violated = _tags_from_slacks(slacks)
     pp = np.linspace(0.0, 1.0, 4 * resolution + 1)
     lower = np.stack([pp, s * (np.sqrt(pp) - np.sqrt(1.0 - pp)) ** 2], axis=1)
     upper = np.stack(
@@ -142,7 +134,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
     return RegionGrid(
         axes=axes,
         coords=np.stack([p, t], axis=1),
-        feasible=feasible,
+        tags=tags,
         violated=violated,
         polylines=(("t_min", lower), ("t_max", upper)),
     )
@@ -156,13 +148,12 @@ def emit_ts_region(n: int, resolution: int) -> RegionGrid:
         raise ValueError("resolution must be >= 2")
     axes = (Axis("t", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
     t, s = _mesh(axes)
-    slacks = {k: np.asarray(v) for k, v in feasibility.ts_region_slacks(t, s, n).items()}
-    feasible, violated = _tags_from_slacks(slacks)
+    tags, violated = _tags_from_slacks(feasibility.ts_region_slacks(t, s, n))
     diag = np.stack([np.linspace(0, 1, 2), np.linspace(0, 1, 2)], axis=1)
     return RegionGrid(
         axes=axes,
         coords=np.stack([t, s], axis=1),
-        feasible=feasible,
+        tags=tags,
         violated=violated,
         polylines=(("measurement_enhanced_diagonal", diag),),
     )
@@ -172,11 +163,17 @@ def write_region_csv(grid: RegionGrid, stream: io.TextIOBase) -> None:
     """CSV: axis columns, then `feasible`, then semicolon-joined violated tags."""
     header = [ax.name for ax in grid.axes] + ["feasible", "violated"]
     stream.write(",".join(header) + "\n")
-    for row, ok, tags in zip(grid.coords, grid.feasible, grid.violated):
-        cells = [f"{x:.12g}" for x in row]
-        cells.append("true" if ok else "false")
-        cells.append(";".join(tags))
-        stream.write(",".join(cells) + "\n")
+    # One "feasible,violated" suffix per bitmask value.
+    suffix = [
+        ("true," if mask == 0 else "false,")
+        + ";".join(tag for k, tag in enumerate(grid.tags) if mask >> k & 1)
+        for mask in range(1 << len(grid.tags))
+    ]
+    # Rows are converted to Python lists in blocks, never the whole grid at once.
+    for lo in range(0, grid.violated.size, 4096):
+        rows = grid.coords[lo : lo + 4096].tolist()
+        for row, mask in zip(rows, grid.violated[lo : lo + 4096].tolist()):
+            stream.write(",".join(f"{x:.12g}" for x in row) + "," + suffix[mask] + "\n")
 
 
 def write_region_svg(grid: RegionGrid, stream: io.TextIOBase) -> None:
@@ -216,8 +213,7 @@ def ternary_disk_area_fraction(resolution: int = 400) -> float:
     area fraction pi/(3 sqrt(3)).
     """
     grid = emit_ternary(resolution)
-    inside = np.array([OUTSIDE_SIMPLEX not in v for v in grid.violated])
-    return float(grid.feasible[inside].mean())
+    return float(grid.feasible[~grid.has(OUTSIDE_SIMPLEX)].mean())
 
 
 INSCRIBED_DISK_FRACTION = math.pi / (3.0 * math.sqrt(3.0))

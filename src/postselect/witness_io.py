@@ -2,12 +2,15 @@
 
 Schema: kind ("projective" | "generalized"), dimension, psi/phi as [re, im]
 pairs, operators as row-major d x d matrices of [re, im] pairs, plus a
-free-form metadata map (target scenario, repaired outcomes, seeds).
+free-form metadata map (target scenario, repaired outcomes, seeds).  A
+target scenario is checked when the witness is decoded: finite numbers t and
+s, and one finite p per outcome.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -54,6 +57,18 @@ def witness_to_dict(
     }
 
 
+def _check_target(target, n: int) -> None:
+    """metadata.target needs finite numbers t and s, and one finite p per outcome."""
+    try:
+        values, n_p = [target["t"], target["s"], *target["p"]], len(target["p"])
+    except (KeyError, TypeError) as exc:
+        raise InvalidWitness(f"malformed metadata.target: {exc!r}") from exc
+    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in values):
+        raise InvalidWitness("metadata.target has a non-finite or non-numeric entry")
+    if n_p != n:
+        raise InvalidWitness(f"metadata.target.p has {n_p} entries for {n} outcomes")
+
+
 def witness_from_dict(data: dict[str, Any]) -> ProjectiveWitness | GeneralizedWitness:
     try:
         kind = data["kind"]
@@ -64,14 +79,20 @@ def witness_from_dict(data: dict[str, Any]) -> ProjectiveWitness | GeneralizedWi
         meta = data.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidWitness(f"malformed witness file: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise InvalidWitness("metadata is not a JSON object")
     if psi.size != d or phi.size != d:
         raise InvalidWitness("state dimension does not match declared dimension")
     if kind == "projective":
-        return ProjectiveWitness(psi, phi, tuple(ops))
-    if kind == "generalized":
+        w = ProjectiveWitness(psi, phi, tuple(ops))
+    elif kind == "generalized":
         repaired = tuple(int(k) for k in meta.get("repaired", []))
-        return GeneralizedWitness(psi, phi, tuple(ops), repaired)
-    raise InvalidWitness(f"unknown witness kind {kind!r}")
+        w = GeneralizedWitness(psi, phi, tuple(ops), repaired)
+    else:
+        raise InvalidWitness(f"unknown witness kind {kind!r}")
+    if "target" in meta:
+        _check_target(meta["target"], w.n_outcomes)
+    return w
 
 
 def save_witness(w, path: str, metadata: dict[str, Any] | None = None) -> None:
@@ -80,16 +101,17 @@ def save_witness(w, path: str, metadata: dict[str, Any] | None = None) -> None:
         fh.write("\n")
 
 
-def load_witness(path: str) -> ProjectiveWitness | GeneralizedWitness:
+def load_witness_with_metadata(
+    path: str,
+) -> tuple[ProjectiveWitness | GeneralizedWitness, dict[str, Any]]:
+    """Read a witness file once; its metadata is checked as in witness_from_dict."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidWitness(f"not valid JSON: {exc}") from exc
-    return witness_from_dict(data)
+    return witness_from_dict(data), data.get("metadata", {})
 
 
-def load_witness_metadata(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return data.get("metadata", {})
+def load_witness(path: str) -> ProjectiveWitness | GeneralizedWitness:
+    return load_witness_with_metadata(path)[0]

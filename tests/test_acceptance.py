@@ -240,7 +240,7 @@ def test_08_lower_bound_t_over_four():
 
 def test_09_ternary_disk():
     grid = emit_ternary(400)
-    inside = np.array([OUTSIDE_SIMPLEX not in v for v in grid.violated])
+    inside = ~grid.has(OUTSIDE_SIMPLEX)
     frac = float(grid.feasible[inside].mean())
     frac_ok = abs(frac - INSCRIBED_DISK_FRACTION) <= 0.01 * INSCRIBED_DISK_FRACTION
     midpoints_ok = all(

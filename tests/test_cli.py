@@ -52,6 +52,10 @@ class TestCheck:
             ("check", "--t", "0.5", "--s", "0.5", "--p", "0.4,0.4"),
             ("check", "--t", "0.5", "--s", "0.5", "--p", "abc"),
             ("check", "--t", "0.5", "--s", "0.5", "--p=-0.5,1.5"),
+            ("check", "--t", "0", "--s", "0.5", "--p", "nan,0.5"),
+            ("check", "--t", "0", "--s", "0.5", "--p", "inf"),
+            ("check", "--t", "inf", "--s", "0.5", "--p", "1"),
+            ("check", "--t", "0", "--s", "nan", "--p", "1"),
         ],
     )
     def test_invalid_input_exit_two(self, capsys, argv):
@@ -123,6 +127,30 @@ class TestConstructVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert "FAILED" in out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda target: target.pop("t"),
+            lambda target: target["p"].pop(),
+            lambda target: target.update(s=float("nan")),
+        ],
+        ids=["missing-t", "short-p", "nan-s"],
+    )
+    def test_verify_rejects_malformed_target(self, capsys, tmp_path, edit):
+        path = tmp_path / "w.json"
+        run(
+            capsys,
+            "construct", "--t", "0.1", "--s", "0.3", "--p", "0.5,0.3,0.2",
+            "--kind", "projective", "--out", str(path),
+        )
+        payload = json.loads(path.read_text())
+        edit(payload["metadata"]["target"])
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "invalid witness" in err and "metadata.target" in err
+        assert "passed" not in out
 
     def test_verify_rejects_corrupt_witness(self, capsys, tmp_path):
         path = tmp_path / "w.json"

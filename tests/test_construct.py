@@ -26,7 +26,7 @@ def assert_reproduces(sc, witness, tol=1e-10):
 
 
 class TestClosePolygon:
-    @given(st.lists(st.floats(0.0, 10.0), min_size=0, max_size=25))
+    @given(st.lists(st.floats(0.0, 10.0), min_size=0, max_size=256))
     @settings(max_examples=300, deadline=None)
     def test_closes_whenever_possible(self, xs):
         total = sum(xs)

@@ -19,6 +19,8 @@ from postselect.errors import PolygonViolation, RegionViolation, SingularSystem
 from postselect.feasibility import (
     S_BOUND,
     LOWER_CHAIN,
+    _verdict,
+    chain_slacks,
     projective_raw_slack_arrays,
 )
 from conftest import random_distribution, random_scenario
@@ -70,6 +72,29 @@ class TestProjectiveChain:
 
     def test_t_too_large(self):
         assert not check_projective_chain(scenario(0.9, 0.1, (0.5, 0.5))).feasible
+
+
+class TestChainSlacks:
+    def test_scalar_and_row_forms_agree(self, rng):
+        t = rng.uniform(0.0, 1.0, 200)
+        s = rng.uniform(1e-3, 1.0, 200)
+        probs = rng.dirichlet(np.ones(4), 200)
+        rows = projective_raw_slack_arrays(t, s, probs)
+        for i in range(200):
+            sq = [math.sqrt(p) for p in probs[i]]
+            scalar = chain_slacks(math.sqrt(t[i] / s[i]), sum(sq), max(sq), math.sqrt(s[i]))
+            for tag, v in scalar.items():
+                assert v == pytest.approx(rows[tag][i], abs=1e-12)
+
+    def test_nan_slack_is_violated(self):
+        v = _verdict({LOWER_CHAIN: float("nan"), S_BOUND: 0.0})
+        assert not v.feasible
+        assert v.violated == (LOWER_CHAIN,)
+
+    @pytest.mark.parametrize("probs", [(float("nan"), 0.5), (float("inf"),)])
+    def test_non_finite_distribution_rejected(self, probs):
+        with pytest.raises(ValueError):
+            OutcomeDistribution(probs)
 
 
 class TestGeneralized:
