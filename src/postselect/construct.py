@@ -111,22 +111,32 @@ def close_polygon(xs) -> ClosedPolygon:
 
 
 def _factor_real(rs: list[float]) -> tuple[list[float], list[float]]:
-    """Unit real vectors (psi, phi) with psi_k * phi_k = rs[k]; rs ascending, sum <= 1."""
-    if len(rs) == 2:
-        r1, r2 = rs
-        ang_sum = math.acos(min(1.0, max(-1.0, r1 - r2)))
-        ang_diff = math.acos(min(1.0, max(-1.0, r1 + r2)))
-        alpha = 0.5 * (ang_sum + ang_diff)
-        beta = 0.5 * (ang_sum - ang_diff)
-        return [math.cos(alpha), math.sin(alpha)], [math.cos(beta), math.sin(beta)]
-    # Peel off the smallest entry; it is <= 1/len(rs) < 1, so the rescaling
-    # in the induction step never divides by zero.
-    r0 = rs[0]
-    scale = 1.0 - r0
-    sub_psi, sub_phi = _factor_real([x / scale for x in rs[1:]])
-    root = math.sqrt(scale)
-    psi = [math.sqrt(r0)] + [x * root for x in sub_psi]
-    phi = [math.sqrt(r0)] + [x * root for x in sub_phi]
+    """Unit real vectors (psi, phi) with psi_k * phi_k = rs[k]; rs ascending, sum <= 1.
+
+    Peels off the smallest entry r: psi_0 = phi_0 = sqrt(r), and the rest is
+    a factorization of the remaining entries divided by 1 - r, scaled by
+    sqrt(1 - r).  r <= 1/len(rs) < 1, so the division is safe.  The loop
+    keeps the running product of the divisors and of their square roots,
+    so entry k is rescaled once instead of once per level.  The last two
+    entries are factored in closed form.
+    """
+    psi: list[float] = []
+    phi: list[float] = []
+    scale = 1.0
+    root = 1.0
+    for x in rs[:-2]:
+        r0 = x / scale
+        psi.append(math.sqrt(r0) * root)
+        phi.append(psi[-1])
+        scale *= 1.0 - r0
+        root *= math.sqrt(1.0 - r0)
+    r1, r2 = rs[-2] / scale, rs[-1] / scale
+    ang_sum = math.acos(min(1.0, max(-1.0, r1 - r2)))
+    ang_diff = math.acos(min(1.0, max(-1.0, r1 + r2)))
+    alpha = 0.5 * (ang_sum + ang_diff)
+    beta = 0.5 * (ang_sum - ang_diff)
+    psi += [math.cos(alpha) * root, math.sin(alpha) * root]
+    phi += [math.cos(beta) * root, math.sin(beta) * root]
     return psi, phi
 
 
@@ -140,16 +150,17 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     n = z.size
     if n < 2:
         raise ValueError("amplitude factorization needs n >= 2")
+    if not np.isfinite(z).all():
+        raise ValueError(f"non-finite amplitude in {z}")
     r = np.abs(z)
     if float(r.sum()) > 1.0 + EPS_FEAS:
         raise NormViolation(f"sum of magnitudes {float(r.sum())!r} exceeds 1")
     order = np.argsort(r, kind="stable")
-    psi_s, phi_s = _factor_real([float(r[i]) for i in order])
+    psi_s, phi_s = _factor_real(r[order].tolist())
     psi = np.zeros(n, dtype=complex)
     phi = np.zeros(n, dtype=complex)
-    for rank, i in enumerate(order):
-        psi[i] = psi_s[rank]
-        phi[i] = phi_s[rank]
+    psi[order] = psi_s
+    phi[order] = phi_s
     # Reattach phases onto phi; psi stays real, so conj(psi_k) phi_k = z_k.
     nonzero = r > 0
     phi[nonzero] *= z[nonzero] / r[nonzero]
@@ -159,13 +170,12 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def _basis_projectors(d: int) -> tuple[np.ndarray, ...]:
-    out = []
-    for k in range(d):
-        p = np.zeros((d, d), dtype=complex)
-        p[k, k] = 1.0
-        out.append(p)
-    return tuple(out)
+def _basis_projectors(d: int) -> np.ndarray:
+    """The d computational-basis projectors as one (d, d, d) stack."""
+    out = np.zeros((d, d, d), dtype=complex)
+    k = np.arange(d)
+    out[k, k, k] = 1.0
+    return out
 
 
 def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:

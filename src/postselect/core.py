@@ -2,6 +2,14 @@
 
 All types are immutable value objects validated at construction time; every
 operation elsewhere in the package is a pure function over them.
+
+A witness holds its n operators as one read-only ``(n, d, d)`` complex array,
+``operators``; ``ProjectiveWitness.projectors`` and ``GeneralizedWitness.kraus``
+are tuples of read-only views of it.  Projectors whose off-diagonal entries
+are all exactly zero (every built witness) are validated on their diagonals
+in O(n d^2), the cost of the zero test; any other set costs one stacked
+product for idempotence and n - 1 batched products for pairwise
+orthogonality.  Every comparison is ``not err <= EPS_UNIT``, so NaN fails.
 """
 
 from __future__ import annotations
@@ -113,22 +121,89 @@ def as_state(entries: Sequence[complex] | np.ndarray, *, name: str = "state") ->
     if v.size < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > EPS_UNIT:
+    if not abs(norm - 1.0) <= EPS_UNIT:
         raise InvalidWitness(f"{name} has norm {norm!r}, not 1")
     v.setflags(write=False)
     return v
 
 
-def _as_matrix_tuple(mats, d: int) -> tuple[np.ndarray, ...]:
-    out = []
-    for m in mats:
-        a = np.asarray(m, dtype=complex)
+def _as_operator_stack(mats, d: int) -> np.ndarray:
+    """One read-only (n, d, d) complex copy of the operators."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    for a in mats:
         if a.shape != (d, d):
             raise InvalidWitness(f"operator shape {a.shape} does not match dimension {d}")
-        a = a.copy()
-        a.setflags(write=False)
-        out.append(a)
-    return tuple(out)
+    stack = np.array(mats) if mats else np.zeros((0, d, d), dtype=complex)
+    stack.setflags(write=False)
+    return stack
+
+
+def _first_bad(err: np.ndarray) -> int | None:
+    """Index of the first error that is not <= EPS_UNIT (NaN included), or None."""
+    bad = ~(err <= EPS_UNIT)
+    return int(bad.argmax()) if bad.any() else None
+
+
+# Non-finite entries fail the checks below through NaN errors; they need no warning.
+_QUIET = np.errstate(invalid="ignore", over="ignore")
+
+
+@_QUIET
+def _validate_projectors(a: np.ndarray) -> None:
+    """Raise InvalidWitness unless the (n, d, d) stack is a complete orthogonal set.
+
+    The first failure is reported, in this order: projector i hermitian, then
+    idempotent, for i ascending; completeness; orthogonality of (i, j) in
+    lexicographic order.  When every off-diagonal entry is exactly zero the
+    checks run on the (n, d) diagonals: there P_i P_j = diag(D_i * D_j), so
+    the largest entry over all pairs is, per column, the product of the two
+    largest |D_ik|.
+    """
+    n, d, _ = a.shape
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        herm = np.abs(diag - diag.conj()).max(axis=1)
+        idem = np.abs(diag * diag - diag).max(axis=1)
+        total = diag.sum(axis=0) - 1.0
+        mag = np.abs(diag)
+
+        def pair_errors(i):
+            return (mag[i] * mag[i + 1 :]).max(axis=1)
+
+        # Scan the pairs only when some column's two largest |D_ik| fail together.
+        scan = n > 1 and not (
+            np.partition(mag, n - 2, axis=0)[n - 2 :].prod(axis=0).max() <= EPS_UNIT
+        )
+    else:
+        herm = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        idem = np.abs(a @ a - a).max(axis=(1, 2))
+        total = a.sum(axis=0) - np.eye(d)
+
+        def pair_errors(i):
+            return np.abs(a[i] @ a[i + 1 :]).max(axis=(1, 2))
+
+        scan = True
+    i = _first_bad(np.maximum(herm, idem))
+    if i is not None:
+        kind = "idempotent" if herm[i] <= EPS_UNIT else "hermitian"
+        raise InvalidWitness(f"projector {i} is not {kind}")
+    if not np.abs(total).max() <= EPS_UNIT:
+        raise InvalidWitness("projectors do not sum to the identity")
+    for i in range(n - 1 if scan else 0):
+        j = _first_bad(pair_errors(i))
+        if j is not None:
+            raise InvalidWitness(f"projectors {i} and {i + 1 + j} are not orthogonal")
+
+
+@_QUIET
+def _validate_kraus(a: np.ndarray) -> None:
+    """Raise InvalidWitness unless sum_k V_k^dag V_k = 1.
+
+    The sum is one product: the rows of all V_k stacked form an (n d, d) matrix.
+    """
+    flat = a.reshape(-1, a.shape[-1])
+    if not np.abs(flat.conj().T @ flat - np.eye(a.shape[-1])).max() <= EPS_UNIT:
+        raise InvalidWitness("Kraus operators are not complete")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +213,7 @@ class ProjectiveWitness:
     psi: np.ndarray
     phi: np.ndarray
     projectors: tuple[np.ndarray, ...]
+    operators: np.ndarray = field(repr=False)
 
     def __init__(self, psi, phi, projectors):
         psi = as_state(psi, name="psi")
@@ -145,25 +221,14 @@ class ProjectiveWitness:
         d = psi.size
         if phi.size != d:
             raise InvalidWitness("psi and phi dimensions differ")
-        projs = _as_matrix_tuple(projectors, d)
-        if not projs:
+        ops = _as_operator_stack(projectors, d)
+        if not len(ops):
             raise InvalidWitness("empty projector set")
-        total = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(projs):
-            if np.max(np.abs(p - p.conj().T)) > EPS_UNIT:
-                raise InvalidWitness(f"projector {i} is not hermitian")
-            if np.max(np.abs(p @ p - p)) > EPS_UNIT:
-                raise InvalidWitness(f"projector {i} is not idempotent")
-            total += p
-        if np.max(np.abs(total - np.eye(d))) > EPS_UNIT:
-            raise InvalidWitness("projectors do not sum to the identity")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.max(np.abs(projs[i] @ projs[j])) > EPS_UNIT:
-                    raise InvalidWitness(f"projectors {i} and {j} are not orthogonal")
+        _validate_projectors(ops)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "projectors", tuple(ops))
+        object.__setattr__(self, "operators", ops)
 
     @property
     def dimension(self) -> int:
@@ -175,7 +240,7 @@ class ProjectiveWitness:
 
     def swapped(self) -> "ProjectiveWitness":
         """Time-reversed witness: initial and final states interchanged."""
-        return ProjectiveWitness(self.phi, self.psi, self.projectors)
+        return ProjectiveWitness(self.phi, self.psi, self.operators)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +255,7 @@ class GeneralizedWitness:
     phi: np.ndarray
     kraus: tuple[np.ndarray, ...]
     repaired: tuple[int, ...] = field(default=())
+    operators: np.ndarray = field(default=None, repr=False)
 
     def __init__(self, psi, phi, kraus, repaired=()):
         psi = as_state(psi, name="psi")
@@ -197,18 +263,15 @@ class GeneralizedWitness:
         d = psi.size
         if phi.size != d:
             raise InvalidWitness("psi and phi dimensions differ")
-        ops = _as_matrix_tuple(kraus, d)
-        if not ops:
+        ops = _as_operator_stack(kraus, d)
+        if not len(ops):
             raise InvalidWitness("empty Kraus set")
-        total = np.zeros((d, d), dtype=complex)
-        for v in ops:
-            total += v.conj().T @ v
-        if np.max(np.abs(total - np.eye(d))) > EPS_UNIT:
-            raise InvalidWitness("Kraus operators are not complete")
+        _validate_kraus(ops)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "repaired", tuple(int(k) for k in repaired))
+        object.__setattr__(self, "operators", ops)
 
     @property
     def dimension(self) -> int:
@@ -221,7 +284,7 @@ class GeneralizedWitness:
     def swapped(self) -> "GeneralizedWitness":
         """Time-reversed witness: states interchanged, each Kraus operator adjointed."""
         return GeneralizedWitness(
-            self.phi, self.psi, tuple(v.conj().T for v in self.kraus), self.repaired
+            self.phi, self.psi, self.operators.conj().transpose(0, 2, 1), self.repaired
         )
 
 

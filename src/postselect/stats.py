@@ -23,8 +23,7 @@ from .errors import DegeneratePostselection
 
 def transition_amplitudes(w: ProjectiveWitness | GeneralizedWitness) -> np.ndarray:
     """Per-outcome amplitudes <phi|V_k|psi> (V_k = Pi_k in the projective case)."""
-    ops = w.projectors if isinstance(w, ProjectiveWitness) else w.kraus
-    return np.array([np.vdot(w.phi, v @ w.psi) for v in ops])
+    return (w.operators @ w.psi) @ w.phi.conj()
 
 
 def evaluate_witness(w: ProjectiveWitness | GeneralizedWitness) -> ScenarioTriple:
@@ -51,7 +50,7 @@ def diversity(dist: OutcomeDistribution, q: float) -> float:
     entropy (the q -> 1 limit, computed directly with 0 log 0 := 0), and
     q = inf gives 1 / max_k P(k).  Zero-probability entries never contribute.
     """
-    if q < 0:
+    if not q >= 0:
         raise ValueError(f"order q = {q!r} must be >= 0")
     probs = dist.probs
     if q == 0:

@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postselect import (
     OutcomeDistribution,
@@ -56,6 +62,7 @@ class TestCheck:
             ("check", "--t", "0", "--s", "0.5", "--p", "inf"),
             ("check", "--t", "inf", "--s", "0.5", "--p", "1"),
             ("check", "--t", "0", "--s", "nan", "--p", "1"),
+            ("entropy", "--p", "0.5,0.5", "--q", "nan"),
         ],
     )
     def test_invalid_input_exit_two(self, capsys, argv):
@@ -167,6 +174,28 @@ class TestConstructVerify:
         assert "invalid witness" in err
 
 
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "psi"])
+    def test_verify_rejects_nan_entry(self, capsys, tmp_path, where):
+        path = tmp_path / "w.json"
+        run(
+            capsys,
+            "construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
+            "--kind", "projective", "--out", str(path),
+        )
+        payload = json.loads(path.read_text())
+        entry = {
+            "diagonal": payload["operators"][1][1][1],
+            "off-diagonal": payload["operators"][0][0][1],
+            "psi": payload["psi"][0],
+        }[where]
+        entry[0] = float("nan")
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "invalid witness" in err
+        assert "non-finite probability" not in err and "passed" not in out
+
+
 class TestRegion:
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run(capsys, "region", "--which", "ts", "--n", "2", "--resolution", "4")
@@ -248,3 +277,91 @@ class TestWitnessIO:
         assert w2.repaired == w.repaired
         for a, b in zip(w2.kraus, w.kraus):
             assert np.allclose(a, b)
+
+
+def run_captured(argv):
+    """main() with its output captured; works inside hypothesis, unlike capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+NUMBERS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+BUILT_WITNESSES = [
+    witness_to_dict(build(ScenarioTriple(0.1, 0.3, OutcomeDistribution(p))), {
+        "target": {"t": 0.1, "s": 0.3, "p": list(p)}
+    })
+    for build, p in [
+        (construct_projective, (0.5, 0.5)),
+        (construct_projective, (0.5, 0.3, 0.2)),
+        (construct_generalized, (0.6, 0.3, 0.1)),
+    ]
+]
+
+
+def _joined(values):
+    return ",".join(repr(v) for v in values)
+
+
+class TestCliInvariants:
+    """Any argument list: exit 0, 1 or 2, no traceback, and non-finite input exits 2."""
+
+    @staticmethod
+    def assert_invariants(argv, non_finite):
+        code, out, err = run_captured(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+        if non_finite:
+            assert code == 2, (argv, out, err)
+            assert ": feasible" not in out and "verification passed" not in out
+
+    @given(NUMBERS, NUMBERS, st.lists(NUMBERS, min_size=1, max_size=4), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_check(self, t, s, p, generalized):
+        argv = ["check", f"--t={t!r}", f"--s={s!r}", f"--p={_joined(p)}"]
+        argv += ["--generalized"] if generalized else []
+        non_finite = not all(math.isfinite(x) for x in (t, s, *p))
+        self.assert_invariants(argv, non_finite)
+
+    @given(st.lists(NUMBERS, min_size=1, max_size=4), st.one_of(st.none(), NUMBERS))
+    @settings(max_examples=150, deadline=None)
+    def test_entropy(self, p, q):
+        argv = ["entropy", f"--p={_joined(p)}"] + ([] if q is None else [f"--q={q!r}"])
+        bad_q = q is not None and (math.isnan(q) or q == -math.inf)
+        self.assert_invariants(argv, bad_q or not all(math.isfinite(x) for x in p))
+
+    @given(
+        st.sampled_from(BUILT_WITNESSES),
+        st.sampled_from(["none", "psi", "phi", "operator", "target.t", "target.p"]),
+        st.sampled_from(NON_FINITE),
+        st.integers(0, 1000),
+        st.integers(0, 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_verify(self, tmp_path_factory, base, where, bad, k, part):
+        payload = copy.deepcopy(base)
+        d = payload["dimension"]
+        if where in ("psi", "phi"):
+            payload[where][k % d][part] = bad
+        elif where == "operator":
+            ops = payload["operators"]
+            ops[k % len(ops)][k % d][(k // d) % d][part] = bad
+        elif where == "target.t":
+            payload["metadata"]["target"]["t"] = bad
+        elif where == "target.p":
+            target_p = payload["metadata"]["target"]["p"]
+            target_p[k % len(target_p)] = bad
+        path = tmp_path_factory.mktemp("verify") / "w.json"
+        path.write_text(json.dumps(payload))
+        self.assert_invariants(["verify", str(path)], where != "none")
+        if where == "none":
+            assert "verification passed" in run_captured(["verify", str(path)])[1]

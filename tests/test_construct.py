@@ -14,8 +14,27 @@ from postselect import (
     evaluate_witness,
     factor_amplitudes,
 )
+from postselect.construct import _factor_real
 from postselect.errors import InfeasibleScenario, NormViolation, PolygonViolation
 from conftest import random_feasible_scenario, random_scenario
+
+
+def factor_real_recursive(rs):
+    """The recursive form of the real factorization, one level per entry."""
+    if len(rs) == 2:
+        r1, r2 = rs
+        ang_sum = math.acos(min(1.0, max(-1.0, r1 - r2)))
+        ang_diff = math.acos(min(1.0, max(-1.0, r1 + r2)))
+        alpha = 0.5 * (ang_sum + ang_diff)
+        beta = 0.5 * (ang_sum - ang_diff)
+        return [math.cos(alpha), math.sin(alpha)], [math.cos(beta), math.sin(beta)]
+    r0 = rs[0]
+    scale = 1.0 - r0
+    sub_psi, sub_phi = factor_real_recursive([x / scale for x in rs[1:]])
+    root = math.sqrt(scale)
+    psi = [math.sqrt(r0)] + [x * root for x in sub_psi]
+    phi = [math.sqrt(r0)] + [x * root for x in sub_phi]
+    return psi, phi
 
 
 def assert_reproduces(sc, witness, tol=1e-10):
@@ -70,6 +89,30 @@ class TestFactorAmplitudes:
     def test_zero_entries(self):
         psi, phi = factor_amplitudes([0.0, 0.3, 0.0, 0.2])
         assert np.allclose(psi.conj() * phi, [0.0, 0.3, 0.0, 0.2], atol=1e-11)
+
+    def test_matches_recursive_form(self, rng):
+        for _ in range(500):
+            n = int(rng.integers(2, 13))
+            r = rng.dirichlet(np.ones(n)) * rng.choice([1.0, rng.uniform(0.1, 1.0)])
+            # Ties and zeros.
+            r[rng.integers(n)] = r[rng.integers(n)]
+            r[rng.random(n) < 0.2] = 0.0
+            rs = sorted(float(x) for x in r)
+            for a, b in zip(_factor_real(rs), factor_real_recursive(rs)):
+                assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_long_vectors(self, rng, n):
+        # One loop step per entry, no recursion: n beyond the interpreter's recursion limit.
+        z = rng.dirichlet(np.ones(n)) * np.exp(2j * math.pi * rng.random(n))
+        psi, phi = factor_amplitudes(z)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(psi.conj() * phi - z)) <= 1e-10
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            factor_amplitudes([math.nan, 0.5])
 
     def test_rejects_overlong(self):
         with pytest.raises(NormViolation):

@@ -133,6 +133,10 @@ class TestDiversity:
         with pytest.raises(ValueError):
             diversity(OutcomeDistribution((1.0,)), -1.0)
 
+    def test_rejects_nan_order(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            diversity(OutcomeDistribution((0.5, 0.5)), math.nan)
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_continuity_at_q_one(self, weights):

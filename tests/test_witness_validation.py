@@ -1,0 +1,195 @@
+"""Witness validation against the literal per-projector and pairwise loop.
+
+ProjectiveWitness validates its (n, d, d) operator stack in one of two ways:
+on the diagonals when every off-diagonal entry is exactly zero, with
+stacked products otherwise.  Both must accept and reject exactly what the
+loop below does, and report the same first failure.  Dense witnesses cost
+n * d^2 * 16 bytes, so every set here stays at d <= 6.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from postselect import (
+    GeneralizedWitness,
+    OutcomeDistribution,
+    ProjectiveWitness,
+    ScenarioTriple,
+    construct_generalized,
+    construct_projective,
+)
+from postselect.core import EPS_UNIT
+from postselect.errors import InvalidWitness
+from postselect.oracle import sample_projective, sample_state, sample_unitary
+from postselect.stats import transition_amplitudes
+
+
+def check_projective_loop(projs) -> str | None:
+    """The validation loop as first written: the message of the first failure, or None."""
+    d = projs[0].shape[0]
+    total = np.zeros((d, d), dtype=complex)
+    for i, p in enumerate(projs):
+        if np.max(np.abs(p - p.conj().T)) > EPS_UNIT:
+            return f"projector {i} is not hermitian"
+        if np.max(np.abs(p @ p - p)) > EPS_UNIT:
+            return f"projector {i} is not idempotent"
+        total += p
+    if np.max(np.abs(total - np.eye(d))) > EPS_UNIT:
+        return "projectors do not sum to the identity"
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            if np.max(np.abs(projs[i] @ projs[j])) > EPS_UNIT:
+                return f"projectors {i} and {j} are not orthogonal"
+    return None
+
+
+def check_projective_stack(projs) -> str | None:
+    e0 = np.eye(projs[0].shape[0])[0]
+    try:
+        ProjectiveWitness(e0, e0, projs)
+    except InvalidWitness as exc:
+        return str(exc)
+    return None
+
+
+def diagonal_set(d, n, rng):
+    """Computational-basis projectors on a random partition of d basis vectors into n parts."""
+    labels = np.concatenate([np.arange(n), rng.integers(0, n, d - n)])
+    rng.shuffle(labels)
+    return [np.diag((labels == k).astype(complex)) for k in range(n)]
+
+
+def perturb(projs, delta, rng, diagonal_only):
+    """Add delta to one to three random entries of random projectors."""
+    out = [p.copy() for p in projs]
+    d = out[0].shape[0]
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(len(out)))
+        r = int(rng.integers(d))
+        c = r if diagonal_only else int(rng.integers(d))
+        out[k][r, c] += delta
+    return out
+
+
+PERTURBATIONS = (0.0, 1e-11, 3e-10, 1e-3, 1e-9j)
+
+
+def test_stack_matches_loop():
+    rng = np.random.default_rng(20261018)
+    seen = set()
+    trials = 0
+    for _ in range(150):
+        d = int(rng.integers(1, 7))
+        n = int(rng.integers(1, d + 1))
+        for make in (diagonal_set, sample_projective):
+            base = make(d, n, rng)
+            variants = [
+                perturb(base, delta, rng, diagonal_only=bool(rng.integers(2)))
+                for delta in PERTURBATIONS
+            ]
+            if n >= 2:
+                variants.append([base[0] + base[1]] + list(base[1:]))
+            variants.append([np.eye(d, dtype=complex)])
+            variants.append(base[:1])
+            for projs in variants:
+                expected = check_projective_loop(projs)
+                assert check_projective_stack(projs) == expected, (projs, expected)
+                seen.add(expected and expected.split()[-1])
+                trials += 1
+    assert trials > 1500
+    # Acceptance and every failure that can come first all occur.
+    assert {None, "hermitian", "idempotent", "identity"} <= seen
+
+
+@pytest.mark.parametrize("off_diagonal", [0.0, 1e-200], ids=["diagonal", "generic"])
+def test_orthogonality_can_fail_last(off_diagonal):
+    # Hermitian, idempotent and complete within EPS_UNIT, yet P_0 P_1 = diag(x, 0)
+    # exceeds it: x (1 - x) <= EPS_UNIT < x.
+    x = EPS_UNIT + 0.5 * EPS_UNIT**2
+    diagonals = ([1.0, 0.0], [x, 0.0], [-x / 2, 0.0], [-x / 2, 1.0])
+    projs = [np.diag(v).astype(complex) for v in diagonals]
+    projs[3][0, 1] = projs[3][1, 0] = off_diagonal
+    expected = "projectors 0 and 1 are not orthogonal"
+    assert check_projective_loop(projs) == expected
+    assert check_projective_stack(projs) == expected
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_nan_projector_entry_rejected(entry):
+    projs = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    projs[1][entry] = math.nan
+    with pytest.raises(InvalidWitness, match="projector 1 is not hermitian"):
+        ProjectiveWitness([1, 0], [0, 1], projs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_state_rejected(bad):
+    projs = [np.eye(2, dtype=complex)]
+    with pytest.raises(InvalidWitness, match="psi has norm"):
+        ProjectiveWitness([bad, 0], [1, 0], projs)
+    with pytest.raises(InvalidWitness, match="phi has norm"):
+        GeneralizedWitness([1, 0], [0, bad], projs)
+
+
+def test_nan_kraus_entry_rejected():
+    kraus = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    kraus[0][1, 0] = math.nan
+    with pytest.raises(InvalidWitness, match="not complete"):
+        GeneralizedWitness([1, 0], [0, 1], kraus)
+
+
+def test_kraus_completeness_matches_sum():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        u = sample_unitary(d, rng)
+        kraus = [p @ u for p in sample_projective(d, int(rng.integers(1, d + 1)), rng)]
+        kraus[0] = kraus[0] + float(rng.choice(PERTURBATIONS[:4])) * rng.standard_normal((d, d))
+        total = sum(v.conj().T @ v for v in kraus)
+        complete = np.max(np.abs(total - np.eye(d))) <= EPS_UNIT
+        psi = sample_state(d, rng)
+        if complete:
+            GeneralizedWitness(psi, psi, kraus)
+        else:
+            with pytest.raises(InvalidWitness):
+                GeneralizedWitness(psi, psi, kraus)
+
+
+def test_operators_are_one_read_only_stack():
+    sc = ScenarioTriple(0.1, 0.3, OutcomeDistribution((0.5, 0.3, 0.2)))
+    built = construct_projective(sc)
+    source = [np.diag(row).astype(complex) for row in np.eye(3)]
+    w = ProjectiveWitness(built.psi, built.phi, source)
+    # Adjointed Kraus operators stay complete when each is a projector times one unitary.
+    u = sample_unitary(3, np.random.default_rng(3))
+    h = GeneralizedWitness(built.psi, built.phi, [p @ u for p in source]).swapped()
+    source[0][0, 0] = 0.0
+    g = construct_generalized(sc)
+    for stack, views in (
+        (w.operators, w.projectors),
+        (g.operators, g.kraus),
+        (h.operators, h.kraus),
+    ):
+        assert stack.shape == (3, 3, 3) and not stack.flags.writeable
+        for k, v in enumerate(views):
+            assert v.base is stack and not v.flags.writeable
+            assert np.array_equal(v, stack[k])
+    assert w.projectors[0][0, 0] == 1.0
+
+
+def test_transition_amplitudes_match_per_operator_form():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        d = int(rng.integers(2, 6))
+        u = sample_unitary(d, rng)
+        projs = sample_projective(d, int(rng.integers(1, d + 1)), rng)
+        psi, phi = sample_state(d, rng), sample_state(d, rng)
+        for w in (
+            ProjectiveWitness(psi, phi, projs),
+            GeneralizedWitness(psi, phi, [p @ u for p in projs]),
+        ):
+            ops = w.projectors if isinstance(w, ProjectiveWitness) else w.kraus
+            expected = [np.vdot(w.phi, v @ w.psi) for v in ops]
+            assert np.allclose(transition_amplitudes(w), expected, rtol=0, atol=1e-14)
