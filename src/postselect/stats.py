@@ -49,17 +49,33 @@ def diversity(dist: OutcomeDistribution, q: float) -> float:
     q = 0 gives the support cardinality, q = 1 the exponentiated Shannon
     entropy (the q -> 1 limit, computed directly with 0 log 0 := 0), and
     q = inf gives 1 / max_k P(k).  Zero-probability entries never contribute.
+    P is taken as normalised, so a sum within EPS_PROB of 1 is divided out.
+
+    Other orders are computed as the exponential of log D_q, which lies in
+    [0, log n]: far from q = 1 the largest probability is factored out of the
+    power sum, so P(k)^q cannot underflow to an empty sum at large q; near
+    q = 1 the power sum is expanded as 1 + sum_k P(k) expm1((q - 1) log P(k)),
+    so neither its rounding nor the exponent 1/(1 - q) can blow up.
     """
     if not q >= 0:
         raise ValueError(f"order q = {q!r} must be >= 0")
-    probs = dist.probs
+    support = [p for p in dist.probs if p > 0]
     if q == 0:
-        return float(sum(1 for p in probs if p > 0))
+        return float(len(support))
+    total = sum(support)
+    w = [p / total for p in support]
     if q == 1:
-        return math.exp(-sum(p * math.log(p) for p in probs if p > 0))
+        return math.exp(-sum(p * math.log(p) for p in w))
+    top = max(w)
     if math.isinf(q):
-        return 1.0 / max(probs)
-    return sum(p**q for p in probs if p > 0) ** (1.0 / (1.0 - q))
+        return 1.0 / top
+    delta = q - 1.0
+    if abs(delta) <= 0.5:
+        log_d = -math.log1p(sum(p * math.expm1(delta * math.log(p)) for p in w)) / delta
+    else:
+        power_sum = sum((p / top) ** q for p in w)
+        log_d = (q / (1.0 - q)) * math.log(top) + math.log(power_sum) / (1.0 - q)
+    return math.exp(log_d)
 
 
 def renyi_entropy(dist: OutcomeDistribution, q: float) -> float:

@@ -137,6 +137,13 @@ class TestDiversity:
         with pytest.raises(ValueError, match="must be >= 0"):
             diversity(OutcomeDistribution((0.5, 0.5)), math.nan)
 
+    @pytest.mark.parametrize("q", [1075.0, 1e308, 1.0 + 2**-52, 1.0 - 2**-53, 1.0 + 1e-300])
+    def test_extreme_orders(self, q):
+        # 0.5**1075 underflows to 0 and 1/(1 - q) overflows near q = 1.
+        assert diversity(OutcomeDistribution((0.5, 0.5)), q) == pytest.approx(2.0, rel=1e-12)
+        skewed = OutcomeDistribution((0.5, 0.25, 0.25))
+        assert 2.0 - 1e-12 <= diversity(skewed, q) <= 2.9142135623730951
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_continuity_at_q_one(self, weights):
