@@ -84,11 +84,13 @@ def close_polygon(xs) -> ClosedPolygon:
     a larger group, let x be its last member.  When x arrived the group was
     the smallest, so G - x <= B; and x is at most the magnitude that opened
     C, so x <= C.  ClosureFailure therefore signals a bug or a roundoff
-    blow-up, never an unlucky split.
+    blow-up, never an unlucky split.  Roundoff grows with the magnitudes, so
+    the residual bound EPS_CLOSE scales by max(1, total) like the pre-check.
+    Non-finite or negative magnitudes raise ValueError.
     """
     xs = [float(x) for x in xs]
-    if any(x < 0.0 for x in xs):
-        raise ValueError(f"magnitudes must be non-negative: {xs}")
+    if not all(0.0 <= x < math.inf for x in xs):
+        raise ValueError(f"magnitudes must be finite and non-negative: {xs}")
     total = sum(xs)
     if xs and max(xs) > total - max(xs) + EPS_FEAS * max(1.0, total):
         raise PolygonViolation(f"{max(xs)!r} exceeds the sum of the remaining magnitudes")
@@ -105,7 +107,7 @@ def close_polygon(xs) -> ClosedPolygon:
     if dirs is None:
         raise ClosureFailure(f"greedy group sums {sums} form no triangle")
     zs = tuple(x * dirs[g] for x, g in zip(xs, groups))
-    if abs(sum(zs)) > EPS_CLOSE:
+    if abs(sum(zs)) > EPS_CLOSE * max(1.0, total):
         raise ClosureFailure(f"closure residual {abs(sum(zs))!r} for {xs}")
     return ClosedPolygon(zs=zs)
 

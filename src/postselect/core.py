@@ -282,7 +282,11 @@ class GeneralizedWitness:
         return len(self.kraus)
 
     def swapped(self) -> "GeneralizedWitness":
-        """Time-reversed witness: states interchanged, each Kraus operator adjointed."""
+        """Time-reversed witness: states interchanged, each Kraus operator adjointed.
+
+        Needs sum_k V_k V_k^dag = 1, as for projectors times one unitary (not
+        most built witnesses); else raises InvalidWitness("... not complete").
+        """
         return GeneralizedWitness(
             self.phi, self.psi, self.operators.conj().transpose(0, 2, 1), self.repaired
         )

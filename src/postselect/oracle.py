@@ -9,6 +9,7 @@ success probability at fixed transition probability.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,11 @@ from .errors import SearchBudgetExhausted
 
 # Postselected-ensemble discard threshold: P(.) is undefined when S vanishes.
 S_DISCARD = 1e-9
+# Coverage grids split [0, 1]^2 into NBINS^2 cells of side GRID_STEP.
+GRID_STEP = 0.01
+NBINS = round(1 / GRID_STEP)
+# Draws evaluated per vectorized step; bounds the fuzz's working memory.
+BATCH_SIZE = 50_000
 
 
 def default_rng(seed: int) -> np.random.Generator:
@@ -25,12 +31,28 @@ def default_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with the phases of R's diagonal moved into Q.
+
+    For complex Gaussian z this makes Q Haar-distributed (Mezzadri,
+    arXiv:math-ph/0609050).  Takes one (d, d) matrix or a (b, d, d) stack.
+    """
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mags = np.abs(diag)
+    return q * np.where(mags > 0, diag / np.where(mags > 0, mags, 1.0), 1.0)[..., None, :]
+
+
 def sample_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vector uniform on the complex sphere (normalized complex Gaussian)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     while True:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        z = _complex_normal(rng, d)
         norm = np.linalg.norm(z)
         if norm > 1e-12:
             return z / norm
@@ -38,26 +60,32 @@ def sample_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: complex Gaussian matrix, QR, diagonal phase fix."""
-    return _batch_unitaries(1, d, rng)[0]
+    return _haar(_complex_normal(rng, (d, d)))
 
 
-def _batch_unitaries(b: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    mags = np.abs(diag)
-    phases = np.where(mags > 0, diag / np.where(mags > 0, mags, 1.0), 1.0)
-    return q * phases[:, None, :]
+def _random_labels(b: int, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(b, d) column labels of b uniform compositions of d into n positive parts.
+
+    Cuts go in the n - 1 of the d - 1 column gaps that hold the smallest of
+    d - 1 uniform draws; a label counts the cuts before its column.  Nothing
+    is drawn when n == 1 or n == d, whose composition is fixed.
+    """
+    cuts = np.zeros((b, d), dtype=np.intp)
+    if 1 < n < d:
+        gaps = np.argsort(rng.random((b, d - 1)), axis=1)[:, : n - 1]
+        np.put_along_axis(cuts, gaps + 1, 1, axis=1)
+    elif n == d:
+        cuts[:, 1:] = 1
+    return np.cumsum(cuts, axis=1)
 
 
-def _random_composition(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform composition of d into n positive parts, as column group labels."""
-    labels = np.zeros(d, dtype=int)
-    if n > 1:
-        cuts = rng.choice(d - 1, size=n - 1, replace=False)
-        for c in np.sort(cuts):
-            labels[c + 1 :] += 1
-    return labels
+def _group(contrib: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Sum (b, d) contributions into (b, n) amplitudes by label, in column order."""
+    b = contrib.shape[0]
+    flat = (labels + n * np.arange(b)[:, None]).ravel()
+    re = np.bincount(flat, weights=contrib.real.ravel(), minlength=b * n)
+    im = np.bincount(flat, weights=contrib.imag.ravel(), minlength=b * n)
+    return (re + 1j * im).reshape(b, n)
 
 
 def sample_projective(d: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -65,7 +93,7 @@ def sample_projective(d: int, n: int, rng: np.random.Generator) -> tuple[np.ndar
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
     u = sample_unitary(d, rng)
-    labels = _random_composition(d, n, rng)
+    labels = _random_labels(1, d, n, rng)[0]
     projs = []
     for k in range(n):
         cols = u[:, labels == k]
@@ -90,7 +118,7 @@ class FuzzReport:
     violations: tuple[FuzzViolation, ...]
     coverage_grid: dict[tuple[int, int], int] = field(default_factory=dict)
     ternary_grid: dict[tuple[int, int], int] = field(default_factory=dict)
-    grid_step: float = 0.01
+    grid_step: float = GRID_STEP
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -108,43 +136,35 @@ def merge_reports(reports) -> FuzzReport:
     if not reports:
         return FuzzReport(samples=0, violations=())
     step = reports[0].grid_step
-    samples = 0
-    violations: list[FuzzViolation] = []
-    coverage: dict[tuple[int, int], int] = {}
-    ternary: dict[tuple[int, int], int] = {}
+    if any(r.grid_step != step for r in reports):
+        raise ValueError("cannot merge reports with different grid steps")
+    coverage: Counter = Counter()
+    ternary: Counter = Counter()
     for r in reports:
-        if r.grid_step != step:
-            raise ValueError("cannot merge reports with different grid steps")
-        samples += r.samples
-        violations.extend(r.violations)
-        for k, v in r.coverage_grid.items():
-            coverage[k] = coverage.get(k, 0) + v
-        for k, v in r.ternary_grid.items():
-            ternary[k] = ternary.get(k, 0) + v
+        coverage.update(r.coverage_grid)
+        ternary.update(r.ternary_grid)
     return FuzzReport(
-        samples=samples,
-        violations=tuple(violations),
-        coverage_grid=coverage,
-        ternary_grid=ternary,
+        samples=sum(r.samples for r in reports),
+        violations=tuple(v for r in reports for v in r.violations),
+        coverage_grid=dict(coverage),
+        ternary_grid=dict(ternary),
         grid_step=step,
     )
 
 
-def _accumulate(target: dict, keys: np.ndarray, counts: np.ndarray) -> None:
-    for key, cnt in zip(keys, counts):
-        k = tuple(int(x) for x in key)
-        target[k] = target.get(k, 0) + int(cnt)
+def _cell(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat index of each point's grid cell; values at or past 1 go to the last cell."""
+    i, j = (np.clip((v / GRID_STEP).astype(int), 0, NBINS - 1) for v in (x, y))
+    return i * NBINS + j
+
+
+def _grid(counts: np.ndarray) -> dict[tuple[int, int], int]:
+    """Flat per-cell counts as the report's {(i, j): count} dict of non-empty cells."""
+    return {divmod(int(c), NBINS): int(counts[c]) for c in np.flatnonzero(counts)}
 
 
 def fuzz_projective(
-    d: int,
-    n: int,
-    samples: int,
-    rng: np.random.Generator,
-    *,
-    eps: float = 1e-9,
-    grid_step: float = 0.01,
-    batch_size: int = 50_000,
+    d: int, n: int, samples: int, rng: np.random.Generator, *, eps: float = 1e-9
 ) -> FuzzReport:
     """Evaluate random projective witnesses against the analytic checker.
 
@@ -157,78 +177,56 @@ def fuzz_projective(
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
     violations: list[FuzzViolation] = []
-    coverage: dict[tuple[int, int], int] = {}
-    ternary: dict[tuple[int, int], int] = {}
-    nbins = int(round(1.0 / grid_step))
+    # (T, S) coverage cells, then the ternary slice's (P_0, P_1) cells.
+    counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
     done = 0
     while done < samples:
-        b = min(batch_size, samples - done)
+        b = min(BATCH_SIZE, samples - done)
         done += b
-        psi = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+        psi = _complex_normal(rng, (b, d))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        phi = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+        phi = _complex_normal(rng, (b, d))
         phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-        u = _batch_unitaries(b, d, rng)
+        u = _haar(_complex_normal(rng, (b, d, d)))
         # Per-column amplitude contributions (phi^dag u_j)(u_j^dag psi).
         left = np.einsum("bi,bij->bj", phi.conj(), u)
         right = np.einsum("bij,bi->bj", u.conj(), psi)
         contrib = left * right
-        if n == d:
-            labels = np.broadcast_to(np.arange(d), (b, d))
-            amps = contrib
-        else:
-            labels = np.stack([_random_composition(d, n, rng) for _ in range(b)])
-            amps = np.zeros((b, n), dtype=complex)
-            rows = np.broadcast_to(np.arange(b)[:, None], (b, d))
-            np.add.at(amps, (rows, labels), contrib)
+        labels = _random_labels(b, d, n, rng)
         t = np.abs(contrib.sum(axis=1)) ** 2
-        weights = np.abs(amps) ** 2
+        weights = np.abs(_group(contrib, labels, n)) ** 2
         s = weights.sum(axis=1)
         keep = s > S_DISCARD
         t_k, s_k = np.minimum(t[keep], 1.0), np.minimum(s[keep], 1.0)
         probs = weights[keep] / s[keep, None]
         slacks = projective_raw_slack_arrays(t_k, s_k, probs)
         min_slack = np.minimum.reduce(list(slacks.values()))
-        bad = np.flatnonzero(~(min_slack >= -eps))
-        if bad.size:
-            keep_idx = np.flatnonzero(keep)
-            for i in bad:
-                orig = keep_idx[i]
-                h = hashlib.sha256()
-                for arr in (psi[orig], phi[orig], u[orig], labels[orig]):
-                    h.update(np.ascontiguousarray(arr).tobytes())
-                tags = tuple(
-                    tag for tag, arr in slacks.items() if not arr[i] >= -eps
+        for i in np.flatnonzero(~(min_slack >= -eps)):
+            orig = np.flatnonzero(keep)[i]
+            h = hashlib.sha256()
+            for arr in (psi[orig], phi[orig], u[orig], labels[orig]):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -eps)
+            violations.append(
+                FuzzViolation(
+                    witness_digest=h.hexdigest(),
+                    t=float(t_k[i]),
+                    s=float(s_k[i]),
+                    probs=tuple(float(x) for x in probs[i]),
+                    violated=tags,
                 )
-                violations.append(
-                    FuzzViolation(
-                        witness_digest=h.hexdigest(),
-                        t=float(t_k[i]),
-                        s=float(s_k[i]),
-                        probs=tuple(float(x) for x in probs[i]),
-                        violated=tags,
-                    )
-                )
-        it = np.clip((t_k / grid_step).astype(int), 0, nbins - 1)
-        i_s = np.clip((s_k / grid_step).astype(int), 0, nbins - 1)
-        keys, counts = np.unique(np.stack([it, i_s], axis=1), axis=0, return_counts=True)
-        _accumulate(coverage, keys, counts)
+            )
+        cells = [_cell(t_k, s_k)]
         if n == 3:
-            near_zero_t = t_k < grid_step
-            if near_zero_t.any():
-                p_slice = probs[near_zero_t]
-                i1 = np.clip((p_slice[:, 0] / grid_step).astype(int), 0, nbins - 1)
-                i2 = np.clip((p_slice[:, 1] / grid_step).astype(int), 0, nbins - 1)
-                keys, counts = np.unique(
-                    np.stack([i1, i2], axis=1), axis=0, return_counts=True
-                )
-                _accumulate(ternary, keys, counts)
+            near_zero_t = t_k < GRID_STEP
+            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
+        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
     return FuzzReport(
         samples=samples,
         violations=tuple(violations),
-        coverage_grid=coverage,
-        ternary_grid=ternary,
-        grid_step=grid_step,
+        coverage_grid=_grid(counts[: NBINS * NBINS]),
+        ternary_grid=_grid(counts[NBINS * NBINS :]),
+        grid_step=GRID_STEP,
     )
 
 
@@ -283,8 +281,7 @@ def _search_extremal_s(
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
     nparams = 4 * d + 2 * d * d
     # Fixed rank partition: rank-1 outcomes plus a remainder block.
-    labels = np.arange(d)
-    labels[n - 1 :] = n - 1
+    labels = np.minimum(np.arange(d), n - 1)
 
     def success_prob(x: np.ndarray) -> float | None:
         psi = x[:d] + 1j * x[d : 2 * d]
@@ -300,16 +297,11 @@ def _search_extremal_s(
         v /= vnorm
         phi = np.sqrt(t) * psi + np.sqrt(1.0 - t) * v
         m = x[4 * d : 4 * d + d * d] + 1j * x[4 * d + d * d :]
-        q, r = np.linalg.qr(m.reshape(d, d))
-        diag = np.diagonal(r)
-        mags = np.abs(diag)
-        q = q * np.where(mags > 0, diag / np.where(mags > 0, mags, 1.0), 1.0)
+        q = _haar(m.reshape(d, d))
         left = phi.conj() @ q
         right = q.conj().T @ psi
         contrib = left * right
-        amps = np.zeros(n, dtype=complex)
-        np.add.at(amps, labels, contrib)
-        s = float((np.abs(amps) ** 2).sum())
+        s = float((np.abs(_group(contrib[None], labels, n)) ** 2).sum())
         if s <= S_DISCARD:
             return None
         return s

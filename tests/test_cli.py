@@ -323,6 +323,7 @@ class TestCliInvariants:
         if non_finite:
             assert code == 2, (argv, out, err)
             assert ": feasible" not in out and "verification passed" not in out
+        return code, out, err
 
     @given(NUMBERS, NUMBERS, st.lists(NUMBERS, min_size=1, max_size=4), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -338,6 +339,35 @@ class TestCliInvariants:
         argv = ["entropy", f"--p={_joined(p)}"] + ([] if q is None else [f"--q={q!r}"])
         bad_q = q is not None and (math.isnan(q) or q == -math.inf)
         self.assert_invariants(argv, bad_q or not all(math.isfinite(x) for x in p))
+
+    @given(st.integers(-1, 5), st.integers(-1, 5), st.integers(-2, 3000), st.integers(-2, 2**64))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzz(self, dim, outcomes, samples, seed):
+        argv = ["fuzz", f"--dim={dim}", f"--outcomes={outcomes}", f"--samples={samples}"]
+        code, out, err = self.assert_invariants(argv + [f"--seed={seed}"], False)
+        valid = 1 <= outcomes <= dim and samples >= 1 and seed >= 0
+        assert code == (0 if valid else 2), (argv, seed, err)
+        if valid:
+            assert f"samples: {samples}\nviolations: 0\n" in out
+
+    @given(
+        st.sampled_from(["ternary", "ps", "pt", "ts"]),
+        st.integers(-2, 40),
+        st.one_of(st.none(), st.integers(-1, 5)),
+        st.one_of(st.none(), NUMBERS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_region(self, which, resolution, n, s):
+        argv = ["region", f"--which={which}", f"--resolution={resolution}"]
+        argv += [] if n is None else [f"--n={n}"]
+        argv += [] if s is None else [f"--s={s!r}"]
+        non_finite = which == "pt" and s is not None and not math.isfinite(s)
+        code, _, err = self.assert_invariants(argv, non_finite)
+        valid = resolution >= 2 and {
+            "pt": s is not None and 0.0 < s <= 1.0,
+            "ts": n is not None and n >= 1,
+        }.get(which, True)
+        assert code == (0 if valid else 2), (argv, err)
 
     @given(
         st.sampled_from(BUILT_WITNESSES),

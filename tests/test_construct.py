@@ -14,7 +14,7 @@ from postselect import (
     evaluate_witness,
     factor_amplitudes,
 )
-from postselect.construct import _factor_real
+from postselect.construct import EPS_CLOSE, _factor_real
 from postselect.errors import InfeasibleScenario, NormViolation, PolygonViolation
 from conftest import random_feasible_scenario, random_scenario
 
@@ -67,6 +67,23 @@ class TestClosePolygon:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             close_polygon([0.5, -0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_rejects_non_finite(self, bad, where):
+        xs = [0.5, 1.0, 0.5]
+        xs[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            close_polygon(xs)
+
+    def test_residual_scales_with_total(self):
+        # Seeded input (n = 284, total 2e4) whose roundoff residual, about
+        # 1.1e-11, exceeds the absolute EPS_CLOSE.
+        rng = np.random.default_rng(1152)
+        xs = rng.dirichlet(np.ones(int(rng.integers(200, 301)))) * 2e4
+        closed = close_polygon(xs)
+        assert np.allclose(np.abs(closed.zs), xs, rtol=1e-13, atol=0.0)
+        assert abs(sum(closed.zs)) <= EPS_CLOSE * sum(xs)
 
 
 class TestFactorAmplitudes:

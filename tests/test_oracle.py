@@ -11,7 +11,7 @@ from postselect import (
     sample_state,
     sample_unitary,
 )
-from postselect.oracle import merge_reports
+from postselect.oracle import NBINS, _cell, _grid, _group, _random_labels, merge_reports
 
 
 class TestSamplers:
@@ -46,6 +46,40 @@ class TestSamplers:
             sample_projective(2, 3, rng)
 
 
+class TestPartitions:
+    def test_compositions_are_uniform(self):
+        labels = _random_labels(60_000, 5, 3, default_rng(11))
+        sizes = np.stack([(labels == k).sum(axis=1) for k in range(3)], axis=1)
+        compositions, counts = np.unique(sizes, axis=0, return_counts=True)
+        assert len(compositions) == 6
+        assert np.allclose(counts / 60_000, 1 / 6, atol=0.01)
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (4, 1), (4, 4), (5, 3), (6, 2), (7, 6)])
+    def test_groups_are_contiguous_and_non_empty(self, d, n):
+        labels = _random_labels(2000, d, n, default_rng(3))
+        assert labels.shape == (2000, d)
+        # Rows run from 0 to n - 1 in steps of 0 or 1: every group is hit, in order.
+        assert (labels[:, 0] == 0).all() and (labels[:, -1] == n - 1).all()
+        assert np.isin(np.diff(labels, axis=1), (0, 1)).all()
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (3, 3)])
+    def test_fixed_compositions_draw_nothing(self, d, n):
+        rng = default_rng(3)
+        _random_labels(10, d, n, rng)
+        assert rng.random() == default_rng(3).random()
+
+    def test_group_matches_loop(self):
+        rng = default_rng(9)
+        contrib = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
+        labels = _random_labels(50, 6, 3, rng)
+        expected = np.zeros((50, 3), dtype=complex)
+        for row in range(50):
+            for col in range(6):
+                expected[row, labels[row, col]] += contrib[row, col]
+        # Same additions in the same order, so the sums agree exactly.
+        assert np.array_equal(_group(contrib, labels, 3), expected)
+
+
 class TestFuzz:
     def test_no_violations_small(self, rng):
         for d, n in ((2, 2), (3, 2), (3, 3), (4, 4)):
@@ -57,6 +91,13 @@ class TestFuzz:
         report = fuzz_projective(2, 2, 20_000, rng)
         assert sum(report.coverage_grid.values()) <= report.samples
         assert len(report.coverage_grid) > 100
+
+    def test_cells_clip_into_grid(self):
+        x = np.array([0.0, 0.0099, 0.01, 0.5, 0.999, 1.0])
+        cells = _cell(x, x[::-1])
+        assert cells.tolist() == [99, 99, 150, 5001, 9900, 9900]
+        counts = np.bincount(cells, minlength=NBINS * NBINS)
+        assert _grid(counts) == {(0, 99): 2, (1, 50): 1, (50, 1): 1, (99, 0): 2}
 
     def test_ternary_slice_only_for_three_outcomes(self, rng):
         assert fuzz_projective(3, 3, 3000, rng).ternary_grid
@@ -73,9 +114,10 @@ class TestFuzz:
 
 
 class TestCampaign:
-    def test_deterministic_across_worker_counts(self):
-        serial = run_campaign(3, 2, 30_000, 42, max_workers=1, chunk=10_000)
-        parallel = run_campaign(3, 2, 30_000, 42, max_workers=4, chunk=10_000)
+    @pytest.mark.parametrize("d, n", [(3, 3), (3, 2), (4, 1)])
+    def test_deterministic_across_worker_counts(self, d, n):
+        serial = run_campaign(d, n, 30_000, 42, max_workers=1, chunk=10_000)
+        parallel = run_campaign(d, n, 30_000, 42, max_workers=4, chunk=10_000)
         assert serial.digest() == parallel.digest()
         assert serial.violations == ()
 

@@ -9,6 +9,8 @@ from postselect import (
     GeneralizedWitness,
     OutcomeDistribution,
     ProjectiveWitness,
+    ScenarioTriple,
+    construct_generalized,
     diversity,
     diversity_profile,
     evaluate_witness,
@@ -74,6 +76,12 @@ class TestEvaluateWitness:
             sc_swapped = evaluate_witness(w.swapped())
             assert sc_swapped.s == pytest.approx(sc.s, abs=1e-12)
             assert np.allclose(sc_swapped.dist.probs, sc.dist.probs, atol=1e-12)
+
+    def test_swap_needs_adjoint_completeness(self):
+        # Built Kraus sets are complete, but their adjoints need not be.
+        w = construct_generalized(ScenarioTriple(0.1, 0.3, OutcomeDistribution((0.5, 0.3, 0.2))))
+        with pytest.raises(InvalidWitness, match="not complete"):
+            w.swapped()
 
     def test_output_is_valid_triple(self, rng):
         for _ in range(100):
