@@ -96,7 +96,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     witness, metadata = load_witness_with_metadata(args.witness)
     sc = evaluate_witness(witness)
-    print(f"kind: {'projective' if hasattr(witness, 'projectors') else 'generalized'}")
+    print(f"kind: {witness.kind}")
     print(f"dimension: {witness.dimension}  outcomes: {witness.n_outcomes}")
     print("invariants: ok")
     print(f"T = {_fmt(sc.t)}")

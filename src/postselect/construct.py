@@ -16,14 +16,15 @@ import numpy as np
 
 from .core import (
     EPS_FEAS,
+    EPS_PROB,
     EPS_UNIT,
     GeneralizedWitness,
-    OutcomeDistribution,
     ProjectiveWitness,
     ScenarioTriple,
 )
 from .errors import (
     ClosureFailure,
+    DegeneratePostselection,
     InfeasibleScenario,
     NormViolation,
     PolygonViolation,
@@ -172,16 +173,22 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def _basis_projectors(d: int) -> np.ndarray:
-    """The d computational-basis projectors as one (d, d, d) stack."""
-    out = np.zeros((d, d, d), dtype=complex)
+def _block_projectors(n: int, d: int) -> np.ndarray:
+    """n diagonal projectors on C^d as one (n, d, d) stack.
+
+    Projector k < n - 1 is rank 1 on basis vector k; the last one covers
+    basis vectors n - 1 .. d - 1.  For n = d these are the basis projectors.
+    """
+    out = np.zeros((n, d, d), dtype=complex)
     k = np.arange(d)
-    out[k, k, k] = 1.0
+    out[np.minimum(k, n - 1), k, k] = 1.0
     return out
 
 
 def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
-    """Explicit dimension-n projective witness for a feasible scenario."""
+    """Explicit dimension-n projective witness for a feasible scenario with S > EPS_PROB."""
+    if sc.s <= EPS_PROB:  # evaluate_witness would call the ensemble empty
+        raise DegeneratePostselection(f"success probability {sc.s!r} is numerically zero")
     verdict = check_projective_raw(sc)
     if not verdict.feasible:
         raise InfeasibleScenario(f"scenario violates {verdict.violated}")
@@ -194,7 +201,7 @@ def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
     xs = [math.sqrt(p * sc.s) for p in sc.dist.probs] + [math.sqrt(sc.t)]
     closed = close_polygon(xs)
     psi, phi = factor_amplitudes(closed.zs[:n])
-    return ProjectiveWitness(psi, phi, _basis_projectors(n))
+    return ProjectiveWitness(psi, phi, _block_projectors(n, n))
 
 
 def _orthogonal_unit(v: np.ndarray) -> np.ndarray:
@@ -230,7 +237,10 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     measurement statistics and postselection are independent.  Outcomes with
     P(k) = 0 get their projector as Kraus operator instead of 0 to preserve
     completeness; they are listed in the witness's `repaired` field.
+    Raises DegeneratePostselection for S <= EPS_PROB, as evaluate_witness does.
     """
+    if sc.s <= EPS_PROB:
+        raise DegeneratePostselection(f"success probability {sc.s!r} is numerically zero")
     n = sc.n
     d = max(n, 2)
     psi = np.zeros(d, dtype=complex)
@@ -240,25 +250,15 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     phi /= np.linalg.norm(phi)
     phi_post = math.sqrt(sc.s) * phi + math.sqrt(1.0 - sc.s) * _orthogonal_unit(phi)
     phi_post /= np.linalg.norm(phi_post)
-    # Projectors: rank 1 on the first n-1 basis vectors, remainder on the last.
-    projectors = []
-    for k in range(n):
-        p = np.zeros((d, d), dtype=complex)
-        if k < n - 1:
-            p[k, k] = 1.0
-        else:
-            for j in range(n - 1, d):
-                p[j, j] = 1.0
-        projectors.append(p)
-    kraus = []
+    # Kraus operators start as the block projectors; each outcome with P(k) > 0
+    # is then sent onto phi_post in place.
+    kraus = _block_projectors(n, d)
     repaired = []
     for k in range(n):
-        pk = sc.dist[k]
-        if pk > 0.0:
-            v = projectors[k] @ psi
+        if sc.dist[k] > 0.0:
+            v = kraus[k] @ psi
             v /= np.linalg.norm(v)
-            kraus.append(_unitary_map(v, phi_post) @ projectors[k])
+            kraus[k] = _unitary_map(v, phi_post) @ kraus[k]
         else:
-            kraus.append(projectors[k])
             repaired.append(k)
-    return GeneralizedWitness(psi, phi, tuple(kraus), tuple(repaired))
+    return GeneralizedWitness(psi, phi, kraus, repaired)

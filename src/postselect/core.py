@@ -3,20 +3,22 @@
 All types are immutable value objects validated at construction time; every
 operation elsewhere in the package is a pure function over them.
 
-A witness holds its n operators as one read-only ``(n, d, d)`` complex array,
-``operators``; ``ProjectiveWitness.projectors`` and ``GeneralizedWitness.kraus``
-are tuples of read-only views of it.  Projectors whose off-diagonal entries
-are all exactly zero (every built witness) are validated on their diagonals
-in O(n d^2), the cost of the zero test; any other set costs one stacked
-product for idempotence and n - 1 batched products for pairwise
-orthogonality.  Every comparison is ``not err <= EPS_UNIT``, so NaN fails.
+Both witness kinds share one base, ``_Witness``, holding the n operators as
+one read-only ``(n, d, d)`` complex array, ``operators``, and naming its kind
+in ``kind``; ``projectors`` and ``kraus`` are tuples of views of it.
+Projectors whose off-diagonal entries are all exactly zero (every built
+witness) are validated on their diagonals in O(n d^2), the cost of the zero
+test; any other set costs one stacked product for idempotence and n - 1
+batched products for pairwise orthogonality.  Every comparison is
+``not err <= EPS_UNIT``, so NaN fails.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -53,9 +55,6 @@ class OutcomeDistribution:
     @property
     def n(self) -> int:
         return len(self.probs)
-
-    def max_prob(self) -> float:
-        return max(self.probs)
 
     def __iter__(self):
         return iter(self.probs)
@@ -127,17 +126,6 @@ def as_state(entries: Sequence[complex] | np.ndarray, *, name: str = "state") ->
     return v
 
 
-def _as_operator_stack(mats, d: int) -> np.ndarray:
-    """One read-only (n, d, d) complex copy of the operators."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    for a in mats:
-        if a.shape != (d, d):
-            raise InvalidWitness(f"operator shape {a.shape} does not match dimension {d}")
-    stack = np.array(mats) if mats else np.zeros((0, d, d), dtype=complex)
-    stack.setflags(write=False)
-    return stack
-
-
 def _first_bad(err: np.ndarray) -> int | None:
     """Index of the first error that is not <= EPS_UNIT (NaN included), or None."""
     bad = ~(err <= EPS_UNIT)
@@ -206,28 +194,35 @@ def _validate_kraus(a: np.ndarray) -> None:
         raise InvalidWitness("Kraus operators are not complete")
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveWitness:
-    """States psi, phi plus a complete set of mutually orthogonal projectors."""
+@dataclass(frozen=True, eq=False, init=False)
+class _Witness:
+    """States psi, phi plus n >= 1 operators as one read-only (n, d, d) stack.
 
+    The subclass's ``_validate`` checks its kind's invariant on the stack.
+    """
+
+    kind: ClassVar[str]
     psi: np.ndarray
     phi: np.ndarray
-    projectors: tuple[np.ndarray, ...]
     operators: np.ndarray = field(repr=False)
 
-    def __init__(self, psi, phi, projectors):
+    def __init__(self, psi, phi, operators):
         psi = as_state(psi, name="psi")
         phi = as_state(phi, name="phi")
-        d = psi.size
-        if phi.size != d:
+        if phi.size != psi.size:
             raise InvalidWitness("psi and phi dimensions differ")
-        ops = _as_operator_stack(projectors, d)
-        if not len(ops):
-            raise InvalidWitness("empty projector set")
-        _validate_projectors(ops)
+        try:
+            ops = np.array(operators, dtype=complex)  # one copy, whatever the input
+        except (TypeError, ValueError) as exc:
+            raise InvalidWitness(f"operators do not form one array: {exc}") from exc
+        if not ops.size:
+            raise InvalidWitness(f"empty {self.kind} operator set")
+        if ops.shape[1:] != (psi.size, psi.size):
+            raise InvalidWitness(f"operators of shape {ops.shape} for dimension {psi.size}")
+        ops.setflags(write=False)
+        self._validate(ops)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "projectors", tuple(ops))
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -236,50 +231,51 @@ class ProjectiveWitness:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.projectors)
+        return len(self.operators)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class ProjectiveWitness(_Witness):
+    """States psi, phi plus a complete set of mutually orthogonal projectors."""
+
+    kind = "projective"
+    _validate = staticmethod(_validate_projectors)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.operators)
 
     def swapped(self) -> "ProjectiveWitness":
         """Time-reversed witness: initial and final states interchanged."""
         return ProjectiveWitness(self.phi, self.psi, self.operators)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedWitness:
+@dataclass(frozen=True, eq=False, init=False)
+class GeneralizedWitness(_Witness):
     """States psi, phi plus Kraus operators satisfying completeness.
 
-    repaired lists outcome indices whose zero-probability Kraus operator was
-    replaced by the corresponding projector to preserve completeness.
+    repaired lists outcome indices, each an int in range(n), whose
+    zero-probability Kraus operator was replaced by the corresponding
+    projector to preserve completeness.
     """
 
-    psi: np.ndarray
-    phi: np.ndarray
-    kraus: tuple[np.ndarray, ...]
-    repaired: tuple[int, ...] = field(default=())
-    operators: np.ndarray = field(default=None, repr=False)
+    kind = "generalized"
+    _validate = staticmethod(_validate_kraus)
+    repaired: tuple[int, ...] = ()
 
     def __init__(self, psi, phi, kraus, repaired=()):
-        psi = as_state(psi, name="psi")
-        phi = as_state(phi, name="phi")
-        d = psi.size
-        if phi.size != d:
-            raise InvalidWitness("psi and phi dimensions differ")
-        ops = _as_operator_stack(kraus, d)
-        if not len(ops):
-            raise InvalidWitness("empty Kraus set")
-        _validate_kraus(ops)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "kraus", tuple(ops))
-        object.__setattr__(self, "repaired", tuple(int(k) for k in repaired))
-        object.__setattr__(self, "operators", ops)
+        super().__init__(psi, phi, kraus)
+        try:
+            repaired = tuple(map(operator.index, repaired))
+        except TypeError as exc:
+            raise InvalidWitness(f"repaired is not a list of outcome indices: {exc}") from exc
+        if not all(0 <= k < self.n_outcomes for k in repaired):
+            raise InvalidWitness(f"repaired {repaired} has an index outside range(n)")
+        object.__setattr__(self, "repaired", repaired)
 
     @property
-    def dimension(self) -> int:
-        return self.psi.size
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.kraus)
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.operators)
 
     def swapped(self) -> "GeneralizedWitness":
         """Time-reversed witness: states interchanged, each Kraus operator adjointed.

@@ -122,10 +122,13 @@ def dichotomic_slacks(p, t, s):
     """Vectorizable chain slacks of the two-outcome (p, T, S) region.
 
     Feasible iff |sqrt(p) - sqrt(1-p)| <= sqrt(T/S) <= sqrt(p) + sqrt(1-p)
-    <= 1/sqrt(S).
+    <= 1/sqrt(S).  A subnormal S can overflow T/S to inf, which the chain
+    reports as a violated UpperChain; no warning is raised for it.
     """
     a, b = np.sqrt(p), np.sqrt(1.0 - p)
-    return chain_slacks(np.sqrt(t / s), a + b, np.maximum(a, b), np.sqrt(s))
+    with np.errstate(over="ignore"):
+        root_ts = np.sqrt(t / s)
+    return chain_slacks(root_ts, a + b, np.maximum(a, b), np.sqrt(s))
 
 
 def check_dichotomic(p: float, t: float, s: float) -> FeasibilityVerdict:

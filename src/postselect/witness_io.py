@@ -1,58 +1,59 @@
 """JSON serialization of witnesses.
 
-Schema: kind ("projective" | "generalized"), dimension, psi/phi as [re, im]
-pairs, operators as row-major d x d matrices of [re, im] pairs, plus a
-free-form metadata map (target scenario, repaired outcomes, seeds).  A
-target scenario is checked when the witness is decoded: finite numbers t and
-s, and one finite p per outcome.
+Schema: kind ("projective" | "generalized"), dimension (an integer d >= 1),
+psi/phi as d [re, im] pairs, operators as n row-major d x d matrices of
+[re, im] pairs, plus a free-form metadata map (target scenario, seeds, and a
+generalized witness's ``repaired`` list of outcome indices).  Decoding reads
+each array as one numeric array of the declared shape, and checks a target:
+finite numbers t and s, and one finite p per outcome.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 import numpy as np
 
-from .core import GeneralizedWitness, ProjectiveWitness
+from .core import GeneralizedWitness, ProjectiveWitness, _Witness
 from .errors import InvalidWitness
 
-
-def _vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(x.real), float(x.imag)] for x in v]
+_KINDS = {cls.kind: cls for cls in (ProjectiveWitness, GeneralizedWitness)}
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+def _to_pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists, each entry an [re, im] pair."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _pairs_to_vector(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
+def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """value as one float array of the given shape (None: any length) with numeric entries."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:
+        raise InvalidWitness(f"{name} is not a rectangular array: {exc}") from exc
+    if a.dtype.kind not in "biuf":
+        raise InvalidWitness(f"{name} has a non-numeric entry")
+    if a.ndim != len(shape) or any(want not in (got, None) for got, want in zip(a.shape, shape)):
+        raise InvalidWitness(f"{name} has shape {a.shape}, expected {shape}")
+    return a.astype(float)
 
 
-def _pairs_to_matrix(pairs) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in pairs])
+def _complex(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """[re, im] pairs of the given shape as one complex array; inf parts stay inf."""
+    return _numbers(value, name, (*shape, 2)).view(complex)[..., 0]
 
 
-def witness_to_dict(
-    w: ProjectiveWitness | GeneralizedWitness, metadata: dict[str, Any] | None = None
-) -> dict[str, Any]:
+def witness_to_dict(w: _Witness, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
     meta = dict(metadata or {})
-    if isinstance(w, ProjectiveWitness):
-        kind = "projective"
-        ops = w.projectors
-    else:
-        kind = "generalized"
-        ops = w.kraus
-        if w.repaired:
-            meta.setdefault("repaired", list(w.repaired))
+    if w.kind == "generalized" and w.repaired:
+        meta.setdefault("repaired", list(w.repaired))
     return {
-        "kind": kind,
+        "kind": w.kind,
         "dimension": w.dimension,
-        "psi": _vector_to_pairs(w.psi),
-        "phi": _vector_to_pairs(w.phi),
-        "operators": [_matrix_to_pairs(op) for op in ops],
+        "psi": _to_pairs(w.psi),
+        "phi": _to_pairs(w.phi),
+        "operators": _to_pairs(w.operators),
         "metadata": meta,
     }
 
@@ -63,33 +64,31 @@ def _check_target(target, n: int) -> None:
         values, n_p = [target["t"], target["s"], *target["p"]], len(target["p"])
     except (KeyError, TypeError) as exc:
         raise InvalidWitness(f"malformed metadata.target: {exc!r}") from exc
-    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in values):
-        raise InvalidWitness("metadata.target has a non-finite or non-numeric entry")
+    if not np.isfinite(_numbers(values, "metadata.target", (None,))).all():
+        raise InvalidWitness("metadata.target has a non-finite entry")
     if n_p != n:
         raise InvalidWitness(f"metadata.target.p has {n_p} entries for {n} outcomes")
 
 
-def witness_from_dict(data: dict[str, Any]) -> ProjectiveWitness | GeneralizedWitness:
+def witness_from_dict(data: dict[str, Any]) -> _Witness:
     try:
-        kind = data["kind"]
-        d = int(data["dimension"])
-        psi = _pairs_to_vector(data["psi"])
-        phi = _pairs_to_vector(data["phi"])
-        ops = [_pairs_to_matrix(m) for m in data["operators"]]
-        meta = data.get("metadata", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        kind, d, meta = data["kind"], data["dimension"], data.get("metadata", {})
+        psi, phi, ops = data["psi"], data["phi"], data["operators"]
+    except (KeyError, TypeError) as exc:
         raise InvalidWitness(f"malformed witness file: {exc}") from exc
     if not isinstance(meta, dict):
         raise InvalidWitness("metadata is not a JSON object")
-    if psi.size != d or phi.size != d:
-        raise InvalidWitness("state dimension does not match declared dimension")
-    if kind == "projective":
-        w = ProjectiveWitness(psi, phi, tuple(ops))
-    elif kind == "generalized":
-        repaired = tuple(int(k) for k in meta.get("repaired", []))
-        w = GeneralizedWitness(psi, phi, tuple(ops), repaired)
-    else:
-        raise InvalidWitness(f"unknown witness kind {kind!r}")
+    try:
+        cls = _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+        raise InvalidWitness(f"unknown witness kind {kind!r}") from None
+    if type(d) is not int or d < 1:
+        raise InvalidWitness(f"dimension {d!r} is not a positive integer")
+    args = [_complex(psi, "psi", (d,)), _complex(phi, "phi", (d,))]
+    args.append(_complex(ops, "operators", (None, d, d)))
+    if kind == "generalized":
+        args.append(meta.get("repaired", []))
+    w = cls(*args)
     if "target" in meta:
         _check_target(meta["target"], w.n_outcomes)
     return w
@@ -101,17 +100,16 @@ def save_witness(w, path: str, metadata: dict[str, Any] | None = None) -> None:
         fh.write("\n")
 
 
-def load_witness_with_metadata(
-    path: str,
-) -> tuple[ProjectiveWitness | GeneralizedWitness, dict[str, Any]]:
+def load_witness_with_metadata(path: str) -> tuple[_Witness, dict[str, Any]]:
     """Read a witness file once; its metadata is checked as in witness_from_dict."""
     with open(path, encoding="utf-8") as fh:
+        # ValueError: bad JSON or an over-long integer; RecursionError: deep nesting.
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidWitness(f"not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise InvalidWitness(f"not readable JSON: {exc}") from exc
     return witness_from_dict(data), data.get("metadata", {})
 
 
-def load_witness(path: str) -> ProjectiveWitness | GeneralizedWitness:
+def load_witness(path: str) -> _Witness:
     return load_witness_with_metadata(path)[0]

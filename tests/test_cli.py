@@ -6,14 +6,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postselect import (
+    GeneralizedWitness,
     OutcomeDistribution,
+    ProjectiveWitness,
     ScenarioTriple,
+    check_projective_raw,
     construct_generalized,
     construct_projective,
+    sample_projective,
+    sample_state,
+    sample_unitary,
 )
 from postselect.cli import main
 from postselect.witness_io import (
@@ -173,6 +179,17 @@ class TestConstructVerify:
         assert code == 2
         assert "invalid witness" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"psi": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"dimension": ' + "1" * 5000 + "}"],
+        ids=["deep-nesting", "5000-digit-integer"],
+    )
+    def test_verify_rejects_unreadable_json(self, capsys, tmp_path, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "invalid witness" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "psi"])
     def test_verify_rejects_nan_entry(self, capsys, tmp_path, where):
@@ -256,16 +273,43 @@ class TestEntropy:
         assert out.strip().split("\n")[1].startswith("inf 2 ")
 
 
+def reference_witness_to_dict(w, metadata=None):
+    """The per-entry encoder the whole-stack codec replaced, kept as its byte reference."""
+
+    def vector_to_pairs(v):
+        return [[float(x.real), float(x.imag)] for x in v]
+
+    def matrix_to_pairs(m):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+    meta = dict(metadata or {})
+    if isinstance(w, ProjectiveWitness):
+        kind, ops = "projective", w.projectors
+    else:
+        kind, ops = "generalized", w.kraus
+        if w.repaired:
+            meta.setdefault("repaired", list(w.repaired))
+    return {
+        "kind": kind,
+        "dimension": w.dimension,
+        "psi": vector_to_pairs(w.psi),
+        "phi": vector_to_pairs(w.phi),
+        "operators": [matrix_to_pairs(op) for op in ops],
+        "metadata": meta,
+    }
+
+
 class TestWitnessIO:
     def test_dict_round_trip_projective(self, rng):
         w = construct_projective(
             ScenarioTriple(0.1, 0.3, OutcomeDistribution((0.5, 0.3, 0.2)))
         )
         w2 = witness_from_dict(witness_to_dict(w))
-        assert np.allclose(w2.psi, w.psi)
-        assert np.allclose(w2.phi, w.phi)
+        assert w2.kind == "projective"
+        assert np.array_equal(w2.psi, w.psi)
+        assert np.array_equal(w2.phi, w.phi)
         for a, b in zip(w2.projectors, w.projectors):
-            assert np.allclose(a, b)
+            assert np.array_equal(a, b)
 
     def test_file_round_trip_generalized(self, tmp_path):
         w = construct_generalized(
@@ -274,9 +318,42 @@ class TestWitnessIO:
         path = tmp_path / "g.json"
         save_witness(w, path, metadata={"note": "zero outcome"})
         w2 = load_witness(path)
+        assert w2.kind == "generalized"
         assert w2.repaired == w.repaired
         for a, b in zip(w2.kraus, w.kraus):
-            assert np.allclose(a, b)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "t, s, p",
+        [
+            (0.1, 0.3, (0.5, 0.3, 0.2)),
+            (0.0, 0.5, (0.5, 0.5)),
+            (0.3, 0.3, (1.0,)),
+            (0.4, 0.7, (0.9, 0.0, 0.1)),
+            (0.05, 0.2, (0.0, 0.25, 0.0, 0.25, 0.5)),
+        ],
+    )
+    def test_json_matches_per_entry_encoder(self, rng, t, s, p):
+        sc = ScenarioTriple(t, s, OutcomeDistribution(p))
+        target = {"target": {"t": t, "s": s, "p": list(p)}}
+        cases = [(construct_generalized(sc), target)]
+        if check_projective_raw(sc).feasible:
+            cases.append((construct_projective(sc), target))
+        psi, phi = sample_state(4, rng), sample_state(4, rng)
+        projs = sample_projective(4, 3, rng)
+        u = sample_unitary(4, rng)
+        cases += [
+            (ProjectiveWitness(psi, phi, projs), {"seed": 7}),
+            (GeneralizedWitness(psi, phi, [q @ u for q in projs], (2,)), {"seed": 7}),
+        ]
+        for w, meta in cases + [(w, None) for w, _ in cases]:
+            text = json.dumps(witness_to_dict(w, meta))
+            assert text == json.dumps(reference_witness_to_dict(w, meta))
+            w2 = witness_from_dict(json.loads(text))
+            assert type(w2) is type(w) and w2.kind == w.kind
+            assert getattr(w2, "repaired", ()) == getattr(w, "repaired", ())
+            for a, b in ((w2.psi, w.psi), (w2.phi, w.phi), (w2.operators, w.operators)):
+                assert np.array_equal(a, b)
 
 
 def run_captured(argv):
@@ -304,6 +381,7 @@ BUILT_WITNESSES = [
         (construct_projective, (0.5, 0.5)),
         (construct_projective, (0.5, 0.3, 0.2)),
         (construct_generalized, (0.6, 0.3, 0.1)),
+        (construct_generalized, (0.5, 0.0, 0.5)),
     ]
 ]
 
@@ -356,6 +434,7 @@ class TestCliInvariants:
         st.one_of(st.none(), st.integers(-1, 5)),
         st.one_of(st.none(), NUMBERS),
     )
+    @example("pt", 3, None, 5e-324)
     @settings(max_examples=150, deadline=None)
     def test_region(self, which, resolution, n, s):
         argv = ["region", f"--which={which}", f"--resolution={resolution}"]
@@ -370,13 +449,49 @@ class TestCliInvariants:
         assert code == (0 if valid else 2), (argv, err)
 
     @given(
+        NUMBERS,
+        NUMBERS,
+        st.lists(NUMBERS, min_size=1, max_size=4),
+        st.booleans(),
+        st.sampled_from(["projective", "generalized"]),
+    )
+    @example(0.1, 0.3, [0.5, 0.3, 0.2], False, "projective")
+    @example(0.4, 0.7, [0.9, 0.0, 0.1], False, "generalized")
+    @example(0.5, 1e-20, [0.5, 0.5], False, "generalized")
+    @example(2e-12, 2e-12, [1.0], False, "projective")
+    @settings(max_examples=150, deadline=None)
+    def test_construct(self, tmp_path_factory, t, s, p, normalize, kind):
+        if normalize and all(math.isfinite(x) for x in p) and sum(map(abs, p)) > 0:
+            p = [abs(x) / sum(map(abs, p)) for x in p]
+        argv = ["construct", f"--t={t!r}", f"--s={s!r}", f"--p={_joined(p)}", f"--kind={kind}"]
+        non_finite = not all(math.isfinite(x) for x in (t, s, *p))
+        code, out, err = self.assert_invariants(argv, non_finite)
+        if code == 0:
+            assert witness_from_dict(json.loads(out)).kind == kind
+            path = tmp_path_factory.mktemp("construct") / "w.json"
+            path.write_text(out)
+            code, out, err = run_captured(["verify", str(path)])
+            assert code == 0 and "verification passed" in out, (argv, out, err)
+
+    @given(
         st.sampled_from(BUILT_WITNESSES),
-        st.sampled_from(["none", "psi", "phi", "operator", "target.t", "target.p"]),
-        st.sampled_from(NON_FINITE),
+        st.sampled_from(
+            ["none", "psi", "phi", "operator", "target.t", "target.p", "dimension", "repaired"]
+        ),
+        st.sampled_from(NON_FINITE + (10**400, 2.7, "2", None, -7)),
         st.integers(0, 1000),
         st.integers(0, 1),
     )
-    @settings(max_examples=150, deadline=None)
+    @example(BUILT_WITNESSES[0], "psi", 10**400, 0, 0)
+    @example(BUILT_WITNESSES[1], "operator", 10**400, 0, 0)
+    @example(BUILT_WITNESSES[1], "target.t", 10**400, 0, 0)
+    @example(BUILT_WITNESSES[2], "repaired", 5, 0, 1)
+    @example(BUILT_WITNESSES[3], "repaired", None, 0, 1)
+    @example(BUILT_WITNESSES[2], "repaired", math.inf, 0, 0)
+    @example(BUILT_WITNESSES[3], "repaired", -7, 0, 0)
+    @example(BUILT_WITNESSES[0], "dimension", 2.7, 0, 0)
+    @example(BUILT_WITNESSES[0], "dimension", math.inf, 0, 0)
+    @settings(max_examples=200, deadline=None)
     def test_verify(self, tmp_path_factory, base, where, bad, k, part):
         payload = copy.deepcopy(base)
         d = payload["dimension"]
@@ -390,8 +505,17 @@ class TestCliInvariants:
         elif where == "target.p":
             target_p = payload["metadata"]["target"]["p"]
             target_p[k % len(target_p)] = bad
+        elif where == "dimension":
+            payload["dimension"] = bad
+        elif where == "repaired":
+            payload["metadata"]["repaired"] = bad if part else [bad]
         path = tmp_path_factory.mktemp("verify") / "w.json"
         path.write_text(json.dumps(payload))
-        self.assert_invariants(["verify", str(path)], where != "none")
-        if where == "none":
-            assert "verification passed" in run_captured(["verify", str(path)])[1]
+        # A finite target number is read as a target the witness misses; metadata
+        # repaired outcomes belong to generalized witnesses only.
+        missed = where.startswith("target") and bad in (2.7, -7)
+        ignored = where == "none" or (where == "repaired" and base["kind"] == "projective")
+        code, out, _ = self.assert_invariants(["verify", str(path)], not (missed or ignored))
+        assert code == (1 if missed else 0 if ignored else 2)
+        if ignored:
+            assert "verification passed" in out

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postselect import (
+    EPS_PROB,
     OutcomeDistribution,
     ScenarioTriple,
     close_polygon,
@@ -15,7 +16,12 @@ from postselect import (
     factor_amplitudes,
 )
 from postselect.construct import EPS_CLOSE, _factor_real
-from postselect.errors import InfeasibleScenario, NormViolation, PolygonViolation
+from postselect.errors import (
+    DegeneratePostselection,
+    InfeasibleScenario,
+    NormViolation,
+    PolygonViolation,
+)
 from conftest import random_feasible_scenario, random_scenario
 
 
@@ -173,6 +179,16 @@ class TestConstructProjective:
             t = min(1.0, root_d_half**2 * s)
             sc = ScenarioTriple(t, s, dist)
             assert_reproduces(sc, construct_projective(sc), tol=1e-8)
+
+
+@pytest.mark.parametrize("build", [construct_projective, construct_generalized])
+def test_numerically_zero_success_probability_refused(build):
+    # evaluate_witness rejects S <= EPS_PROB, so no builder may hand out such a witness.
+    for s in (5e-324, 1e-20, EPS_PROB):
+        with pytest.raises(DegeneratePostselection):
+            build(ScenarioTriple(s, s, OutcomeDistribution((1.0,))))
+    sc = ScenarioTriple(2e-12, 2e-12, OutcomeDistribution((1.0,)))
+    assert_reproduces(sc, build(sc), tol=1e-12)
 
 
 class TestConstructGeneralized:
