@@ -39,7 +39,8 @@ class OutcomeDistribution:
     probs: tuple[float, ...]
 
     def __init__(self, probs: Sequence[float]):
-        p = tuple(float(x) for x in probs)
+        # An ndarray converts in one call instead of one NumPy scalar at a time.
+        p = tuple(map(float, probs.tolist() if isinstance(probs, np.ndarray) else probs))
         if len(p) < 1:
             raise ValueError("distribution needs at least one outcome")
         if any(x < 0.0 for x in p):
@@ -250,6 +251,13 @@ class ProjectiveWitness(_Witness):
         return ProjectiveWitness(self.phi, self.psi, self.operators)
 
 
+def _outcome_index(k) -> int:
+    """k as an int; a bool is refused, though Python would read it as 0 or 1."""
+    if isinstance(k, bool):
+        raise TypeError(f"{k!r} is a bool, not an outcome index")
+    return operator.index(k)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class GeneralizedWitness(_Witness):
     """States psi, phi plus Kraus operators satisfying completeness.
@@ -266,7 +274,7 @@ class GeneralizedWitness(_Witness):
     def __init__(self, psi, phi, kraus, repaired=()):
         super().__init__(psi, phi, kraus)
         try:
-            repaired = tuple(map(operator.index, repaired))
+            repaired = tuple(map(_outcome_index, repaired))
         except TypeError as exc:
             raise InvalidWitness(f"repaired is not a list of outcome indices: {exc}") from exc
         if not all(0 <= k < self.n_outcomes for k in repaired):

@@ -1,8 +1,10 @@
 """Machine-readable grids and boundary curves of the feasible regions.
 
 Grids use cell centers over half-open axis ranges, emitted in row-major
-order (first axis slowest).  CSV is the normative artifact; SVG is a thin
-rasterization of the same cells.
+order (first axis slowest).  A grid stores its axes, per-cell tags and
+polylines, and derives its cell centers (`coords`) from the axes.  CSV is the
+normative artifact, written from each axis's centers formatted once; the SVG
+holds one rect per run of feasible cells along the second axis.
 """
 
 from __future__ import annotations
@@ -33,19 +35,19 @@ class Axis:
 @dataclass(frozen=True)
 class RegionGrid:
     axes: tuple[Axis, ...]
-    coords: np.ndarray  # (N, len(axes)) cell centers, row-major
     tags: tuple[str, ...]  # constraint tags, at most 8
     violated: np.ndarray  # (N,) uint8, bit k set when the cell violates tags[k]
     polylines: tuple[tuple[str, np.ndarray], ...] = field(default=())
 
     def __post_init__(self):
-        expected = 1
-        for ax in self.axes:
-            expected *= ax.resolution
-        if self.coords.shape != (expected, len(self.axes)):
-            raise ValueError("cell count does not match axis resolutions")
+        expected = math.prod(ax.resolution for ax in self.axes)
         if self.violated.shape != (expected,) or len(self.tags) > 8:
             raise ValueError("violation bitmask does not match cell count or tags")
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(N, len(axes)) cell centers, row-major."""
+        return np.stack(_mesh(self.axes), axis=1)
 
     @property
     def feasible(self) -> np.ndarray:
@@ -87,9 +89,7 @@ def emit_ternary(resolution: int) -> RegionGrid:
     tags, violated = _tags_from_slacks(
         {MAX_OUTCOME_POLYGON: disk}, extra_masks={OUTSIDE_SIMPLEX: outside}
     )
-    return RegionGrid(
-        axes=axes, coords=np.stack([p1, p2], axis=1), tags=tags, violated=violated
-    )
+    return RegionGrid(axes, tags, violated)
 
 
 def emit_ps_region(resolution: int) -> RegionGrid:
@@ -102,13 +102,7 @@ def emit_ps_region(resolution: int) -> RegionGrid:
     tags, violated = _tags_from_slacks({S_BOUND: slack})
     pp = np.linspace(0.0, 1.0, 4 * resolution + 1)
     boundary = np.stack([pp, 1.0 / (1.0 + 2.0 * np.sqrt(pp * (1.0 - pp)))], axis=1)
-    return RegionGrid(
-        axes=axes,
-        coords=np.stack([p, s], axis=1),
-        tags=tags,
-        violated=violated,
-        polylines=(("s_max", boundary),),
-    )
+    return RegionGrid(axes, tags, violated, polylines=(("s_max", boundary),))
 
 
 def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
@@ -131,13 +125,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
     upper = np.stack(
         [pp, np.minimum(1.0, s * (np.sqrt(pp) + np.sqrt(1.0 - pp)) ** 2)], axis=1
     )
-    return RegionGrid(
-        axes=axes,
-        coords=np.stack([p, t], axis=1),
-        tags=tags,
-        violated=violated,
-        polylines=(("t_min", lower), ("t_max", upper)),
-    )
+    return RegionGrid(axes, tags, violated, polylines=(("t_min", lower), ("t_max", upper)))
 
 
 def emit_ts_region(n: int, resolution: int) -> RegionGrid:
@@ -151,11 +139,7 @@ def emit_ts_region(n: int, resolution: int) -> RegionGrid:
     tags, violated = _tags_from_slacks(feasibility.ts_region_slacks(t, s, n))
     diag = np.stack([np.linspace(0, 1, 2), np.linspace(0, 1, 2)], axis=1)
     return RegionGrid(
-        axes=axes,
-        coords=np.stack([t, s], axis=1),
-        tags=tags,
-        violated=violated,
-        polylines=(("measurement_enhanced_diagonal", diag),),
+        axes, tags, violated, polylines=(("measurement_enhanced_diagonal", diag),)
     )
 
 
@@ -163,21 +147,24 @@ def write_region_csv(grid: RegionGrid, stream: io.TextIOBase) -> None:
     """CSV: axis columns, then `feasible`, then semicolon-joined violated tags."""
     header = [ax.name for ax in grid.axes] + ["feasible", "violated"]
     stream.write(",".join(header) + "\n")
-    # One "feasible,violated" suffix per bitmask value.
+    # One "feasible,violated" line ending per bitmask value.
     suffix = [
         ("true," if mask == 0 else "false,")
         + ";".join(tag for k, tag in enumerate(grid.tags) if mask >> k & 1)
+        + "\n"
         for mask in range(1 << len(grid.tags))
     ]
-    # Rows are converted to Python lists in blocks, never the whole grid at once.
-    for lo in range(0, grid.violated.size, 4096):
-        rows = grid.coords[lo : lo + 4096].tolist()
-        for row, mask in zip(rows, grid.violated[lo : lo + 4096].tolist()):
-            stream.write(",".join(f"{x:.12g}" for x in row) + "," + suffix[mask] + "\n")
+    # A cell's coordinates are its row's and column's axis centers, each formatted once.
+    rows, cols = ([f"{x:.12g}," for x in ax.centers().tolist()] for ax in grid.axes)
+    for row, masks in zip(rows, grid.violated.reshape(len(rows), len(cols)).tolist()):
+        stream.write("".join([row + col + suffix[m] for col, m in zip(cols, masks)]))
 
 
 def write_region_svg(grid: RegionGrid, stream: io.TextIOBase) -> None:
-    """Filled feasible cells plus boundary polylines; viewBox matches axis ranges."""
+    """Feasible cells, one rect per run along the second axis, plus boundary polylines.
+
+    The viewBox matches the axis ranges.
+    """
     ax_x, ax_y = grid.axes[0], grid.axes[1]
     w = ax_x.hi - ax_x.lo
     h = ax_y.hi - ax_y.lo
@@ -191,14 +178,20 @@ def write_region_svg(grid: RegionGrid, stream: io.TextIOBase) -> None:
     stream.write(
         f'<rect x="{ax_x.lo:g}" y="{ax_y.lo:g}" width="{w:g}" height="{h:g}" fill="white"/>\n'
     )
-    for (x, y), ok in zip(grid.coords, grid.feasible):
-        if ok:
-            stream.write(
-                f'<rect x="{x - cw / 2:.6g}" y="{y - ch / 2:.6g}" '
-                f'width="{cw:.6g}" height="{ch:.6g}" fill="#b0b0b0"/>\n'
-            )
+    # A run starts where its row's zero-padded feasibility steps up and ends where it
+    # steps down; nonzero lists both in row-major order, so they pair up.
+    table = grid.feasible.reshape(ax_x.resolution, ax_y.resolution).astype(np.int8)
+    step = np.diff(np.pad(table, ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(step == 1)
+    ends = np.nonzero(step == -1)[1]
+    xs, ys, heights = ax_x.lo + rows * cw, ax_y.lo + starts * ch, (ends - starts) * ch
+    for x, y, height in zip(xs.tolist(), ys.tolist(), heights.tolist()):
+        stream.write(
+            f'<rect x="{x:.6g}" y="{y:.6g}" width="{cw:.6g}" height="{height:.6g}" '
+            f'fill="#b0b0b0"/>\n'
+        )
     for name, pts in grid.polylines:
-        joined = " ".join(f"{x:.6g},{y:.6g}" for x, y in pts)
+        joined = " ".join(f"{x:.6g},{y:.6g}" for x, y in pts.tolist())
         stream.write(
             f'<polyline points="{joined}" fill="none" stroke="black" '
             f'stroke-width="{min(cw, ch) / 2:.6g}"><title>{name}</title></polyline>\n'

@@ -27,15 +27,21 @@ def _to_pairs(a: np.ndarray) -> list:
 
 
 def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
-    """value as one float array of the given shape (None: any length) with numeric entries."""
+    """value as one float array of the given shape (None: any length) with numeric entries.
+
+    A JSON true or false is refused, also among numbers, where NumPy would read it
+    as 1 or 0.
+    """
     try:
         a = np.asarray(value)
     except ValueError as exc:
         raise InvalidWitness(f"{name} is not a rectangular array: {exc}") from exc
-    if a.dtype.kind not in "biuf":
+    if a.dtype.kind not in "iuf":
         raise InvalidWitness(f"{name} has a non-numeric entry")
     if a.ndim != len(shape) or any(want not in (got, None) for got, want in zip(a.shape, shape)):
         raise InvalidWitness(f"{name} has shape {a.shape}, expected {shape}")
+    if any(type(x) is bool for x in np.asarray(value, dtype=object).flat):
+        raise InvalidWitness(f"{name} has a boolean entry")
     return a.astype(float)
 
 

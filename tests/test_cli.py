@@ -478,7 +478,7 @@ class TestCliInvariants:
         st.sampled_from(
             ["none", "psi", "phi", "operator", "target.t", "target.p", "dimension", "repaired"]
         ),
-        st.sampled_from(NON_FINITE + (10**400, 2.7, "2", None, -7)),
+        st.sampled_from(NON_FINITE + (10**400, 2.7, "2", None, -7, True)),
         st.integers(0, 1000),
         st.integers(0, 1),
     )
@@ -491,6 +491,9 @@ class TestCliInvariants:
     @example(BUILT_WITNESSES[3], "repaired", -7, 0, 0)
     @example(BUILT_WITNESSES[0], "dimension", 2.7, 0, 0)
     @example(BUILT_WITNESSES[0], "dimension", math.inf, 0, 0)
+    @example(BUILT_WITNESSES[0], "psi", False, 0, 0)
+    @example(BUILT_WITNESSES[2], "repaired", True, 0, 0)
+    @example(BUILT_WITNESSES[1], "target.t", True, 0, 0)
     @settings(max_examples=200, deadline=None)
     def test_verify(self, tmp_path_factory, base, where, bad, k, part):
         payload = copy.deepcopy(base)

@@ -1,5 +1,6 @@
 import io
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -21,6 +22,61 @@ from postselect.regions import (
     write_region_csv,
     write_region_svg,
 )
+
+
+def reference_region_csv(grid) -> str:
+    """The CSV as first written, formatting each cell's coordinates in turn."""
+    lines = [",".join([ax.name for ax in grid.axes] + ["feasible", "violated"])]
+    for row, mask in zip(grid.coords.tolist(), grid.violated.tolist()):
+        violated = ";".join(tag for k, tag in enumerate(grid.tags) if mask >> k & 1)
+        feasible = "true" if mask == 0 else "false"
+        lines.append(",".join(f"{x:.12g}" for x in row) + f",{feasible},{violated}")
+    return "\n".join(lines) + "\n"
+
+
+def svg_cells(grid) -> tuple[np.ndarray, int]:
+    """The (r0, r1) cell mask that the SVG's grey rects cover, and the rect count."""
+    ax_x, ax_y = grid.axes
+    cw = (ax_x.hi - ax_x.lo) / ax_x.resolution
+    ch = (ax_y.hi - ax_y.lo) / ax_y.resolution
+    buf = io.StringIO()
+    write_region_svg(grid, buf)
+    rects = list(ET.fromstring(buf.getvalue()).iter("{http://www.w3.org/2000/svg}rect"))
+    assert rects[0].get("fill") == "white"
+    covered = np.zeros((ax_x.resolution, ax_y.resolution), dtype=int)
+    for rect in rects[1:]:
+        assert rect.get("fill") == "#b0b0b0"
+        assert float(rect.get("width")) == pytest.approx(cw, rel=1e-5)
+        i = round((float(rect.get("x")) - ax_x.lo) / cw)
+        j0 = round((float(rect.get("y")) - ax_y.lo) / ch)
+        j1 = j0 + round(float(rect.get("height")) / ch)
+        assert 0 <= j0 < j1 <= ax_y.resolution
+        covered[i, j0:j1] += 1
+    assert covered.max(initial=0) <= 1, "a cell is drawn twice"
+    return covered == 1, len(rects) - 1
+
+
+CSV_GRIDS = (
+    [pytest.param(emit_ternary, (r,), id=f"ternary-{r}") for r in (2, 3, 7, 40, 401)]
+    + [pytest.param(emit_ps_region, (r,), id=f"ps-{r}") for r in (2, 3, 7, 40, 401)]
+    + [
+        pytest.param(emit_pt_sections, (s, r), id=f"pt-{s:.4g}-{r}")
+        for s in (0.05, 0.5, 0.55, 2.0 / (2.0 + math.sqrt(3.0)), 1.0)
+        for r in (7, 200)
+    ]
+    + [pytest.param(emit_ts_region, (n, 40), id=f"ts-{n}") for n in (1, 2, 3, 7)]
+)
+
+SVG_GRIDS = [
+    pytest.param(emit_ternary, (40,), id="ternary-40"),
+    pytest.param(emit_ternary, (41,), id="ternary-41"),
+    pytest.param(emit_ps_region, (40,), id="ps-40"),
+    pytest.param(emit_ps_region, (41,), id="ps-41"),
+    pytest.param(emit_pt_sections, (0.55, 40), id="pt-0.55-40"),
+    pytest.param(emit_pt_sections, (0.4, 41), id="pt-0.4-41"),
+    pytest.param(emit_ts_region, (3, 40), id="ts-3-40"),
+    pytest.param(emit_ts_region, (7, 41), id="ts-7-41"),
+]
 
 
 class TestTernaryGrid:
@@ -126,6 +182,39 @@ class TestSerialization:
         grid = emit_ts_region(2, 3)
         t_col = grid.coords[:, 0]
         assert np.all(np.diff(t_col) >= 0)
+
+    @pytest.mark.parametrize("emit, args", CSV_GRIDS)
+    def test_csv_matches_per_cell_reference(self, emit, args):
+        grid = emit(*args)
+        buf = io.StringIO()
+        write_region_csv(grid, buf)
+        got, want = buf.getvalue(), reference_region_csv(grid)
+        # Name the first differing line: pytest's diff of a whole CSV takes minutes.
+        pairs = zip(got.splitlines(), want.splitlines())
+        bad = next((pair for pair in pairs if pair[0] != pair[1]), "length")
+        same = got == want
+        assert same, f"first difference: {bad}"
+
+    @pytest.mark.parametrize("emit, args", SVG_GRIDS)
+    def test_svg_runs_cover_exactly_the_feasible_cells(self, emit, args):
+        grid = emit(*args)
+        expected = grid.feasible.reshape(grid.axes[0].resolution, grid.axes[1].resolution)
+        cells, n_rects = svg_cells(grid)
+        assert np.array_equal(cells, expected)
+        # One rect per maximal run: as many rects as cells that start a run.
+        assert n_rects == (expected & ~np.pad(expected, ((0, 0), (1, 0)))[:, :-1]).sum()
+
+    def test_all_infeasible_svg_has_only_the_background(self):
+        grid = emit_pt_sections(1e-9, 20)
+        assert not grid.feasible.any()
+        assert svg_cells(grid)[1] == 0
+
+    @pytest.mark.parametrize("emit, args", SVG_GRIDS)
+    def test_coords_are_the_row_major_mesh_of_the_axes(self, emit, args):
+        grid = emit(*args)
+        centers = [ax.centers() for ax in grid.axes]
+        mesh = np.stack(np.meshgrid(*centers, indexing="ij"), -1).reshape(-1, 2)
+        assert np.array_equal(grid.coords, mesh)
 
     def test_svg_well_formed(self):
         import xml.etree.ElementTree as ET

@@ -140,6 +140,13 @@ def test_nan_kraus_entry_rejected():
         GeneralizedWitness([1, 0], [0, 1], kraus)
 
 
+@pytest.mark.parametrize("repaired", [(True,), (0, False)])
+def test_repaired_bool_index_rejected(repaired):
+    kraus = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    with pytest.raises(InvalidWitness, match="is a bool, not an outcome index"):
+        GeneralizedWitness([1, 0], [0, 1], kraus, repaired)
+
+
 def test_kraus_completeness_matches_sum():
     rng = np.random.default_rng(7)
     for _ in range(200):
