@@ -2,7 +2,8 @@
 
 Pipeline for the projective case: close a polygon over the amplitude
 magnitudes, drop the closing edge, factor the remaining complex numbers
-into a pair of unit vectors, attach computational-basis projectors.
+into a pair of unit vectors, label basis vector k with outcome k (the
+witness stores the labels, not an (n, n, n) projector stack).
 The generalized case builds Kraus operators whose post-measurement state
 is one fixed vector, decoupling the measurement from the postselection.
 """
@@ -21,6 +22,7 @@ from .core import (
     GeneralizedWitness,
     ProjectiveWitness,
     ScenarioTriple,
+    _diagonal_projectors,
 )
 from .errors import (
     ClosureFailure,
@@ -179,10 +181,7 @@ def _block_projectors(n: int, d: int) -> np.ndarray:
     Projector k < n - 1 is rank 1 on basis vector k; the last one covers
     basis vectors n - 1 .. d - 1.  For n = d these are the basis projectors.
     """
-    out = np.zeros((n, d, d), dtype=complex)
-    k = np.arange(d)
-    out[np.minimum(k, n - 1), k, k] = 1.0
-    return out
+    return _diagonal_projectors(np.minimum(np.arange(d), n - 1), n)
 
 
 def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
@@ -197,11 +196,12 @@ def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
         # P = (1) forces S = T; realize with the identity measurement on a qubit.
         psi = np.array([1.0, 0.0], dtype=complex)
         phi = np.array([math.sqrt(sc.t), math.sqrt(1.0 - sc.t)], dtype=complex)
-        return ProjectiveWitness(psi, phi, (np.eye(2, dtype=complex),))
+        return ProjectiveWitness(psi, phi, labels=np.zeros(2, dtype=np.intp), n_outcomes=1)
     xs = [math.sqrt(p * sc.s) for p in sc.dist.probs] + [math.sqrt(sc.t)]
     closed = close_polygon(xs)
     psi, phi = factor_amplitudes(closed.zs[:n])
-    return ProjectiveWitness(psi, phi, _block_projectors(n, n))
+    # Outcome k projects onto basis vector k; the stack is built only if read.
+    return ProjectiveWitness(psi, phi, labels=np.arange(n), n_outcomes=n)
 
 
 def _orthogonal_unit(v: np.ndarray) -> np.ndarray:

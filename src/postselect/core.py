@@ -6,11 +6,19 @@ operation elsewhere in the package is a pure function over them.
 Both witness kinds share one base, ``_Witness``, holding the n operators as
 one read-only ``(n, d, d)`` complex array, ``operators``, and naming its kind
 in ``kind``; ``projectors`` and ``kraus`` are tuples of views of it.
-Projectors whose off-diagonal entries are all exactly zero (every built
-witness) are validated on their diagonals in O(n d^2), the cost of the zero
-test; any other set costs one stacked product for idempotence and n - 1
-batched products for pairwise orthogonality.  Every comparison is
-``not err <= EPS_UNIT``, so NaN fails.
+
+A projective witness is either dense or labelled.  A dense one is given its
+stack (every decoded JSON file is); projectors whose off-diagonal entries
+are all exactly zero are validated on their diagonals in O(n d^2), the cost
+of the zero test, any other set with one stacked product for idempotence
+and n - 1 batched products for pairwise orthogonality.  Every comparison is
+``not err <= EPS_UNIT``, so NaN fails.  A labelled one (every built
+witness) holds ``labels``, one outcome in range(n) per basis vector, and n:
+outcome k's projector is the diagonal 0/1 matrix on the basis vectors
+labelled k, so the set is complete and orthogonal by construction and
+validation is O(d).  Its stack is built, cached and made read-only the
+first time ``operators`` or ``projectors`` is read; ``n_outcomes``,
+``swapped`` and the statistics in ``stats`` never build it.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -195,6 +204,48 @@ def _validate_kraus(a: np.ndarray) -> None:
         raise InvalidWitness("Kraus operators are not complete")
 
 
+def _states(psi, phi) -> tuple[np.ndarray, np.ndarray]:
+    """psi and phi as read-only unit vectors of one dimension."""
+    psi = as_state(psi, name="psi")
+    phi = as_state(phi, name="phi")
+    if phi.size != psi.size:
+        raise InvalidWitness("psi and phi dimensions differ")
+    return psi, phi
+
+
+def _labels(labels, n_outcomes, d: int) -> tuple[np.ndarray, int]:
+    """labels as a read-only length-d intp array with entries in range(n), and n >= 1."""
+    try:
+        n = _outcome_index(n_outcomes)
+    except TypeError as exc:
+        raise InvalidWitness(f"n_outcomes {n_outcomes!r} is not an integer: {exc}") from exc
+    try:
+        a = np.asarray(labels)
+    except (TypeError, ValueError) as exc:
+        raise InvalidWitness(f"labels do not form one array: {exc}") from exc
+    # NumPy reads a bool among ints as 0 or 1; an ndarray's dtype already tells.
+    if a.dtype.kind not in "iu" or not isinstance(labels, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(labels, dtype=object).flat
+    ):
+        raise InvalidWitness(f"labels have a non-integer or boolean entry (dtype {a.dtype})")
+    if a.shape != (d,):
+        raise InvalidWitness(f"labels of shape {a.shape} for dimension {d}")
+    if not (a.min() >= 0 and a.max() < n):  # also refuses n < 1, as d >= 1
+        raise InvalidWitness(f"labels have an outcome outside range({n})")
+    a = a.astype(np.intp)  # a copy, whatever the input
+    a.setflags(write=False)
+    return a, n
+
+
+def _diagonal_projectors(labels: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d, d) stack whose k-th matrix is 1 at (j, j) for each labels[j] == k."""
+    d = labels.size
+    out = np.zeros((n, d, d), dtype=complex)
+    j = np.arange(d)
+    out[labels, j, j] = 1.0
+    return out
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class _Witness:
     """States psi, phi plus n >= 1 operators as one read-only (n, d, d) stack.
@@ -208,10 +259,7 @@ class _Witness:
     operators: np.ndarray = field(repr=False)
 
     def __init__(self, psi, phi, operators):
-        psi = as_state(psi, name="psi")
-        phi = as_state(phi, name="phi")
-        if phi.size != psi.size:
-            raise InvalidWitness("psi and phi dimensions differ")
+        psi, phi = _states(psi, phi)
         try:
             ops = np.array(operators, dtype=complex)  # one copy, whatever the input
         except (TypeError, ValueError) as exc:
@@ -237,10 +285,43 @@ class _Witness:
 
 @dataclass(frozen=True, eq=False, init=False)
 class ProjectiveWitness(_Witness):
-    """States psi, phi plus a complete set of mutually orthogonal projectors."""
+    """States psi, phi plus a complete set of mutually orthogonal projectors.
+
+    Give either the dense ``operators`` stack, or ``labels`` (an integer array
+    of length d, entries in range(n_outcomes)) and ``n_outcomes``: outcome k
+    then projects onto the basis vectors j with labels[j] == k.  ``labels``
+    is None on a dense witness.
+    """
 
     kind = "projective"
     _validate = staticmethod(_validate_projectors)
+    labels: np.ndarray | None = field(default=None, repr=False)
+
+    def __init__(self, psi, phi, operators=None, *, labels=None, n_outcomes=None):
+        if labels is None:
+            if operators is None:
+                raise InvalidWitness("a projective witness needs operators or labels")
+            super().__init__(psi, phi, operators)
+            return
+        if operators is not None:
+            raise InvalidWitness("a projective witness takes operators or labels, not both")
+        psi, phi = _states(psi, phi)
+        labels, n = _labels(labels, n_outcomes, psi.size)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_n", n)
+
+    # A dense witness sets ``operators`` in __init__, which hides this.
+    @cached_property
+    def operators(self) -> np.ndarray:
+        ops = _diagonal_projectors(self.labels, self._n)
+        ops.setflags(write=False)
+        return ops
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.operators) if self.labels is None else self._n
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -248,7 +329,9 @@ class ProjectiveWitness(_Witness):
 
     def swapped(self) -> "ProjectiveWitness":
         """Time-reversed witness: initial and final states interchanged."""
-        return ProjectiveWitness(self.phi, self.psi, self.operators)
+        if self.labels is None:
+            return ProjectiveWitness(self.phi, self.psi, self.operators)
+        return ProjectiveWitness(self.phi, self.psi, labels=self.labels, n_outcomes=self._n)
 
 
 def _outcome_index(k) -> int:

@@ -22,8 +22,17 @@ from .errors import DegeneratePostselection
 
 
 def transition_amplitudes(w: ProjectiveWitness | GeneralizedWitness) -> np.ndarray:
-    """Per-outcome amplitudes <phi|V_k|psi> (V_k = Pi_k in the projective case)."""
-    return (w.operators @ w.psi) @ w.phi.conj()
+    """Per-outcome amplitudes <phi|V_k|psi> (V_k = Pi_k in the projective case).
+
+    On a labelled projective witness the amplitude of outcome k is the sum of
+    conj(phi_j) psi_j over the basis vectors j labelled k, accumulated in
+    basis order by one unbuffered add: O(d + n), with no operator stack.
+    """
+    if getattr(w, "labels", None) is None:
+        return (w.operators @ w.psi) @ w.phi.conj()
+    amps = np.zeros(w.n_outcomes, dtype=complex)
+    np.add.at(amps, w.labels, w.psi * w.phi.conj())
+    return amps
 
 
 def evaluate_witness(w: ProjectiveWitness | GeneralizedWitness) -> ScenarioTriple:

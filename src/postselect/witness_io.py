@@ -6,6 +6,10 @@ psi/phi as d [re, im] pairs, operators as n row-major d x d matrices of
 generalized witness's ``repaired`` list of outcome indices).  Decoding reads
 each array as one numeric array of the declared shape, and checks a target:
 finite numbers t and s, and one finite p per outcome.
+
+The file always holds the dense operator stack: encoding a labelled
+projective witness builds (and caches) its stack, so a built witness writes
+the same bytes as its dense form, and decoding always gives a dense witness.
 """
 
 from __future__ import annotations

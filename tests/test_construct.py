@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from postselect import (
     evaluate_witness,
     factor_amplitudes,
 )
+from postselect import core
 from postselect.construct import EPS_CLOSE, _factor_real
 from postselect.errors import (
     DegeneratePostselection,
@@ -179,6 +181,56 @@ class TestConstructProjective:
             t = min(1.0, root_d_half**2 * s)
             sc = ScenarioTriple(t, s, dist)
             assert_reproduces(sc, construct_projective(sc), tol=1e-8)
+
+
+WIDE_N = 1000
+
+
+def wide_uniform_scenario():
+    """Uniform P on WIDE_N outcomes, inside the region (S <= 1/D_1/2 = 1/n)."""
+    s = 0.5 / WIDE_N
+    return ScenarioTriple(0.15, s, OutcomeDistribution(np.full(WIDE_N, 1.0 / WIDE_N)))
+
+
+@pytest.fixture
+def no_stack(monkeypatch):
+    """Fail the test if any labelled witness builds its (n, d, d) projector stack."""
+
+    def refuse(labels, n):
+        raise AssertionError(f"({n}, {labels.size}, {labels.size}) projector stack built")
+
+    monkeypatch.setattr(core, "_diagonal_projectors", refuse)
+
+
+class TestWideProjective:
+    """A built witness at n = 1000 keeps its labels: O(n) memory, no stack."""
+
+    def test_build_and_evaluate(self, no_stack):
+        sc = wide_uniform_scenario()
+        tracemalloc.start()
+        try:
+            w = construct_projective(sc)
+            out = evaluate_witness(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert w.n_outcomes == WIDE_N and w.dimension == WIDE_N
+        dev = max(
+            abs(out.t - sc.t),
+            abs(out.s - sc.s),
+            float(np.abs(np.subtract(out.dist.probs, sc.dist.probs)).max()),
+        )
+        assert dev <= 1e-9
+
+    def test_swapped_keeps_labels(self, no_stack):
+        w = construct_projective(wide_uniform_scenario())
+        v = w.swapped()
+        assert np.array_equal(v.labels, w.labels) and v.n_outcomes == w.n_outcomes
+        assert np.array_equal(v.psi, w.phi) and np.array_equal(v.phi, w.psi)
+        a, b = evaluate_witness(w), evaluate_witness(v)
+        assert abs(a.t - b.t) <= 1e-12 and abs(a.s - b.s) <= 1e-12
+        assert np.allclose(a.dist.probs, b.dist.probs, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("build", [construct_projective, construct_generalized])

@@ -1,10 +1,11 @@
 """Witness validation against the literal per-projector and pairwise loop.
 
-ProjectiveWitness validates its (n, d, d) operator stack in one of two ways:
-on the diagonals when every off-diagonal entry is exactly zero, with
-stacked products otherwise.  Both must accept and reject exactly what the
-loop below does, and report the same first failure.  Dense witnesses cost
-n * d^2 * 16 bytes, so every set here stays at d <= 6.
+A dense ProjectiveWitness validates its (n, d, d) operator stack in one of
+two ways: on the diagonals when every off-diagonal entry is exactly zero,
+with stacked products otherwise.  Both must accept and reject exactly what
+the loop below does, and report the same first failure.  Dense witnesses
+cost n * d^2 * 16 bytes, so every set here stays at d <= 6.  A labelled
+witness is checked on its labels and n_outcomes alone.
 """
 
 import math
@@ -20,6 +21,7 @@ from postselect import (
     construct_generalized,
     construct_projective,
 )
+from postselect.construct import _block_projectors
 from postselect.core import EPS_UNIT
 from postselect.errors import InvalidWitness
 from postselect.oracle import sample_projective, sample_state, sample_unitary
@@ -140,6 +142,43 @@ def test_nan_kraus_entry_rejected():
         GeneralizedWitness([1, 0], [0, 1], kraus)
 
 
+MALFORMED_LABELS = {
+    "bool-entries": ([True, False], 2),
+    "bool-array": (np.array([True, False]), 2),
+    "bool-among-ints": ([0, True], 2),
+    "float-entries": ([0.0, 1.0], 2),
+    "float-array": (np.array([0.0, 1.0]), 2),
+    "string-entries": (["0", "1"], 2),
+    "negative": ([0, -1], 2),
+    "label-equals-n": ([0, 2], 2),
+    "huge-unsigned": (np.array([0, 2**64 - 1], dtype=np.uint64), 2),
+    "too-long": ([0, 1, 0], 2),
+    "too-short": ([0], 2),
+    "2-D": ([[0, 1]], 2),
+    "ragged": ([[0], [0, 1]], 2),
+    "none": (None, 2),
+    "n-zero": ([0, 0], 0),
+    "n-negative": ([0, 0], -1),
+    "n-bool": ([0, 0], True),
+    "n-float": ([0, 0], 2.0),
+    "n-string": ([0, 0], "2"),
+    "n-missing": ([0, 0], None),
+}
+
+
+@pytest.mark.parametrize("labels, n", MALFORMED_LABELS.values(), ids=MALFORMED_LABELS.keys())
+def test_malformed_labels_rejected(labels, n):
+    with pytest.raises(InvalidWitness):
+        ProjectiveWitness([1, 0], [0, 1], labels=labels, n_outcomes=n)
+
+
+def test_operators_or_labels_not_both():
+    with pytest.raises(InvalidWitness, match="not both"):
+        ProjectiveWitness([1, 0], [0, 1], np.eye(2)[None], labels=[0, 0], n_outcomes=1)
+    with pytest.raises(InvalidWitness, match="needs operators or labels"):
+        ProjectiveWitness([1, 0], [0, 1])
+
+
 @pytest.mark.parametrize("repaired", [(True,), (0, False)])
 def test_repaired_bool_index_rejected(repaired):
     kraus = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
@@ -174,7 +213,15 @@ def test_operators_are_one_read_only_stack():
     h = GeneralizedWitness(built.psi, built.phi, [p @ u for p in source]).swapped()
     source[0][0, 0] = 0.0
     g = construct_generalized(sc)
+    # A built witness holds labels; its stack is built on the first read and kept.
+    assert built.labels is not None
+    assert np.array_equal(built.operators, _block_projectors(3, 3))
+    assert built.operators is built.operators
+    qubit = construct_projective(ScenarioTriple(0.3, 0.3, OutcomeDistribution((1.0,))))
+    assert np.array_equal(qubit.operators, _block_projectors(1, 2))
+    assert not qubit.operators.flags.writeable
     for stack, views in (
+        (built.operators, built.projectors),
         (w.operators, w.projectors),
         (g.operators, g.kraus),
         (h.operators, h.kraus),
@@ -188,6 +235,7 @@ def test_operators_are_one_read_only_stack():
 
 def test_transition_amplitudes_match_per_operator_form():
     rng = np.random.default_rng(11)
+    shapes = set()
     for _ in range(50):
         d = int(rng.integers(2, 6))
         u = sample_unitary(d, rng)
@@ -200,3 +248,12 @@ def test_transition_amplitudes_match_per_operator_form():
             ops = w.projectors if isinstance(w, ProjectiveWitness) else w.kraus
             expected = [np.vdot(w.phi, v @ w.psi) for v in ops]
             assert np.allclose(transition_amplitudes(w), expected, rtol=0, atol=1e-14)
+        # Random labels: several basis vectors per outcome, and outcomes with none.
+        n = int(rng.integers(1, d + 3))
+        labelled = ProjectiveWitness(psi, phi, labels=rng.integers(0, n, d), n_outcomes=n)
+        dense = ProjectiveWitness(psi, phi, labelled.operators)
+        got = transition_amplitudes(labelled)
+        assert got.shape == (n,)
+        assert np.allclose(got, transition_amplitudes(dense), rtol=0, atol=1e-14)
+        shapes.add((d > n, len(set(labelled.labels.tolist())) < n))
+    assert {(True, False), (False, True), (True, True)} <= shapes
