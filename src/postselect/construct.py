@@ -4,8 +4,9 @@ Pipeline for the projective case: close a polygon over the amplitude
 magnitudes, drop the closing edge, factor the remaining complex numbers
 into a pair of unit vectors, label basis vector k with outcome k (the
 witness stores the labels, not an (n, n, n) projector stack).
-The generalized case builds Kraus operators whose post-measurement state
-is one fixed vector, decoupling the measurement from the postselection.
+The generalized case writes its Kraus operators in closed form,
+V_k = |phi'><e_k|: every outcome leaves the same post-measurement state
+phi', which decouples the measurement from the postselection.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import numpy as np
 from .core import (
     EPS_FEAS,
     EPS_PROB,
-    EPS_UNIT,
     GeneralizedWitness,
     ProjectiveWitness,
     ScenarioTriple,
-    _diagonal_projectors,
 )
 from .errors import (
     ClosureFailure,
@@ -51,8 +50,6 @@ def _triangle_dirs(sums: list[float]) -> list[complex] | None:
     if a <= tol:
         return [1.0 + 0.0j] * 3
     if a > b + c + tol:
-        return None
-    if b <= 0.0:
         return None
     if c <= 0.0:
         dirs_sorted = [1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j]
@@ -175,15 +172,6 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def _block_projectors(n: int, d: int) -> np.ndarray:
-    """n diagonal projectors on C^d as one (n, d, d) stack.
-
-    Projector k < n - 1 is rank 1 on basis vector k; the last one covers
-    basis vectors n - 1 .. d - 1.  For n = d these are the basis projectors.
-    """
-    return _diagonal_projectors(np.minimum(np.arange(d), n - 1), n)
-
-
 def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
     """Explicit dimension-n projective witness for a feasible scenario with S > EPS_PROB."""
     if sc.s <= EPS_PROB:  # evaluate_witness would call the ensemble empty
@@ -214,29 +202,16 @@ def _orthogonal_unit(v: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _unitary_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unitary sending unit vector a exactly to unit vector b.
-
-    A Householder reflector sends a to b up to phase; a phase rotation in
-    the b direction removes the phase.  The reflector sign is chosen to
-    avoid cancellation, so the construction is stable even for a close to b.
-    """
-    d = a.size
-    c = np.vdot(b, a)
-    mu = -c / abs(c) if abs(c) > EPS_UNIT else -1.0 + 0.0j
-    w = a - mu * b
-    h = np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
-    rot = np.eye(d, dtype=complex) + (np.conj(mu) - 1.0) * np.outer(b, b.conj())
-    return rot @ h
-
-
 def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     """Kraus witness reproducing any valid scenario (dimension max(n, 2)).
 
-    The post-measurement state is one fixed vector for every outcome, so
-    measurement statistics and postselection are independent.  Outcomes with
-    P(k) = 0 get their projector as Kraus operator instead of 0 to preserve
-    completeness; they are listed in the witness's `repaired` field.
+    With psi_k = sqrt(P(k)) on basis vector e_k, outcome k gets
+    V_k = |phi'><e_k|, so every outcome leaves the same post-measurement
+    state phi' and measurement statistics and postselection are independent.
+    Outcomes with P(k) = 0 get |e_k><e_k| instead of 0 to preserve
+    completeness; they are listed in the witness's `repaired` field.  For
+    n = 1 (a qubit) V_0's second column is a unit vector orthogonal to phi',
+    which makes V_0 unitary.
     Raises DegeneratePostselection for S <= EPS_PROB, as evaluate_witness does.
     """
     if sc.s <= EPS_PROB:
@@ -250,15 +225,14 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     phi /= np.linalg.norm(phi)
     phi_post = math.sqrt(sc.s) * phi + math.sqrt(1.0 - sc.s) * _orthogonal_unit(phi)
     phi_post /= np.linalg.norm(phi_post)
-    # Kraus operators start as the block projectors; each outcome with P(k) > 0
-    # is then sent onto phi_post in place.
-    kraus = _block_projectors(n, d)
-    repaired = []
-    for k in range(n):
-        if sc.dist[k] > 0.0:
-            v = kraus[k] @ psi
-            v /= np.linalg.norm(v)
-            kraus[k] = _unitary_map(v, phi_post) @ kraus[k]
-        else:
-            repaired.append(k)
-    return GeneralizedWitness(psi, phi, kraus, repaired)
+    # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps
+    # |e_k><e_k| so the V_k^dag V_k still sum to the identity.
+    positive = np.asarray(sc.dist.probs) > 0.0
+    live, repaired = np.flatnonzero(positive), np.flatnonzero(~positive)
+    kraus = np.zeros((n, d, d), dtype=complex)
+    kraus[live, :, live] = phi_post
+    kraus[repaired, repaired, repaired] = 1.0
+    if n == 1:
+        # One outcome on a qubit: complete V_0 to a unitary.
+        kraus[0, :, 1] = _orthogonal_unit(phi_post)
+    return GeneralizedWitness(psi, phi, kraus, repaired.tolist())

@@ -176,6 +176,8 @@ def fuzz_projective(
         raise ValueError("samples must be >= 1")
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
+    if not 0.0 <= eps < np.inf:  # inf would pass every draw, nan flag every one
+        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     violations: list[FuzzViolation] = []
     # (T, S) coverage cells, then the ternary slice's (P_0, P_1) cells.
     counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
@@ -247,6 +249,8 @@ def run_campaign(
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     n_chunks = max(1, -(-samples // chunk))
     sizes = [chunk] * (n_chunks - 1) + [samples - chunk * (n_chunks - 1)]
     streams = [
@@ -277,6 +281,8 @@ def _search_extremal_s(
     restarts: int = 4,
 ) -> float:
     """Hill-climb S over witnesses constrained to transition probability t."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transition probability must lie in [0, 1], got {t!r}")
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
     nparams = 4 * d + 2 * d * d

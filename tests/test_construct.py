@@ -264,15 +264,30 @@ class TestConstructGeneralized:
         assert_reproduces(sc, w, tol=1e-12)
 
     def test_post_measurement_collinearity(self, rng):
-        # All outcomes leave the system in the same pure state.
-        for _ in range(100):
-            sc = random_scenario(rng)
+        # All outcomes leave the system in the same pure state: a live V_k is
+        # |phi'><e_k| with one phi' for all k, a zero-probability V_k is
+        # |e_k><e_k|, and the one outcome of n = 1 is a unitary on a qubit.
+        scenarios = [random_scenario(rng, allow_zeros=True) for _ in range(100)]
+        scenarios += [
+            ScenarioTriple(t, s, OutcomeDistribution((1.0,)))
+            for t, s in ((0.0, 0.5), (0.3, 1.0), (1.0, 0.2))
+        ]
+        assert any(0.0 in sc.dist.probs for sc in scenarios)
+        for sc in scenarios:
             w = construct_generalized(sc)
-            states = []
+            columns, states = [], []
             for k, v in enumerate(w.kraus):
                 if sc.dist[k] == 0.0:
+                    assert np.array_equal(v, np.diag(np.eye(w.dimension)[k]))
                     continue
+                if sc.n == 1:
+                    assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
+                else:
+                    assert not np.delete(v, k, axis=1).any()
+                columns.append(v[:, k])
                 out = v @ np.asarray(w.psi)
                 states.append(out / np.linalg.norm(out))
+            for column in columns[1:]:
+                assert np.array_equal(column, columns[0])
             for other in states[1:]:
                 assert abs(abs(np.vdot(states[0], other)) - 1.0) <= 1e-10

@@ -121,6 +121,19 @@ class TestCampaign:
         assert serial.digest() == parallel.digest()
         assert serial.violations == ()
 
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_rejects_empty_chunks(self, chunk):
+        with pytest.raises(ValueError, match="chunk"):
+            run_campaign(2, 2, 1000, 0, max_workers=1, chunk=chunk)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, -1e-9])
+    def test_rejects_unusable_tolerance(self, eps):
+        # inf would hide every violation and nan would report every draw.
+        with pytest.raises(ValueError, match="eps"):
+            fuzz_projective(2, 2, 1000, default_rng(0), eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            run_campaign(2, 2, 1000, 0, max_workers=1, eps=eps)
+
     def test_seed_changes_digest(self):
         a = run_campaign(2, 2, 5000, 0, max_workers=1)
         b = run_campaign(2, 2, 5000, 1, max_workers=1)
@@ -128,6 +141,12 @@ class TestCampaign:
 
 
 class TestExtremalSearch:
+    @pytest.mark.parametrize("search", [oracle_max_s, oracle_min_s])
+    @pytest.mark.parametrize("t", [1.5, -0.2, np.nan])
+    def test_rejects_t_outside_unit_interval(self, search, t):
+        with pytest.raises(ValueError, match="transition probability"):
+            search(t, 2, 2, 100, default_rng(0))
+
     def test_max_s_orthogonal_qubit(self):
         # Orthogonal pre/post states on a qubit cap success at 1/2.
         best = oracle_max_s(0.0, 2, 2, 4000, default_rng(5))

@@ -21,8 +21,7 @@ from postselect import (
     construct_generalized,
     construct_projective,
 )
-from postselect.construct import _block_projectors
-from postselect.core import EPS_UNIT
+from postselect.core import EPS_UNIT, _diagonal_projectors
 from postselect.errors import InvalidWitness
 from postselect.oracle import sample_projective, sample_state, sample_unitary
 from postselect.stats import transition_amplitudes
@@ -215,10 +214,10 @@ def test_operators_are_one_read_only_stack():
     g = construct_generalized(sc)
     # A built witness holds labels; its stack is built on the first read and kept.
     assert built.labels is not None
-    assert np.array_equal(built.operators, _block_projectors(3, 3))
+    assert np.array_equal(built.operators, _diagonal_projectors(np.arange(3), 3))
     assert built.operators is built.operators
     qubit = construct_projective(ScenarioTriple(0.3, 0.3, OutcomeDistribution((1.0,))))
-    assert np.array_equal(qubit.operators, _block_projectors(1, 2))
+    assert np.array_equal(qubit.operators, _diagonal_projectors(np.zeros(2, dtype=np.intp), 1))
     assert not qubit.operators.flags.writeable
     for stack, views in (
         (built.operators, built.projectors),
