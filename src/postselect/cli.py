@@ -167,15 +167,11 @@ def cmd_fuzz(args) -> int:
 
 def cmd_entropy(args) -> int:
     dist = _parse_probs(args.p)
-    if args.q is not None:
-        qs = [math.inf if args.q.strip() in ("inf", "infinity") else float(args.q)]
-    else:
-        qs = [0.0, 0.5, 1.0, 2.0, math.inf]
+    qs = [0.0, 0.5, 1.0, 2.0, math.inf] if args.q is None else [float(args.q)]
     print("q D_q H_q")
     for q in qs:
         d = diversity(dist, q)
-        label = "inf" if math.isinf(q) else _fmt(q)
-        print(f"{label} {_fmt(d)} {_fmt(math.log(d))}")
+        print(f"{_fmt(q)} {_fmt(d)} {_fmt(math.log(d))}")
     return 0
 
 

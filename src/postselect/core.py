@@ -7,18 +7,19 @@ Both witness kinds share one base, ``_Witness``, holding the n operators as
 one read-only ``(n, d, d)`` complex array, ``operators``, and naming its kind
 in ``kind``; ``projectors`` and ``kraus`` are tuples of views of it.
 
-A projective witness is either dense or labelled.  A dense one is given its
-stack (every decoded JSON file is); projectors whose off-diagonal entries
-are all exactly zero are validated on their diagonals in O(n d^2), the cost
-of the zero test, any other set with one stacked product for idempotence
-and n - 1 batched products for pairwise orthogonality.  Every comparison is
-``not err <= EPS_UNIT``, so NaN fails.  A labelled one (every built
-witness) holds ``labels``, one outcome in range(n) per basis vector, and n:
-outcome k's projector is the diagonal 0/1 matrix on the basis vectors
-labelled k, so the set is complete and orthogonal by construction and
-validation is O(d).  Its stack is built, cached and made read-only the
-first time ``operators`` or ``projectors`` is read; ``n_outcomes``,
-``swapped`` and the statistics in ``stats`` never build it.
+A projective witness is labelled or dense, as its operators allow.  A
+labelled one holds ``labels``, one outcome in range(n) per basis vector, and
+n: outcome k's projector is the diagonal 0/1 matrix on the basis vectors
+labelled k, so the set is complete and orthogonal by construction.  It is
+given its labels (every built witness; validation is O(d)), or a stack that
+is an exact partition: nonzero only on the diagonal, where each column holds
+exactly one 1 (a decoded file of a built witness; the zero test is O(n d^2)).
+A given stack is kept; otherwise it is built, cached and made read-only the
+first time ``operators`` or ``projectors`` is read, and ``n_outcomes``,
+``swapped`` and the statistics in ``stats`` never build it.  Any other stack
+is dense, with ``labels`` None, and is validated with one stacked product
+for idempotence and n - 1 batched products for pairwise orthogonality.
+Every comparison is ``not err <= EPS_UNIT``, so NaN fails.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ class DiversityProfile:
     h_inf: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.d_half, self.d_inf, self.h_half, self.h_inf))):
+            raise ValueError(f"non-finite diversity profile {self}")
         if self.d_inf > self.d_half * (1 + 1e-12) + 1e-12:
             raise ValueError(f"D_inf = {self.d_inf} exceeds D_1/2 = {self.d_half}")
         if self.d_inf < 1.0 - 1e-12 or self.d_half < 1.0 - 1e-12:
@@ -152,43 +155,19 @@ def _validate_projectors(a: np.ndarray) -> None:
 
     The first failure is reported, in this order: projector i hermitian, then
     idempotent, for i ascending; completeness; orthogonality of (i, j) in
-    lexicographic order.  When every off-diagonal entry is exactly zero the
-    checks run on the (n, d) diagonals: there P_i P_j = diag(D_i * D_j), so
-    the largest entry over all pairs is, per column, the product of the two
-    largest |D_ik|.
+    lexicographic order.
     """
     n, d, _ = a.shape
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    if np.count_nonzero(a) == np.count_nonzero(diag):
-        herm = np.abs(diag - diag.conj()).max(axis=1)
-        idem = np.abs(diag * diag - diag).max(axis=1)
-        total = diag.sum(axis=0) - 1.0
-        mag = np.abs(diag)
-
-        def pair_errors(i):
-            return (mag[i] * mag[i + 1 :]).max(axis=1)
-
-        # Scan the pairs only when some column's two largest |D_ik| fail together.
-        scan = n > 1 and not (
-            np.partition(mag, n - 2, axis=0)[n - 2 :].prod(axis=0).max() <= EPS_UNIT
-        )
-    else:
-        herm = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        idem = np.abs(a @ a - a).max(axis=(1, 2))
-        total = a.sum(axis=0) - np.eye(d)
-
-        def pair_errors(i):
-            return np.abs(a[i] @ a[i + 1 :]).max(axis=(1, 2))
-
-        scan = True
+    herm = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    idem = np.abs(a @ a - a).max(axis=(1, 2))
     i = _first_bad(np.maximum(herm, idem))
     if i is not None:
         kind = "idempotent" if herm[i] <= EPS_UNIT else "hermitian"
         raise InvalidWitness(f"projector {i} is not {kind}")
-    if not np.abs(total).max() <= EPS_UNIT:
+    if not np.abs(a.sum(axis=0) - np.eye(d)).max() <= EPS_UNIT:
         raise InvalidWitness("projectors do not sum to the identity")
-    for i in range(n - 1 if scan else 0):
-        j = _first_bad(pair_errors(i))
+    for i in range(n - 1):
+        j = _first_bad(np.abs(a[i] @ a[i + 1 :]).max(axis=(1, 2)))
         if j is not None:
             raise InvalidWitness(f"projectors {i} and {i + 1 + j} are not orthogonal")
 
@@ -257,6 +236,7 @@ class _Witness:
     psi: np.ndarray
     phi: np.ndarray
     operators: np.ndarray = field(repr=False)
+    n_outcomes: int = field(repr=False)
 
     def __init__(self, psi, phi, operators):
         psi, phi = _states(psi, phi)
@@ -273,28 +253,25 @@ class _Witness:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "n_outcomes", len(ops))
 
     @property
     def dimension(self) -> int:
         return self.psi.size
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.operators)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class ProjectiveWitness(_Witness):
     """States psi, phi plus a complete set of mutually orthogonal projectors.
 
-    Give either the dense ``operators`` stack, or ``labels`` (an integer array
-    of length d, entries in range(n_outcomes)) and ``n_outcomes``: outcome k
-    then projects onto the basis vectors j with labels[j] == k.  ``labels``
-    is None on a dense witness.
+    Give either the ``operators`` stack, or ``labels`` (an integer array of
+    length d, entries in range(n_outcomes)) and ``n_outcomes``: outcome k
+    then projects onto the basis vectors j with labels[j] == k.  A stack
+    whose only nonzero entries are diagonal 1s, one per column, is labelled
+    too and kept; ``labels`` is None on any other stack.
     """
 
     kind = "projective"
-    _validate = staticmethod(_validate_projectors)
     labels: np.ndarray | None = field(default=None, repr=False)
 
     def __init__(self, psi, phi, operators=None, *, labels=None, n_outcomes=None):
@@ -310,18 +287,25 @@ class ProjectiveWitness(_Witness):
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "n_outcomes", n)
 
-    # A dense witness sets ``operators`` in __init__, which hides this.
+    def _validate(self, ops: np.ndarray) -> None:
+        """Keep an exact partition as labels; check any other stack as dense."""
+        ones = np.diagonal(ops, axis1=1, axis2=2) == 1
+        # Nonzero only where a column's one 1 sits; NaN counts as nonzero.
+        if np.count_nonzero(ops) == ops.shape[1] and (ones.sum(axis=0) == 1).all():
+            labels = ones.argmax(axis=0)
+            labels.setflags(write=False)
+            object.__setattr__(self, "labels", labels)
+        else:
+            _validate_projectors(ops)
+
+    # A witness given its stack sets ``operators`` in __init__, which hides this.
     @cached_property
     def operators(self) -> np.ndarray:
-        ops = _diagonal_projectors(self.labels, self._n)
+        ops = _diagonal_projectors(self.labels, self.n_outcomes)
         ops.setflags(write=False)
         return ops
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.operators) if self.labels is None else self._n
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -331,7 +315,7 @@ class ProjectiveWitness(_Witness):
         """Time-reversed witness: initial and final states interchanged."""
         if self.labels is None:
             return ProjectiveWitness(self.phi, self.psi, self.operators)
-        return ProjectiveWitness(self.phi, self.psi, labels=self.labels, n_outcomes=self._n)
+        return ProjectiveWitness(self.phi, self.psi, labels=self.labels, n_outcomes=self.n_outcomes)
 
 
 def _outcome_index(k) -> int:
@@ -339,6 +323,14 @@ def _outcome_index(k) -> int:
     if isinstance(k, bool):
         raise TypeError(f"{k!r} is a bool, not an outcome index")
     return operator.index(k)
+
+
+def _count(k, name: str) -> int:
+    """k as an int count argument; ValueError for a bool or any non-integer."""
+    try:
+        return _outcome_index(k)
+    except TypeError as exc:
+        raise ValueError(f"{name} = {k!r} is not an integer: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_FEAS, OutcomeDistribution, ScenarioTriple, sqrt_probs
+from .core import EPS_FEAS, OutcomeDistribution, ScenarioTriple, _count, sqrt_probs
 from .errors import PolygonViolation, RegionViolation, SingularSystem
 
 # Constraint tags.
@@ -113,7 +113,7 @@ def check_ts_region(t: float, s: float, n: int) -> FeasibilityVerdict:
         raise ValueError(f"t = {t!r} outside [0, 1]")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s = {s!r} outside (0, 1]")
-    if n < 1:
+    if _count(n, "n") < 1:
         raise ValueError(f"n = {n!r} must be >= 1")
     return _verdict({k: float(v) for k, v in ts_region_slacks(t, s, n).items()})
 
@@ -162,27 +162,24 @@ def check_ternary_disk(p: OutcomeDistribution) -> bool:
 def cone_decompose(p: OutcomeDistribution) -> ConeDecomposition:
     """Express sqrt(P) as a non-negative combination of the polygon-cone extreme rays.
 
-    The m-th extreme ray has coordinates y^m_j = 1 + (2-n) delta_{jm}; the
-    n x n system is solved exactly.  For n = 2 the two rays coincide and the
+    The m-th extreme ray has coordinates y^m_j = 1 + (2-n) delta_{jm}, so the
+    ray matrix is J + (2-n) I and the system solves in closed form:
+    lambda_m = (sum_j sqrt(P(j)) - 2 sqrt(P(m))) / (2 (n - 2)).  The smallest
+    lambda is the LowerChain slack divided by 2 (n - 2), so the polygon check
+    makes every lambda non-negative.  For n = 2 the two rays coincide and the
     system is singular.
     """
     n = p.n
     if n < 2:
         raise ValueError("cone decomposition needs n >= 2")
     sq = np.array(sqrt_probs(p))
-    if not chain_slacks(0.0, sq.sum(), sq.max(), 1.0)[LOWER_CHAIN] >= -EPS_FEAS:
+    total = sq.sum()
+    if not chain_slacks(0.0, total, sq.max(), 1.0)[LOWER_CHAIN] >= -EPS_FEAS:
         raise PolygonViolation(f"polygon inequalities fail for {p.probs}")
-    rays = np.ones((n, n)) + (2.0 - n) * np.eye(n)  # column m = ray y^m
-    try:
-        lambdas = np.linalg.solve(rays, sq)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"extreme-ray system is singular for n = {n}") from exc
-    # Guard against near-singular solves slipping past LinAlgError.
-    if not np.all(np.isfinite(lambdas)) or np.max(np.abs(rays @ lambdas - sq)) > 1e-10:
-        raise SingularSystem(f"extreme-ray system is numerically degenerate for n = {n}")
-    if np.min(lambdas) < -1e-12:
-        raise PolygonViolation(f"negative cone coefficient {np.min(lambdas)!r}")
-    return ConeDecomposition(lambdas=tuple(float(x) for x in lambdas))
+    if n == 2:
+        raise SingularSystem("extreme-ray system is singular for n = 2")
+    lambdas = (total - 2.0 * sq) / (2.0 * (n - 2))
+    return ConeDecomposition(lambdas=tuple(lambdas.tolist()))
 
 
 def witness_distribution(t: float, s: float, n: int) -> OutcomeDistribution:

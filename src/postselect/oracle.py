@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _count
 from .feasibility import projective_raw_slack_arrays
 from .errors import SearchBudgetExhausted
 
@@ -172,6 +173,7 @@ def fuzz_projective(
     the raw projective inequalities at tolerance eps (widened against
     roundoff).  Draws with S <= 1e-9 are discarded but still counted.
     """
+    samples = _count(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 1 <= n <= d:
@@ -249,6 +251,7 @@ def run_campaign(
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    samples, chunk = _count(samples, "samples"), _count(chunk, "chunk")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     n_chunks = max(1, -(-samples // chunk))

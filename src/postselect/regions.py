@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_FEAS
+from .core import EPS_FEAS, _count
 from . import feasibility
 from .feasibility import MAX_OUTCOME_POLYGON, OUTSIDE_SIMPLEX, S_BOUND
 
@@ -130,7 +130,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
 
 def emit_ts_region(n: int, resolution: int) -> RegionGrid:
     """(T, S) region for n outcomes: T/n <= S <= (T+1)/2."""
-    if n < 1:
+    if _count(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")

@@ -9,7 +9,9 @@ finite numbers t and s, and one finite p per outcome.
 
 The file always holds the dense operator stack: encoding a labelled
 projective witness builds (and caches) its stack, so a built witness writes
-the same bytes as its dense form, and decoding always gives a dense witness.
+the same bytes as its dense form.  Decoding hands the stack to the witness
+class, so a projective file whose stack is an exact 0/1 partition (every
+file of a built witness) decodes as a labelled witness, any other as dense.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from postselect import (
     check_ternary_disk,
     check_ts_region,
     cone_decompose,
+    emit_ts_region,
     witness_distribution,
 )
 from postselect.errors import PolygonViolation, RegionViolation, SingularSystem
@@ -129,6 +130,14 @@ class TestTsRegion:
             check_ts_region(0.5, 0.0, 2)
         with pytest.raises(ValueError):
             check_ts_region(0.5, 0.5, 0)
+        # n counts outcomes: NaN, inf, a fraction or a bool is refused, not read as a number.
+        for n in (math.nan, math.inf, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="not an integer"):
+                check_ts_region(0.5, 0.5, n)
+            with pytest.raises(ValueError, match="not an integer"):
+                emit_ts_region(n, 4)
+            with pytest.raises(ValueError, match="not an integer"):
+                witness_distribution(0.5, 0.5, n)
 
 
 class TestTernaryDisk:

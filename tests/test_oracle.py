@@ -121,7 +121,7 @@ class TestCampaign:
         assert serial.digest() == parallel.digest()
         assert serial.violations == ()
 
-    @pytest.mark.parametrize("chunk", [0, -5])
+    @pytest.mark.parametrize("chunk", [0, -5, 2.5, np.nan, np.inf, True])
     def test_rejects_empty_chunks(self, chunk):
         with pytest.raises(ValueError, match="chunk"):
             run_campaign(2, 2, 1000, 0, max_workers=1, chunk=chunk)
@@ -133,6 +133,16 @@ class TestCampaign:
             fuzz_projective(2, 2, 1000, default_rng(0), eps=eps)
         with pytest.raises(ValueError, match="eps"):
             run_campaign(2, 2, 1000, 0, max_workers=1, eps=eps)
+
+    @pytest.mark.parametrize(
+        "samples", [np.nan, np.inf, 2.5, 1000.0, True], ids=["nan", "inf", "2.5", "float", "bool"]
+    )
+    def test_rejects_non_integer_samples(self, samples):
+        # Read as numbers, nan would run no draw, inf would never return and True one draw.
+        with pytest.raises(ValueError, match="samples"):
+            fuzz_projective(3, 3, samples, default_rng(0))
+        with pytest.raises(ValueError, match="samples"):
+            run_campaign(3, 3, samples, 0, max_workers=1)
 
     def test_seed_changes_digest(self):
         a = run_campaign(2, 2, 5000, 0, max_workers=1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postselect import (
+    DiversityProfile,
     GeneralizedWitness,
     OutcomeDistribution,
     ProjectiveWitness,
@@ -196,3 +197,18 @@ class TestDiversityProfile:
         prof = diversity_profile(OutcomeDistribution(probs))
         assert prof.d_inf == pytest.approx(d_inf, rel=1e-12)
         assert prof.d_half == pytest.approx(d_half, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (math.nan,) * 4,
+            (math.inf,) * 4,
+            (2.0, 1.0, math.log(2.0), math.nan),
+            (math.inf, 2.0, math.inf, math.log(2.0)),
+            (2.0, 2.0, -math.inf, math.log(2.0)),
+        ],
+        ids=["all-nan", "all-inf", "nan-h_inf", "inf-d_half", "minus-inf-h_half"],
+    )
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiversityProfile(*values)

@@ -1,11 +1,12 @@
 """Witness validation against the literal per-projector and pairwise loop.
 
-A dense ProjectiveWitness validates its (n, d, d) operator stack in one of
-two ways: on the diagonals when every off-diagonal entry is exactly zero,
-with stacked products otherwise.  Both must accept and reject exactly what
-the loop below does, and report the same first failure.  Dense witnesses
-cost n * d^2 * 16 bytes, so every set here stays at d <= 6.  A labelled
-witness is checked on its labels and n_outcomes alone.
+A ProjectiveWitness given an (n, d, d) operator stack stores it as labels
+when the stack is an exact partition (zero but for diagonal entries exactly
+1, one per column), and otherwise validates it with stacked products.  Both
+must accept and reject exactly what the loop below does, and the stacked
+check must report the same first failure.  Dense witnesses cost
+n * d^2 * 16 bytes, so every set here stays at d <= 6.  A labelled witness
+given its labels is checked on its labels and n_outcomes alone.
 """
 
 import math
@@ -21,10 +22,12 @@ from postselect import (
     construct_generalized,
     construct_projective,
 )
+from postselect import core
 from postselect.core import EPS_UNIT, _diagonal_projectors
 from postselect.errors import InvalidWitness
 from postselect.oracle import sample_projective, sample_state, sample_unitary
-from postselect.stats import transition_amplitudes
+from postselect.stats import evaluate_witness, transition_amplitudes
+from postselect.witness_io import load_witness, save_witness, witness_to_dict
 
 
 def check_projective_loop(projs) -> str | None:
@@ -240,19 +243,70 @@ def test_transition_amplitudes_match_per_operator_form():
         u = sample_unitary(d, rng)
         projs = sample_projective(d, int(rng.integers(1, d + 1)), rng)
         psi, phi = sample_state(d, rng), sample_state(d, rng)
-        for w in (
-            ProjectiveWitness(psi, phi, projs),
-            GeneralizedWitness(psi, phi, [p @ u for p in projs]),
-        ):
-            ops = w.projectors if isinstance(w, ProjectiveWitness) else w.kraus
-            expected = [np.vdot(w.phi, v @ w.psi) for v in ops]
-            assert np.allclose(transition_amplitudes(w), expected, rtol=0, atol=1e-14)
         # Random labels: several basis vectors per outcome, and outcomes with none.
         n = int(rng.integers(1, d + 3))
         labelled = ProjectiveWitness(psi, phi, labels=rng.integers(0, n, d), n_outcomes=n)
-        dense = ProjectiveWitness(psi, phi, labelled.operators)
-        got = transition_amplitudes(labelled)
-        assert got.shape == (n,)
-        assert np.allclose(got, transition_amplitudes(dense), rtol=0, atol=1e-14)
+        for w in (
+            ProjectiveWitness(psi, phi, projs),
+            GeneralizedWitness(psi, phi, [p @ u for p in projs]),
+            labelled,
+        ):
+            expected = [np.vdot(w.phi, v @ w.psi) for v in w.operators]
+            got = transition_amplitudes(w)
+            assert got.shape == (w.n_outcomes,)
+            assert np.allclose(got, expected, rtol=0, atol=1e-14)
         shapes.add((d > n, len(set(labelled.labels.tolist())) < n))
     assert {(True, False), (False, True), (True, True)} <= shapes
+
+
+def partition_set(rng):
+    """An exact diagonal_set stack with an all-zero projector inserted, and its labels."""
+    d = int(rng.integers(2, 7))
+    projs = diagonal_set(d, int(rng.integers(1, d + 1)), rng)
+    projs.insert(int(rng.integers(len(projs) + 1)), np.zeros((d, d), dtype=complex))
+    labels = np.array([next(k for k, p in enumerate(projs) if p[j, j] == 1) for j in range(d)])
+    return np.array(projs), labels
+
+
+@pytest.mark.parametrize("diagonal_only", [True, False], ids=["diagonal", "anywhere"])
+def test_stack_form_follows_exact_partition(diagonal_only):
+    # Exact: labels and n from the stack, which is kept.  Off by 1e-11 or
+    # 1e-300j: dense.  NaN: refused.
+    rng = np.random.default_rng(909)
+    for _ in range(40):
+        stack, labels = partition_set(rng)
+        d = len(labels)
+        e0 = np.eye(d)[0]
+        w = ProjectiveWitness(sample_state(d, rng), sample_state(d, rng), stack)
+        assert np.array_equal(w.labels, labels) and w.n_outcomes == len(stack)
+        assert not w.labels.flags.writeable
+        assert np.array_equal(w.operators, stack) and not w.operators.flags.writeable
+        assert w.operators is not stack
+        near = perturb(list(stack), 1e-11, rng, diagonal_only)
+        assert ProjectiveWitness(e0, e0, near).labels is None
+        tilted = stack.copy()
+        j = int(rng.integers(d))
+        tilted[labels[j], j, j] = 1 + 1e-300j
+        assert ProjectiveWitness(e0, e0, tilted).labels is None
+        broken = stack.copy()
+        broken[tuple(rng.integers(0, m) for m in stack.shape)] = math.nan
+        with pytest.raises(InvalidWitness):
+            ProjectiveWitness(e0, e0, broken)
+
+
+def test_decoded_built_file_is_labelled(tmp_path, monkeypatch):
+    n = 32
+    sc = ScenarioTriple(0.2, 0.5 / n, OutcomeDistribution(np.full(n, 1.0 / n)))
+    built = construct_projective(sc)
+    path = tmp_path / "w.json"
+    save_witness(built, str(path))
+
+    def refuse(a):
+        raise AssertionError("the dense projector check ran on an exact partition")
+
+    monkeypatch.setattr(core, "_validate_projectors", refuse)
+    w = load_witness(str(path))
+    assert np.array_equal(w.labels, built.labels) and w.n_outcomes == n
+    assert np.array_equal(w.operators, built.operators)
+    assert evaluate_witness(w) == evaluate_witness(built)
+    assert witness_to_dict(w) == witness_to_dict(built)
