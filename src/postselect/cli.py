@@ -141,13 +141,20 @@ def cmd_region(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    """The POSTSELECT_THREADS worker cap; an integer >= 1 or an input error."""
+    if text.strip().lstrip("+").isdecimal() and int(text) >= 1:
+        return int(text)
+    raise InputError(f"POSTSELECT_THREADS must be an integer >= 1, got {text!r}")
+
+
 def cmd_fuzz(args) -> int:
     if args.outcomes > args.dim:
         raise InputError(
             f"--outcomes {args.outcomes} exceeds --dim {args.dim} for projective fuzz"
         )
     workers = os.environ.get("POSTSELECT_THREADS")
-    max_workers = int(workers) if workers else None
+    max_workers = _thread_count(workers) if workers else None
     report = run_campaign(
         args.dim, args.outcomes, args.samples, args.seed, max_workers=max_workers
     )

@@ -4,6 +4,10 @@ Samples random states and projective measurements, evaluates their
 postselected statistics directly, and confronts them with the feasibility
 inequalities.  Also provides hill-climbing searches for the extremal
 success probability at fixed transition probability.
+
+The fuzz projects in the computational basis, which gives (T, S, P) the law
+a Haar basis per draw would (argument in `fuzz_projective`); a fuzz witness
+is (psi, phi, labels), and a violation's digest hashes exactly those.
 """
 
 from __future__ import annotations
@@ -120,6 +124,7 @@ class FuzzReport:
     coverage_grid: dict[tuple[int, int], int] = field(default_factory=dict)
     ternary_grid: dict[tuple[int, int], int] = field(default_factory=dict)
     grid_step: float = GRID_STEP
+    discarded: int = 0  # draws with S <= S_DISCARD; not part of the digest
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -150,6 +155,7 @@ def merge_reports(reports) -> FuzzReport:
         coverage_grid=dict(coverage),
         ternary_grid=dict(ternary),
         grid_step=step,
+        discarded=sum(r.discarded for r in reports),
     )
 
 
@@ -171,7 +177,16 @@ def fuzz_projective(
 
     Every sampled (psi, phi, projector set) must produce a scenario passing
     the raw projective inequalities at tolerance eps (widened against
-    roundoff).  Draws with S <= 1e-9 are discarded but still counted.
+    roundoff).  Draws with S <= S_DISCARD are counted as samples and as
+    `discarded`, and are neither checked nor binned.
+
+    Outcome k projects onto the basis vectors e_j labelled k, so its amplitude
+    is the sum of conj(phi_j) psi_j over them.  A Haar basis U per draw would
+    not change the law: (T, S, P) of (psi, phi, {U Pi_k U^dag}) is that of
+    (U^dag psi, U^dag phi, {Pi_k}), and for any fixed U that pair has the law
+    of (psi, phi), independent and uniform on the sphere; so at every U, and
+    averaged over U, (T, S, P) has its law at U = I.  A violation's
+    witness_digest is the SHA-256 of its psi, phi and labels bytes.
     """
     samples = _count(samples, "samples")
     if samples < 1:
@@ -183,7 +198,7 @@ def fuzz_projective(
     violations: list[FuzzViolation] = []
     # (T, S) coverage cells, then the ternary slice's (P_0, P_1) cells.
     counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
-    done = 0
+    done = discarded = 0
     while done < samples:
         b = min(BATCH_SIZE, samples - done)
         done += b
@@ -191,24 +206,22 @@ def fuzz_projective(
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         phi = _complex_normal(rng, (b, d))
         phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-        u = _haar(_complex_normal(rng, (b, d, d)))
-        # Per-column amplitude contributions (phi^dag u_j)(u_j^dag psi).
-        left = np.einsum("bi,bij->bj", phi.conj(), u)
-        right = np.einsum("bij,bi->bj", u.conj(), psi)
-        contrib = left * right
+        # Per-column amplitude contributions <phi|e_j><e_j|psi>.
+        contrib = phi.conj() * psi
         labels = _random_labels(b, d, n, rng)
         t = np.abs(contrib.sum(axis=1)) ** 2
         weights = np.abs(_group(contrib, labels, n)) ** 2
         s = weights.sum(axis=1)
         keep = s > S_DISCARD
+        discarded += b - int(np.count_nonzero(keep))
         t_k, s_k = np.minimum(t[keep], 1.0), np.minimum(s[keep], 1.0)
         probs = weights[keep] / s[keep, None]
         slacks = projective_raw_slack_arrays(t_k, s_k, probs)
         min_slack = np.minimum.reduce(list(slacks.values()))
-        for i in np.flatnonzero(~(min_slack >= -eps)):
-            orig = np.flatnonzero(keep)[i]
+        flagged = np.flatnonzero(~(min_slack >= -eps))
+        for i, orig in zip(flagged, np.flatnonzero(keep)[flagged]):
             h = hashlib.sha256()
-            for arr in (psi[orig], phi[orig], u[orig], labels[orig]):
+            for arr in (psi[orig], phi[orig], labels[orig]):
                 h.update(np.ascontiguousarray(arr).tobytes())
             tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -eps)
             violations.append(
@@ -231,6 +244,7 @@ def fuzz_projective(
         coverage_grid=_grid(counts[: NBINS * NBINS]),
         ternary_grid=_grid(counts[NBINS * NBINS :]),
         grid_step=GRID_STEP,
+        discarded=discarded,
     )
 
 

@@ -64,6 +64,14 @@ def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
     return [g.reshape(-1) for g in grids]
 
 
+def _resolution(resolution) -> int:
+    """Cells per axis as an int >= 2; ValueError for anything else, a bool included."""
+    resolution = _count(resolution, "resolution")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    return resolution
+
+
 def _tags_from_slacks(slacks: dict[str, np.ndarray], extra_masks=None):
     """Tag names and the per-cell violation bitmask; NaN slacks count as violated."""
     bad = {tag: ~(arr >= -EPS_FEAS) for tag, arr in slacks.items()}
@@ -79,8 +87,7 @@ def emit_ternary(resolution: int) -> RegionGrid:
     Cells whose center falls outside the simplex are tagged OutsideSimplex;
     inside cells are feasible iff they lie in the disk.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = _resolution(resolution)
     axes = (Axis("p1", 0.0, 1.0, resolution), Axis("p2", 0.0, 1.0, resolution))
     p1, p2 = _mesh(axes)
     p3 = 1.0 - p1 - p2
@@ -94,8 +101,7 @@ def emit_ternary(resolution: int) -> RegionGrid:
 
 def emit_ps_region(resolution: int) -> RegionGrid:
     """Two-outcome (p, S) region: S <= 1/(1 + 2 sqrt(p(1-p)))."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = _resolution(resolution)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
     p, s = _mesh(axes)
     slack = feasibility.dichotomic_slacks(p, 0.0, s)[S_BOUND]
@@ -114,8 +120,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s = {s!r} outside (0, 1]")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = _resolution(resolution)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("t", 0.0, 1.0, resolution))
     p, t = _mesh(axes)
     slacks = feasibility.dichotomic_slacks(p, t, s)
@@ -132,8 +137,7 @@ def emit_ts_region(n: int, resolution: int) -> RegionGrid:
     """(T, S) region for n outcomes: T/n <= S <= (T+1)/2."""
     if _count(n, "n") < 1:
         raise ValueError("n must be >= 1")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = _resolution(resolution)
     axes = (Axis("t", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
     t, s = _mesh(axes)
     tags, violated = _tags_from_slacks(feasibility.ts_region_slacks(t, s, n))

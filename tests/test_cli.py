@@ -257,6 +257,23 @@ class TestFuzz:
         assert code == 2
         assert "exceeds" in err
 
+    def test_stdout_fields(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--dim", "3", "--outcomes", "3", "--samples", "500")
+        assert code == 0
+        keys = [line.split(":")[0] for line in out.splitlines()]
+        assert keys == [
+            "samples", "violations", "coverage cells (T,S)", "coverage cells (ternary, T~0)", "digest"
+        ]
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5", "1e2"])
+    def test_bad_thread_count_exit_two(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("POSTSELECT_THREADS", threads)
+        code, out, err = run(
+            capsys, "fuzz", "--dim", "2", "--outcomes", "2", "--samples", "10"
+        )
+        assert (code, out) == (2, "")
+        assert "POSTSELECT_THREADS" in err
+
 
 class TestEntropy:
     def test_table(self, capsys):

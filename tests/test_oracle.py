@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,80 @@ from postselect import (
     sample_state,
     sample_unitary,
 )
-from postselect.oracle import NBINS, _cell, _grid, _group, _random_labels, merge_reports
+from postselect import oracle
+from postselect.cli import main
+from postselect.oracle import (
+    BATCH_SIZE,
+    GRID_STEP,
+    NBINS,
+    S_DISCARD,
+    _cell,
+    _complex_normal,
+    _grid,
+    _group,
+    _haar,
+    _random_labels,
+    merge_reports,
+)
+
+
+def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:
+    """Reference sampler: the fuzz's batch code with a Haar basis u per draw.
+
+    Returns the flat cell counts fuzz_projective bins: (T, S) cells, then the
+    ternary slice's (P_0, P_1) cells.
+    """
+    counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
+    done = 0
+    while done < samples:
+        b = min(BATCH_SIZE, samples - done)
+        done += b
+        psi = _complex_normal(rng, (b, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        phi = _complex_normal(rng, (b, d))
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        u = _haar(_complex_normal(rng, (b, d, d)))
+        left = np.einsum("bi,bij->bj", phi.conj(), u)
+        right = np.einsum("bij,bi->bj", u.conj(), psi)
+        contrib = left * right
+        labels = _random_labels(b, d, n, rng)
+        t = np.abs(contrib.sum(axis=1)) ** 2
+        weights = np.abs(_group(contrib, labels, n)) ** 2
+        s = weights.sum(axis=1)
+        keep = s > S_DISCARD
+        t, s, probs = np.minimum(t[keep], 1.0), np.minimum(s[keep], 1.0), weights[keep] / s[keep, None]
+        cells = [_cell(t, s)]
+        if n == 3:
+            near_zero_t = t < GRID_STEP
+            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
+        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+    return counts
+
+
+def coarse(counts) -> np.ndarray:
+    """A grid dict or flat per-cell counts summed into 10 x 10 coarse bins."""
+    if isinstance(counts, dict):
+        flat = np.zeros(NBINS * NBINS, dtype=np.int64)
+        for (i, j), c in counts.items():
+            flat[i * NBINS + j] = c
+        counts = flat
+    return counts.reshape(10, NBINS // 10, 10, NBINS // 10).sum(axis=(1, 3)).ravel()
+
+
+def two_sample_z(a: np.ndarray, b: np.ndarray, min_count: int = 20) -> float:
+    """Two-sample chi-squared of histograms a and b as a Wilson-Hilferty z-score.
+
+    Bins holding fewer than min_count draws from both samples together are
+    pooled into one.  Under a common law z is close to standard normal.
+    """
+    small = a + b < min_count
+    a = np.append(a[~small], a[small].sum()).astype(float)
+    b = np.append(b[~small], b[small].sum()).astype(float)
+    a, b = a[a + b > 0], b[a + b > 0]
+    na, nb = a.sum(), b.sum()
+    chi2 = ((np.sqrt(nb / na) * a - np.sqrt(na / nb) * b) ** 2 / (a + b)).sum()
+    k = len(a) - 1
+    return ((chi2 / k) ** (1 / 3) - (1 - 2 / (9 * k))) / np.sqrt(2 / (9 * k))
 
 
 class TestSamplers:
@@ -111,6 +187,91 @@ class TestFuzz:
         right = merge_reports([a, merge_reports([b, c])])
         assert left.digest() == right.digest()
         assert left.samples == 3000
+
+
+class TestLaw:
+    # Over 20 seed pairs per shape the z-scores stayed within [-1.9, 2.4]; labels
+    # fixed to np.minimum(arange(d), n - 1) gave z >= 9.5 at (6,3) and (4,2).
+    Z_MAX = 4.0
+
+    @pytest.mark.parametrize("d, n, samples", [(3, 3, 200_000), (6, 3, 50_000), (4, 2, 50_000)])
+    def test_identity_basis_matches_haar_basis(self, d, n, samples):
+        report = fuzz_projective(d, n, samples, default_rng(0))
+        reference = haar_basis_cells(d, n, samples, default_rng(1000))
+        z = two_sample_z(coarse(report.coverage_grid), coarse(reference[: NBINS * NBINS]))
+        assert z < self.Z_MAX
+        if n == 3 and d == 3:
+            z = two_sample_z(coarse(report.ternary_grid), coarse(reference[NBINS * NBINS :]))
+            assert z < self.Z_MAX
+
+
+def flag_every_draw(monkeypatch) -> tuple[str, ...]:
+    """Shift every slack of the oracle's checker by -10; return the checker's tags."""
+    real = oracle.projective_raw_slack_arrays
+
+    def shifted(t, s, probs):
+        return {tag: arr - 10.0 for tag, arr in real(t, s, probs).items()}
+
+    monkeypatch.setattr(oracle, "projective_raw_slack_arrays", shifted)
+    return tuple(real(np.array([0.5]), np.array([0.5]), np.array([[0.5, 0.5]])))
+
+
+class TestViolations:
+    def test_violation_records_its_draw(self, monkeypatch):
+        tags = flag_every_draw(monkeypatch)
+        d, n, samples, seed = 4, 2, 300, 5
+        report = fuzz_projective(d, n, samples, default_rng(seed))
+        assert report.discarded == 0 and len(report.violations) == samples
+        # Re-draw the stream of the one batch: psi, phi, then the labels.
+        rng = default_rng(seed)
+        states = []
+        for _ in range(2):
+            z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
+            states.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+        labels = _random_labels(samples, d, n, rng)
+        for v, psi, phi, lab in zip(report.violations, *states, labels):
+            weights = np.array([abs(np.vdot(phi[lab == k], psi[lab == k])) ** 2 for k in range(n)])
+            assert v.t == pytest.approx(abs(np.vdot(phi, psi)) ** 2, rel=1e-12, abs=1e-15)
+            assert v.s == pytest.approx(weights.sum(), rel=1e-12)
+            assert v.probs == pytest.approx(tuple(weights / weights.sum()), rel=1e-12, abs=1e-15)
+            assert v.violated == tags
+            digest = hashlib.sha256(psi.tobytes() + phi.tobytes() + lab.tobytes()).hexdigest()
+            assert v.witness_digest == digest
+
+    def test_violations_identical_across_worker_counts(self, monkeypatch):
+        flag_every_draw(monkeypatch)
+        serial = run_campaign(4, 2, 600, 9, max_workers=1, chunk=200)
+        parallel = run_campaign(4, 2, 600, 9, max_workers=2, chunk=200)
+        assert len(serial.violations) == 600
+        assert serial.violations == parallel.violations
+
+    def test_cli_reports_violations(self, monkeypatch, capsys):
+        flag_every_draw(monkeypatch)
+        code = main(["fuzz", "--dim", "2", "--outcomes", "2", "--samples", "50"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "violations: 50" in out
+        assert out.count("VIOLATION ") == 20
+
+
+class TestDiscarded:
+    def test_counted_and_identical_across_worker_counts(self, monkeypatch):
+        # S <= 1e-9 is too rare to see in a test run (at n = 1, S = T and
+        # P(T <= x) is about (d - 1) x), so the threshold is raised.
+        monkeypatch.setattr(oracle, "S_DISCARD", 0.05)
+        serial = run_campaign(3, 1, 20_000, 4, max_workers=1, chunk=5_000)
+        parallel = run_campaign(3, 1, 20_000, 4, max_workers=2, chunk=5_000)
+        assert serial.discarded == parallel.discarded > 0
+        assert serial.discarded + sum(serial.coverage_grid.values()) == serial.samples
+        assert serial.digest() == parallel.digest()
+
+    def test_kept_out_of_digest_and_summed_by_merge(self):
+        a = fuzz_projective(3, 3, 2000, default_rng(1))
+        b = fuzz_projective(3, 2, 2000, default_rng(2))
+        assert a.discarded == b.discarded == 0
+        a2, b2 = dataclasses.replace(a, discarded=2), dataclasses.replace(b, discarded=3)
+        assert a2.digest() == a.digest()
+        assert merge_reports([a2, b2]).discarded == 5
 
 
 class TestCampaign:

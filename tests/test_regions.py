@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import xml.etree.ElementTree as ET
@@ -164,6 +165,25 @@ class TestTsRegion:
     def test_diagonal_polyline_present(self):
         names = [name for name, _ in emit_ts_region(2, 10).polylines]
         assert "measurement_enhanced_diagonal" in names
+
+
+@pytest.mark.parametrize(
+    "resolution", [2.5, np.nan, np.inf, 3.0, True], ids=["2.5", "nan", "inf", "float", "bool"]
+)
+@pytest.mark.parametrize(
+    "emit",
+    [
+        emit_ternary,
+        emit_ps_region,
+        functools.partial(emit_pt_sections, 0.5),
+        functools.partial(emit_ts_region, 2),
+        ternary_disk_area_fraction,
+    ],
+    ids=["ternary", "ps", "pt", "ts", "area_fraction"],
+)
+def test_resolution_must_be_an_integer(emit, resolution):
+    with pytest.raises(ValueError, match="resolution.*integer"):
+        emit(resolution)
 
 
 class TestSerialization:
