@@ -123,7 +123,6 @@ class FuzzReport:
     violations: tuple[FuzzViolation, ...]
     coverage_grid: dict[tuple[int, int], int] = field(default_factory=dict)
     ternary_grid: dict[tuple[int, int], int] = field(default_factory=dict)
-    grid_step: float = GRID_STEP
     discarded: int = 0  # draws with S <= S_DISCARD; not part of the digest
 
     def digest(self) -> str:
@@ -132,7 +131,8 @@ class FuzzReport:
         h.update(repr(self.violations).encode())
         h.update(repr(sorted(self.coverage_grid.items())).encode())
         h.update(repr(sorted(self.ternary_grid.items())).encode())
-        h.update(repr(self.grid_step).encode())
+        # Every report bins on GRID_STEP; it stays hashed so digests keep their values.
+        h.update(repr(GRID_STEP).encode())
         return h.hexdigest()
 
 
@@ -141,9 +141,6 @@ def merge_reports(reports) -> FuzzReport:
     reports = list(reports)
     if not reports:
         return FuzzReport(samples=0, violations=())
-    step = reports[0].grid_step
-    if any(r.grid_step != step for r in reports):
-        raise ValueError("cannot merge reports with different grid steps")
     coverage: Counter = Counter()
     ternary: Counter = Counter()
     for r in reports:
@@ -154,7 +151,6 @@ def merge_reports(reports) -> FuzzReport:
         violations=tuple(v for r in reports for v in r.violations),
         coverage_grid=dict(coverage),
         ternary_grid=dict(ternary),
-        grid_step=step,
         discarded=sum(r.discarded for r in reports),
     )
 
@@ -243,7 +239,6 @@ def fuzz_projective(
         violations=tuple(violations),
         coverage_grid=_grid(counts[: NBINS * NBINS]),
         ternary_grid=_grid(counts[NBINS * NBINS :]),
-        grid_step=GRID_STEP,
         discarded=discarded,
     )
 

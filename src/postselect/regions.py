@@ -2,9 +2,14 @@
 
 Grids use cell centers over half-open axis ranges, emitted in row-major
 order (first axis slowest).  A grid stores its axes, per-cell tags and
-polylines, and derives its cell centers (`coords`) from the axes.  CSV is the
-normative artifact, written from each axis's centers formatted once; the SVG
-holds one rect per run of feasible cells along the second axis.
+polylines, and derives its cell centers (`coords`) from the axes.  Emitters
+evaluate the slack kernels on the axis centers shaped to broadcast, (r0, 1)
+and (1, r1), so work that depends on one axis is done once per axis value,
+not once per cell; each tag's mask is broadcast to the full grid before its
+bit is set.  CSV is the normative artifact: each cell's text comes from a
+table of every (column, bitmask) pair, built once per grid, and each
+first-axis row is written with one join.  The SVG holds one rect per run of
+feasible cells along the second axis.
 """
 
 from __future__ import annotations
@@ -40,14 +45,22 @@ class RegionGrid:
     polylines: tuple[tuple[str, np.ndarray], ...] = field(default=())
 
     def __post_init__(self):
-        expected = math.prod(ax.resolution for ax in self.axes)
+        expected = math.prod(_shape(self.axes))
         if self.violated.shape != (expected,) or len(self.tags) > 8:
             raise ValueError("violation bitmask does not match cell count or tags")
+        if self.violated.dtype != np.uint8:
+            raise ValueError(f"violation bitmask must be uint8, got {self.violated.dtype}")
+        # The CSV writer indexes its (column, bitmask) table with these values.
+        if (self.violated >> len(self.tags)).any():
+            raise ValueError("violation bitmask sets a bit that names no tag")
 
     @property
     def coords(self) -> np.ndarray:
         """(N, len(axes)) cell centers, row-major."""
-        return np.stack(_mesh(self.axes), axis=1)
+        out = np.empty((*_shape(self.axes), len(self.axes)))
+        for k, centers in enumerate(_broadcast_centers(self.axes)):
+            out[..., k] = centers
+        return out.reshape(-1, len(self.axes))
 
     @property
     def feasible(self) -> np.ndarray:
@@ -59,9 +72,13 @@ class RegionGrid:
         return (self.violated >> self.tags.index(tag)) & 1 == 1
 
 
-def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
-    grids = np.meshgrid(*[ax.centers() for ax in axes], indexing="ij")
-    return [g.reshape(-1) for g in grids]
+def _shape(axes: tuple[Axis, ...]) -> tuple[int, ...]:
+    return tuple(ax.resolution for ax in axes)
+
+
+def _broadcast_centers(axes: tuple[Axis, ...]) -> tuple[np.ndarray, ...]:
+    """Each axis's centers shaped to broadcast against the others: (r0, 1) and (1, r1)."""
+    return np.ix_(*[ax.centers() for ax in axes])
 
 
 def _resolution(resolution) -> int:
@@ -72,13 +89,22 @@ def _resolution(resolution) -> int:
     return resolution
 
 
-def _tags_from_slacks(slacks: dict[str, np.ndarray], extra_masks=None):
-    """Tag names and the per-cell violation bitmask; NaN slacks count as violated."""
+def _tags_from_slacks(axes: tuple[Axis, ...], slacks: dict[str, np.ndarray], extra_masks=None):
+    """Tag names and the (N,) per-cell violation bitmask; NaN slacks count as violated.
+
+    Slacks and masks come from broadcast axis centers and may span fewer axes
+    than the grid (pt's SBound depends on p only), so each mask is broadcast
+    to the full grid before its bit is set.
+    """
     bad = {tag: ~(arr >= -EPS_FEAS) for tag, arr in slacks.items()}
     if extra_masks:
         bad.update(extra_masks)
-    bits = [mask.astype(np.uint8) << k for k, mask in enumerate(bad.values())]
-    return tuple(bad), np.bitwise_or.reduce(bits)
+    shape = _shape(axes)
+    bits = [
+        np.broadcast_to(mask, shape).astype(np.uint8) << k
+        for k, mask in enumerate(bad.values())
+    ]
+    return tuple(bad), np.bitwise_or.reduce(bits).reshape(-1)
 
 
 def emit_ternary(resolution: int) -> RegionGrid:
@@ -89,12 +115,12 @@ def emit_ternary(resolution: int) -> RegionGrid:
     """
     resolution = _resolution(resolution)
     axes = (Axis("p1", 0.0, 1.0, resolution), Axis("p2", 0.0, 1.0, resolution))
-    p1, p2 = _mesh(axes)
+    p1, p2 = _broadcast_centers(axes)
     p3 = 1.0 - p1 - p2
     outside = p3 < -EPS_FEAS
     disk = feasibility.ternary_disk_slack(p1, p2, np.maximum(p3, 0.0))
     tags, violated = _tags_from_slacks(
-        {MAX_OUTCOME_POLYGON: disk}, extra_masks={OUTSIDE_SIMPLEX: outside}
+        axes, {MAX_OUTCOME_POLYGON: disk}, extra_masks={OUTSIDE_SIMPLEX: outside}
     )
     return RegionGrid(axes, tags, violated)
 
@@ -103,9 +129,9 @@ def emit_ps_region(resolution: int) -> RegionGrid:
     """Two-outcome (p, S) region: S <= 1/(1 + 2 sqrt(p(1-p)))."""
     resolution = _resolution(resolution)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
-    p, s = _mesh(axes)
+    p, s = _broadcast_centers(axes)
     slack = feasibility.dichotomic_slacks(p, 0.0, s)[S_BOUND]
-    tags, violated = _tags_from_slacks({S_BOUND: slack})
+    tags, violated = _tags_from_slacks(axes, {S_BOUND: slack})
     pp = np.linspace(0.0, 1.0, 4 * resolution + 1)
     boundary = np.stack([pp, 1.0 / (1.0 + 2.0 * np.sqrt(pp * (1.0 - pp)))], axis=1)
     return RegionGrid(axes, tags, violated, polylines=(("s_max", boundary),))
@@ -122,9 +148,9 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
         raise ValueError(f"s = {s!r} outside (0, 1]")
     resolution = _resolution(resolution)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("t", 0.0, 1.0, resolution))
-    p, t = _mesh(axes)
+    p, t = _broadcast_centers(axes)
     slacks = feasibility.dichotomic_slacks(p, t, s)
-    tags, violated = _tags_from_slacks(slacks)
+    tags, violated = _tags_from_slacks(axes, slacks)
     pp = np.linspace(0.0, 1.0, 4 * resolution + 1)
     lower = np.stack([pp, s * (np.sqrt(pp) - np.sqrt(1.0 - pp)) ** 2], axis=1)
     upper = np.stack(
@@ -139,8 +165,8 @@ def emit_ts_region(n: int, resolution: int) -> RegionGrid:
         raise ValueError("n must be >= 1")
     resolution = _resolution(resolution)
     axes = (Axis("t", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
-    t, s = _mesh(axes)
-    tags, violated = _tags_from_slacks(feasibility.ts_region_slacks(t, s, n))
+    t, s = _broadcast_centers(axes)
+    tags, violated = _tags_from_slacks(axes, feasibility.ts_region_slacks(t, s, n))
     diag = np.stack([np.linspace(0, 1, 2), np.linspace(0, 1, 2)], axis=1)
     return RegionGrid(
         axes, tags, violated, polylines=(("measurement_enhanced_diagonal", diag),)
@@ -158,10 +184,14 @@ def write_region_csv(grid: RegionGrid, stream: io.TextIOBase) -> None:
         + "\n"
         for mask in range(1 << len(grid.tags))
     ]
-    # A cell's coordinates are its row's and column's axis centers, each formatted once.
+    # A cell's text is its row's axis center, then table[j * 2^len(tags) + mask]: its
+    # column's axis center and its suffix.  The row text joins the cells, so each
+    # line is built in one join and written in one call.
     rows, cols = ([f"{x:.12g}," for x in ax.centers().tolist()] for ax in grid.axes)
-    for row, masks in zip(rows, grid.violated.reshape(len(rows), len(cols)).tolist()):
-        stream.write("".join([row + col + suffix[m] for col, m in zip(cols, masks)]))
+    table = np.array([col + end for col in cols for end in suffix], dtype=object)
+    offsets = np.arange(len(cols)) * len(suffix)
+    for row, masks in zip(rows, grid.violated.reshape(len(rows), len(cols))):
+        stream.write(row.join(["", *table[offsets + masks]]))
 
 
 def write_region_svg(grid: RegionGrid, stream: io.TextIOBase) -> None:

@@ -310,6 +310,20 @@ class TestCampaign:
         b = run_campaign(2, 2, 5000, 1, max_workers=1)
         assert a.digest() != b.digest()
 
+    @pytest.mark.parametrize(
+        "d, n, digest",
+        [
+            (3, 3, "035662015ca6ca8e5cc303eb0db9bc92d9fe609697394052a2f7e942e9ba6b26"),
+            (4, 2, "31f8e4af7214944ddec3a4735809e7c94f89f8f8cca57f5910b3f9cd2584bfd6"),
+        ],
+    )
+    def test_digest_is_pinned(self, d, n, digest):
+        # Recorded when reports still carried a grid_step field, which the digest
+        # hashed; it now hashes GRID_STEP in its place, so no digest moves.
+        for workers in (1, 2):
+            report = run_campaign(d, n, 20_000, 7, max_workers=workers, chunk=5_000)
+            assert report.digest() == digest
+
 
 class TestExtremalSearch:
     @pytest.mark.parametrize("search", [oracle_max_s, oracle_min_s])

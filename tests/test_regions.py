@@ -2,11 +2,13 @@ import functools
 import io
 import math
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from postselect import (
+    EPS_FEAS,
     OutcomeDistribution,
     check_dichotomic,
     check_ternary_disk,
@@ -16,9 +18,18 @@ from postselect import (
     emit_ternary,
     emit_ts_region,
 )
-from postselect.feasibility import OUTSIDE_SIMPLEX
+from postselect.feasibility import (
+    MAX_OUTCOME_POLYGON,
+    OUTSIDE_SIMPLEX,
+    S_BOUND,
+    dichotomic_slacks,
+    ternary_disk_slack,
+    ts_region_slacks,
+)
 from postselect.regions import (
     INSCRIBED_DISK_FRACTION,
+    Axis,
+    RegionGrid,
     ternary_disk_area_fraction,
     write_region_csv,
     write_region_svg,
@@ -33,6 +44,27 @@ def reference_region_csv(grid) -> str:
         feasible = "true" if mask == 0 else "false"
         lines.append(",".join(f"{x:.12g}" for x in row) + f",{feasible},{violated}")
     return "\n".join(lines) + "\n"
+
+
+def mesh_violated(emit, args, axes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Tags and bitmask from the slack kernels evaluated on the full (N,) meshgrid."""
+    x, y = (g.reshape(-1) for g in np.meshgrid(*[ax.centers() for ax in axes], indexing="ij"))
+    if emit is emit_ternary:
+        z = 1.0 - x - y
+        disk = ternary_disk_slack(x, y, np.maximum(z, 0.0))
+        bad = {MAX_OUTCOME_POLYGON: ~(disk >= -EPS_FEAS), OUTSIDE_SIMPLEX: z < -EPS_FEAS}
+    else:
+        if emit is emit_ps_region:
+            slacks = {S_BOUND: dichotomic_slacks(x, 0.0, y)[S_BOUND]}
+        elif emit is emit_pt_sections:
+            slacks = dichotomic_slacks(x, y, args[0])
+        else:
+            slacks = ts_region_slacks(x, y, args[0])
+        bad = {tag: ~(arr >= -EPS_FEAS) for tag, arr in slacks.items()}
+    violated = np.zeros(x.shape, dtype=np.uint8)
+    for k, mask in enumerate(bad.values()):
+        violated |= mask.astype(np.uint8) << k
+    return tuple(bad), violated
 
 
 def svg_cells(grid) -> tuple[np.ndarray, int]:
@@ -78,6 +110,41 @@ SVG_GRIDS = [
     pytest.param(emit_ts_region, (3, 40), id="ts-3-40"),
     pytest.param(emit_ts_region, (7, 41), id="ts-7-41"),
 ]
+
+
+class TestBitmask:
+    @pytest.mark.parametrize(
+        "emit, args", CSV_GRIDS + [pytest.param(emit_ternary, (1000,), id="ternary-1000")]
+    )
+    def test_broadcast_axes_match_the_mesh(self, emit, args):
+        grid = emit(*args)
+        tags, violated = mesh_violated(emit, args, grid.axes)
+        assert grid.tags == tags
+        assert grid.violated.dtype == np.uint8
+        assert np.array_equal(grid.violated, violated)
+        if emit is emit_pt_sections and 0.5 < args[0] < 1.0:
+            # Between s = 1/2 and 1, SBound cuts some of p and holds along all of t.
+            r0, r1 = (ax.resolution for ax in grid.axes)
+            cut = grid.has(S_BOUND).reshape(r0, r1)
+            assert cut.any() and not cut.all()
+            assert np.array_equal(cut, np.repeat(cut[:, :1], r1, axis=1))
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.int64])
+    def test_rejects_a_bitmask_that_is_not_uint8(self, dtype):
+        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="uint8"):
+            RegionGrid(axes, ("a", "b"), np.zeros(12, dtype=dtype))
+        RegionGrid(axes, ("a", "b"), np.zeros(12, dtype=np.uint8))
+
+    def test_rejects_a_bit_that_names_no_tag(self):
+        # Bit 2 with two tags would index the next column of the CSV's table.
+        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 4))
+        violated = np.zeros(12, dtype=np.uint8)
+        violated[5] = 4
+        with pytest.raises(ValueError, match="names no tag"):
+            RegionGrid(axes, ("a", "b"), violated)
+        violated[5] = 3
+        RegionGrid(axes, ("a", "b"), violated)
 
 
 class TestTernaryGrid:
@@ -214,6 +281,19 @@ class TestSerialization:
         bad = next((pair for pair in pairs if pair[0] != pair[1]), "length")
         same = got == want
         assert same, f"first difference: {bad}"
+
+    def test_csv_streams_one_write_per_first_axis_row(self):
+        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 5))
+        violated = np.arange(15, dtype=np.uint8) % 4
+        for grid in (RegionGrid(axes, ("a", "b"), violated), emit_ternary(40)):
+            r0, r1 = (ax.resolution for ax in grid.axes)
+            writes: list[str] = []
+            write_region_csv(grid, SimpleNamespace(write=writes.append))
+            assert len(writes) == 1 + r0
+            assert writes[0].count("\n") == 1
+            for line in writes[1:]:
+                assert line.count("\n") == r1 and line.endswith("\n")
+            assert "".join(writes) == reference_region_csv(grid)
 
     @pytest.mark.parametrize("emit, args", SVG_GRIDS)
     def test_svg_runs_cover_exactly_the_feasible_cells(self, emit, args):
