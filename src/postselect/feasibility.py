@@ -186,9 +186,12 @@ def witness_distribution(t: float, s: float, n: int) -> OutcomeDistribution:
     """A distribution making (t, s) projectively feasible with n declared outcomes.
 
     For T <= S, a two-outcome distribution: when S >= 1/2 the one saturating
-    1 + 2 sqrt(p(1-p)) = 1/S, otherwise the fair coin.  For S < T, a
-    distribution with D_1/2 = T/S found by bisection within the family
-    (b, a, ..., a) on ceil(T/S) outcomes.  Padded with zeros to length n.
+    1 + 2 sqrt(p(1-p)) = 1/S, otherwise the fair coin.  For S < T, the
+    distribution (b, a, ..., a) on k = ceil(T/S) outcomes with D_1/2 = T/S:
+    with sqrt(b) = cos(theta), sqrt(D_1/2) = sqrt(b) + sqrt((k-1)(1-b)) =
+    sqrt(k) cos(theta - alpha), tan(alpha) = sqrt(k-1), which falls from
+    sqrt(k) to 1 as theta runs from alpha to 0 (b from 1/k to 1).  Padded
+    with zeros to length n.
     """
     verdict = check_ts_region(t, s, n)
     if not verdict.feasible:
@@ -214,18 +217,8 @@ def witness_distribution(t: float, s: float, n: int) -> OutcomeDistribution:
     # Boundary guard: T/S may exceed n by the region tolerance.
     target = min(target, math.sqrt(k))
 
-    def root_d_half(b: float) -> float:
-        return math.sqrt(b) + math.sqrt((k - 1) * (1.0 - b))
-
-    # root_d_half decreases monotonically from sqrt(k) at b = 1/k to 1 at b = 1.
-    lo, hi = 1.0 / k, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if root_d_half(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi)
+    alpha = math.atan(math.sqrt(k - 1))
+    b = math.cos(alpha - math.acos(target / math.sqrt(k))) ** 2
     a = (1.0 - b) / (k - 1)
     probs = [b] + [a] * (k - 1) + [0.0] * (n - k)
     total = sum(probs)

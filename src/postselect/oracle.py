@@ -3,11 +3,14 @@
 Samples random states and projective measurements, evaluates their
 postselected statistics directly, and confronts them with the feasibility
 inequalities.  Also provides hill-climbing searches for the extremal
-success probability at fixed transition probability.
+success probability at fixed transition probability, the only independent
+check of T/n <= S <= (T + 1)/2.
 
-The fuzz projects in the computational basis, which gives (T, S, P) the law
-a Haar basis per draw would (argument in `fuzz_projective`); a fuzz witness
-is (psi, phi, labels), and a violation's digest hashes exactly those.
+Both project in the computational basis, which gives (T, S, P) the law a
+Haar basis per draw would (argument in `fuzz_projective`) and reaches every
+S a basis would; a fuzz witness is (psi, phi, labels), and a violation's
+digest hashes exactly those.  Dimensions, outcome counts and trial counts
+are integers (`core._count`): a bool, float, NaN or inf raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ GRID_STEP = 0.01
 NBINS = round(1 / GRID_STEP)
 # Draws evaluated per vectorized step; bounds the fuzz's working memory.
 BATCH_SIZE = 50_000
+# Walkers advanced together by the extremal-S searches.
+RESTARTS = 4
 
 
 def default_rng(seed: int) -> np.random.Generator:
@@ -52,10 +57,17 @@ def _haar(z: np.ndarray) -> np.ndarray:
     return q * np.where(mags > 0, diag / np.where(mags > 0, mags, 1.0), 1.0)[..., None, :]
 
 
+def _shape(d, n=1) -> tuple[int, int]:
+    """(d, n) as integers with 1 <= n <= d, else ValueError; n = 1 checks d alone."""
+    d, n = _count(d, "d"), _count(n, "n")
+    if not 1 <= n <= d:
+        raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
+    return d, n
+
+
 def sample_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vector uniform on the complex sphere (normalized complex Gaussian)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    d = _shape(d)[0]
     while True:
         z = _complex_normal(rng, d)
         norm = np.linalg.norm(z)
@@ -65,7 +77,7 @@ def sample_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: complex Gaussian matrix, QR, diagonal phase fix."""
-    return _haar(_complex_normal(rng, (d, d)))
+    return _haar(_complex_normal(rng, (_shape(d)[0],) * 2))
 
 
 def _random_labels(b: int, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,8 +107,7 @@ def _group(contrib: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
 
 def sample_projective(d: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Random complete orthogonal projector set: Haar basis, random rank partition."""
-    if not 1 <= n <= d:
-        raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
+    d, n = _shape(d, n)
     u = sample_unitary(d, rng)
     labels = _random_labels(1, d, n, rng)[0]
     projs = []
@@ -187,8 +198,7 @@ def fuzz_projective(
     samples = _count(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 1 <= n <= d:
-        raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
+    d, n = _shape(d, n)
     if not 0.0 <= eps < np.inf:  # inf would pass every draw, nan flag every one
         raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     violations: list[FuzzViolation] = []
@@ -256,13 +266,17 @@ def run_campaign(
     """Split a fuzz campaign into deterministic per-chunk streams and merge.
 
     Each chunk owns its own counter-based stream derived from (seed, index),
-    so the result is identical regardless of worker count.
+    so the result is identical regardless of worker count.  Chunks run on a
+    thread pool of max_workers threads (None: the executor's default).
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    d, n = _shape(d, n)
     samples, chunk = _count(samples, "samples"), _count(chunk, "chunk")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if max_workers is not None and _count(max_workers, "max_workers") < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     n_chunks = max(1, -(-samples // chunk))
     sizes = [chunk] * (n_chunks - 1) + [samples - chunk * (n_chunks - 1)]
     streams = [
@@ -274,96 +288,77 @@ def run_campaign(
         size, stream = args
         return fuzz_projective(d, n, size, stream, eps=eps)
 
-    if max_workers is not None and max_workers <= 1:
-        reports = [work(a) for a in zip(sizes, streams)]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(work, zip(sizes, streams)))
-    return merge_reports(reports)
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return merge_reports(pool.map(work, zip(sizes, streams)))
 
 
 def _search_extremal_s(
-    t: float,
-    n: int,
-    d: int,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    minimize: bool,
-    restarts: int = 4,
+    t: float, n: int, d: int, trials: int, rng: np.random.Generator, *, minimize: bool
 ) -> float:
-    """Hill-climb S over witnesses constrained to transition probability t."""
+    """Hill-climb S over witnesses constrained to transition probability t.
+
+    A walker is 4d reals read as 2d complex numbers: psi, then g, whose part
+    v orthogonal to psi gives phi = sqrt(t) psi + sqrt(1 - t) v.  Outcome k
+    projects onto the basis vectors labelled k; as in the fuzz, a basis U
+    would reach no other S, since S of (psi, phi, {U Pi_k U^dag}) is S of
+    (U^dag psi, U^dag phi, {Pi_k}).  RESTARTS walkers step together; each
+    keeps a proposal that scores better and grows its step by 1.2, else
+    shrinks it by 0.97.  A walker whose psi or phi degenerates, or whose
+    S <= S_DISCARD, scores -inf, so any valid proposal replaces it.  trials
+    counts proposals over all walkers, rounded up to whole steps.
+    """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transition probability must lie in [0, 1], got {t!r}")
-    if not 1 <= n <= d:
-        raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
-    nparams = 4 * d + 2 * d * d
+    d, n = _shape(d, n)
+    trials = _count(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     # Fixed rank partition: rank-1 outcomes plus a remainder block.
-    labels = np.minimum(np.arange(d), n - 1)
-
-    def success_prob(x: np.ndarray) -> float | None:
-        psi = x[:d] + 1j * x[d : 2 * d]
-        norm = np.linalg.norm(psi)
-        if norm < 1e-9:
-            return None
-        psi = psi / norm
-        g = x[2 * d : 3 * d] + 1j * x[3 * d : 4 * d]
-        v = g - np.vdot(psi, g) * psi
-        vnorm = np.linalg.norm(v)
-        if vnorm < 1e-9:
-            return None
-        v /= vnorm
-        phi = np.sqrt(t) * psi + np.sqrt(1.0 - t) * v
-        m = x[4 * d : 4 * d + d * d] + 1j * x[4 * d + d * d :]
-        q = _haar(m.reshape(d, d))
-        left = phi.conj() @ q
-        right = q.conj().T @ psi
-        contrib = left * right
-        s = float((np.abs(_group(contrib[None], labels, n)) ** 2).sum())
-        if s <= S_DISCARD:
-            return None
-        return s
-
+    labels = np.broadcast_to(np.minimum(np.arange(d), n - 1), (RESTARTS, d))
     sign = -1.0 if minimize else 1.0
-    best: float | None = None
-    per_restart = max(1, trials // restarts)
-    for _ in range(restarts):
-        x = rng.standard_normal(nparams)
-        current = success_prob(x)
-        tries = 0
-        while current is None and tries < 50:
-            x = rng.standard_normal(nparams)
-            current = success_prob(x)
-            tries += 1
-        if current is None:
-            continue
-        sigma = 0.5
-        for _ in range(per_restart):
-            proposal = x + sigma * rng.standard_normal(nparams)
-            value = success_prob(proposal)
-            if value is not None and sign * value > sign * current:
-                x, current = proposal, value
-                sigma = min(1.0, sigma * 1.2)
-            else:
-                sigma = max(1e-4, sigma * 0.97)
-        if best is None or sign * current > sign * best:
-            best = current
-    if best is None:
-        raise SearchBudgetExhausted(
-            f"no valid sample at t={t} within the search budget"
-        )
-    return best
+    root_t, root_u = np.sqrt(t), np.sqrt(1.0 - t)
+    # At t = 1, phi = psi whatever v is, so v may vanish.
+    v_floor = 0.0 if t == 1.0 else 1e-9
+
+    def score(x: np.ndarray) -> np.ndarray:
+        """sign * S per walker, -inf where the walker is not a valid witness."""
+        z = x.view(np.complex128)
+        norm = np.sqrt(np.einsum("ij,ij->i", x[:, : 2 * d], x[:, : 2 * d]))
+        psi = z[:, :d] / np.maximum(norm, 1e-9)[:, None]
+        v = z[:, d:] - np.einsum("ij,ij->i", psi.conj(), z[:, d:])[:, None] * psi
+        vnorm = np.sqrt(np.einsum("ij,ij->i", v.view(np.float64), v.view(np.float64)))
+        phi = root_t * psi + (root_u / np.maximum(vnorm, 1e-9))[:, None] * v
+        amps = _group(phi.conj() * psi, labels, n).view(np.float64)
+        s = np.einsum("ij,ij->i", amps, amps)
+        valid = (norm >= 1e-9) & (vnorm >= v_floor) & (s > S_DISCARD)
+        return np.where(valid, sign * s, -np.inf)
+
+    x = rng.standard_normal((RESTARTS, 4 * d))
+    current = score(x)
+    sigma = np.full((RESTARTS, 1), 0.5)
+    for _ in range(-(-trials // RESTARTS)):
+        proposal = x + sigma * rng.standard_normal(x.shape)
+        value = score(proposal)
+        better = (value > current)[:, None]
+        x = np.where(better, proposal, x)
+        current = np.maximum(value, current)
+        # sigma stays in [1e-4, 1], so each factor can cross only the bound it faces.
+        sigma = np.minimum(np.maximum(sigma * np.where(better, 1.2, 0.97), 1e-4), 1.0)
+    best = current.max()
+    if best == -np.inf:
+        raise SearchBudgetExhausted(f"no valid sample at t={t} within the search budget")
+    return float(sign * best)
 
 
-def oracle_max_s(
-    t: float, n: int, d: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Best success probability found by local random search at fixed t."""
+def oracle_max_s(t: float, n: int, d: int, trials: int, rng: np.random.Generator) -> float:
+    """Best success probability found by local random search at fixed t.
+
+    d and n are integers with 1 <= n <= d, trials an integer >= 1; raises
+    SearchBudgetExhausted when no walker ever found a witness with S > S_DISCARD.
+    """
     return _search_extremal_s(t, n, d, trials, rng, minimize=False)
 
 
-def oracle_min_s(
-    t: float, n: int, d: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Smallest success probability found by local random search at fixed t."""
+def oracle_min_s(t: float, n: int, d: int, trials: int, rng: np.random.Generator) -> float:
+    """Smallest success probability found by local random search at fixed t; see `oracle_max_s`."""
     return _search_extremal_s(t, n, d, trials, rng, minimize=True)

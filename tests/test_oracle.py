@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from postselect import (
+    check_ts_region,
     default_rng,
     fuzz_projective,
     oracle_max_s,
@@ -16,6 +19,8 @@ from postselect import (
 )
 from postselect import oracle
 from postselect.cli import main
+from postselect.errors import SearchBudgetExhausted
+from postselect.feasibility import S_HALF_PLUS_T, T_OVER_N, ts_region_slacks
 from postselect.oracle import (
     BATCH_SIZE,
     GRID_STEP,
@@ -120,6 +125,17 @@ class TestSamplers:
     def test_projective_rejects_bad_counts(self, rng):
         with pytest.raises(ValueError):
             sample_projective(2, 3, rng)
+
+    @pytest.mark.parametrize("d", [0, -2, 2.0, np.nan, np.inf, True])
+    @pytest.mark.parametrize(
+        "sampler",
+        [sample_state, sample_unitary, lambda d, rng: sample_projective(d, 1, rng)],
+        ids=["state", "unitary", "projective"],
+    )
+    def test_rejects_non_dimensions(self, sampler, d):
+        # Without the checks, sample_unitary(0) gave an empty array and d = 2.0 a TypeError.
+        with pytest.raises(ValueError, match="not an integer|need 1 <= n <= d"):
+            sampler(d, default_rng(0))
 
 
 class TestPartitions:
@@ -305,6 +321,20 @@ class TestCampaign:
         with pytest.raises(ValueError, match="samples"):
             run_campaign(3, 3, samples, 0, max_workers=1)
 
+    @pytest.mark.parametrize(
+        "d, n", [(3.0, 3), (3, 3.0), (np.nan, 2), (2, np.inf), (True, 1), (2, 0), (2, 3)]
+    )
+    def test_rejects_non_integer_shape(self, d, n):
+        with pytest.raises(ValueError, match="not an integer|need 1 <= n <= d"):
+            fuzz_projective(d, n, 100, default_rng(0))
+        with pytest.raises(ValueError, match="not an integer|need 1 <= n <= d"):
+            run_campaign(d, n, 100, 0, max_workers=1)
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 1.5, np.nan])
+    def test_rejects_unusable_worker_counts(self, workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            run_campaign(2, 2, 100, 0, max_workers=workers)
+
     def test_seed_changes_digest(self):
         a = run_campaign(2, 2, 5000, 0, max_workers=1)
         b = run_campaign(2, 2, 5000, 1, max_workers=1)
@@ -332,6 +362,25 @@ class TestExtremalSearch:
         with pytest.raises(ValueError, match="transition probability"):
             search(t, 2, 2, 100, default_rng(0))
 
+    @pytest.mark.parametrize("search", [oracle_max_s, oracle_min_s])
+    @pytest.mark.parametrize(
+        "n, d, trials",
+        [(2, 2.0, 100), (2.0, 2, 100), (np.nan, 2, 100), (2, np.inf, 100), (True, 2, 100),
+         (3, 2, 100), (2, 2, 0), (2, 2, -5), (2, 2, 10.0), (2, 2, np.inf), (2, 2, True)],
+    )
+    def test_rejects_non_integer_counts(self, search, n, d, trials):
+        # Without the checks, d = 2.0 raised TypeError in np.bincount and trials <= 0 ran one step.
+        with pytest.raises(ValueError, match="not an integer|need 1 <= n <= d|trials"):
+            search(0.5, n, d, trials, default_rng(0))
+
+    @pytest.mark.parametrize("search", [oracle_max_s, oracle_min_s])
+    def test_budget_exhausted_without_orthogonal_part(self, search):
+        # At d = 1 no phi has a part orthogonal to psi, so no walker is valid for t < 1.
+        with pytest.raises(SearchBudgetExhausted):
+            search(0.5, 1, 1, 200, default_rng(0))
+        # At t = 1, phi = psi needs none.
+        assert search(1.0, 1, 1, 8, default_rng(0)) == pytest.approx(1.0, abs=1e-12)
+
     def test_max_s_orthogonal_qubit(self):
         # Orthogonal pre/post states on a qubit cap success at 1/2.
         best = oracle_max_s(0.0, 2, 2, 4000, default_rng(5))
@@ -347,3 +396,35 @@ class TestExtremalSearch:
         best = oracle_min_s(t, 3, 3, 4000, rng)
         assert best >= t / 3.0 - 1e-9
         assert best <= t / 3.0 + 0.05
+
+    # Sweep of the (T, S) region T/n <= S <= (T + 1)/2.  Over ten seeds at 1500
+    # trials the widest gaps were 1.15e-2 below (T + 1)/2 (one seed; the next
+    # 7.4e-3) and 1.9e-5 above T/n, all at (4, 4); this stream's were 1.8e-3
+    # and 2.5e-6.  The bounds sit below the 0.01 that a shifted bound adds.
+    SWEEP_TRIALS = 1500
+    DELTA_MAX = 7.5e-3
+    DELTA_MIN = 1e-4
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+    def test_sweep_reaches_ts_region_boundary(self, d, n):
+        rng = default_rng(10 * d + n)
+        for t in [k / 10 for k in range(11)]:
+            high = oracle_max_s(t, n, d, self.SWEEP_TRIALS, rng)
+            low = oracle_min_s(t, n, d, self.SWEEP_TRIALS, rng)
+            for s in (high, low):
+                assert s <= 1.0 + 1e-9
+                slacks = check_ts_region(t, min(s, 1.0), n).slack
+                assert min(slacks.values()) >= -1e-9, (t, s, slacks)
+            assert ts_region_slacks(t, high, n)[S_HALF_PLUS_T] <= self.DELTA_MAX, (t, high)
+            assert ts_region_slacks(t, low, n)[T_OVER_N] <= self.DELTA_MIN, (t, low)
+
+
+def test_oracle_imports_only_core_feasibility_errors():
+    # The oracle may share the checker under test, never the builders or stats.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or "postselect" in (node.module or ""))
+    }
+    assert imported <= {"core", "feasibility", "errors"}, imported
