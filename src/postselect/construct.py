@@ -12,7 +12,10 @@ phi', which decouples the measurement from the postselection.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,101 +47,89 @@ class ClosedPolygon:
 
 def _triangle_dirs(sums: list[float]) -> list[complex] | None:
     """Unit directions u_i with sum_i sums[i] * u_i = 0, or None if no triangle."""
-    order = sorted(range(3), key=lambda i: -sums[i])
-    a, b, c = (sums[i] for i in order)
-    tol = EPS_FEAS * max(1.0, a + b + c)
-    if a <= tol:
+    a, b, c = sums
+    top, total = max(sums), a + b + c
+    tol = EPS_FEAS * max(1.0, total)
+    if top <= tol:
         return [1.0 + 0.0j] * 3
-    if a > b + c + tol:
+    if top > total - top + tol:
         return None
-    if c <= 0.0:
-        dirs_sorted = [1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j]
-    else:
-        # Half-angle form of the law of cosines; stays accurate when the
-        # direct cos formula cancels near +-1 (needle-shaped triangles).
-        sin_half = math.sqrt(max(0.0, (a + b - c) * (a + b + c)))
-        cos_half = math.sqrt(max(0.0, (c - a + b) * (c + a - b)))
-        phi = 2.0 * math.atan2(sin_half, cos_half)
-        ub = complex(math.cos(phi), math.sin(phi))
-        uc = -(a + b * ub)
-        m = abs(uc)
-        uc = uc / m if m > 0.0 else 1.0 + 0.0j
-        dirs_sorted = [1.0 + 0.0j, ub, uc]
-    dirs = [0j] * 3
-    for rank, i in enumerate(order):
-        dirs[i] = dirs_sorted[rank]
-    return dirs
+    # Half-angle law of cosines for the turn from edge a to edge b: accurate for
+    # needle-shaped triangles, where the cos formula cancels.  u_c closes the sum.
+    sin_half = math.sqrt(max(0.0, (a + b - c) * (a + b + c)))
+    cos_half = math.sqrt(max(0.0, (c - a + b) * (c + a - b)))
+    phi = 2.0 * math.atan2(sin_half, cos_half)
+    ub = complex(math.cos(phi), math.sin(phi))
+    uc = -(a + b * ub)
+    m = abs(uc)
+    return [1.0 + 0.0j, ub, uc / m if m > 0.0 else 1.0 + 0.0j]
 
 
 def close_polygon(xs) -> ClosedPolygon:
     """Find complex z_k with |z_k| = x_k and sum_k z_k = 0.
 
     Possible exactly when the polygon inequalities x_k <= sum_{j != k} x_j
-    hold.  Magnitudes are split greedily into three groups whose sums form a
-    triangle; all members of a group share their edge's direction.
+    hold.  The magnitudes are split into three groups, each sharing its
+    edge's direction: A is the largest magnitude x_1 (the first of ties), B
+    the longest prefix of the others, in input order, whose sum is at most
+    total / 2, and C the rest.
 
-    The greedy split cannot fail once the polygon inequalities hold: each
-    group sum G is at most the other two, B + C.  Magnitudes are placed in
-    descending order, and the first three positive ones open the three
-    groups.  A group with one member holds a single x_k <= total / 2.  For
-    a larger group, let x be its last member.  When x arrived the group was
-    the smallest, so G - x <= B; and x is at most the magnitude that opened
-    C, so x <= C.  ClosureFailure therefore signals a bug or a roundoff
+    Once the polygon inequalities hold, each group sum is at most total / 2,
+    hence at most the other two, so the sums form a triangle: A is by the
+    pre-check (within its tolerance), B by the cut.  If the cut stops early,
+    the next magnitude x has B + x > total / 2 and x <= x_1, so A + B >
+    total / 2 and C < total / 2; else C = 0.  Only x <= x_1 is used, so
+    nothing is sorted.  ClosureFailure therefore signals a bug or a roundoff
     blow-up, never an unlucky split.  Roundoff grows with the magnitudes, so
     the residual bound EPS_CLOSE scales by max(1, total) like the pre-check.
     Non-finite or negative magnitudes raise ValueError.
     """
-    xs = [float(x) for x in xs]
-    if not all(0.0 <= x < math.inf for x in xs):
+    xs = list(map(float, xs))
+    if not (all(map(math.isfinite, xs)) and min(xs, default=0.0) >= 0.0):
         raise ValueError(f"magnitudes must be finite and non-negative: {xs}")
-    total = sum(xs)
-    if xs and max(xs) > total - max(xs) + EPS_FEAS * max(1.0, total):
-        raise PolygonViolation(f"{max(xs)!r} exceeds the sum of the remaining magnitudes")
     if not xs:
         return ClosedPolygon(zs=())
-    # Greedy descending assignment to the currently-smallest group.
-    groups = [0] * len(xs)
-    sums = [0.0, 0.0, 0.0]
-    for i in sorted(range(len(xs)), key=lambda i: -xs[i]):
-        g = min(range(3), key=lambda j: sums[j])
-        groups[i] = g
-        sums[g] += xs[i]
+    total, top = sum(xs), max(xs)
+    if top > total - top + EPS_FEAS * max(1.0, total):
+        raise PolygonViolation(f"{top!r} exceeds the sum of the remaining magnitudes")
+    a = xs.index(top)
+    rest = xs[:a] + xs[a + 1 :]
+    # cum[k] sums the first k of the others; B holds the first `cut` of them.
+    cum = list(accumulate(rest, initial=0.0))
+    cut = bisect_right(cum, 0.5 * total) - 1
+    sums = [top, cum[cut], cum[-1] - cum[cut]]
     dirs = _triangle_dirs(sums)
     if dirs is None:
-        raise ClosureFailure(f"greedy group sums {sums} form no triangle")
-    zs = tuple(x * dirs[g] for x, g in zip(xs, groups))
+        raise ClosureFailure(f"group sums {sums} form no triangle")
+    by_index = [dirs[1]] * cut + [dirs[2]] * (len(rest) - cut)
+    by_index.insert(a, dirs[0])
+    zs = tuple(map(operator.mul, xs, by_index))
     if abs(sum(zs)) > EPS_CLOSE * max(1.0, total):
         raise ClosureFailure(f"closure residual {abs(sum(zs))!r} for {xs}")
     return ClosedPolygon(zs=zs)
 
 
 def _factor_real(rs: list[float]) -> tuple[list[float], list[float]]:
-    """Unit real vectors (psi, phi) with psi_k * phi_k = rs[k]; rs ascending, sum <= 1.
+    """Unit real vectors (psi, phi) with psi_k * phi_k = rs[k]; n >= 2 entries, sum <= 1.
 
-    Peels off the smallest entry r: psi_0 = phi_0 = sqrt(r), and the rest is
-    a factorization of the remaining entries divided by 1 - r, scaled by
-    sqrt(1 - r).  r <= 1/len(rs) < 1, so the division is safe.  The loop
-    keeps the running product of the divisors and of their square roots,
-    so entry k is rescaled once instead of once per level.  The last two
-    entries are factored in closed form.
+    The recursive form peels off the smallest entry r as psi_0 = phi_0 =
+    sqrt(r) and factors the rest divided by 1 - r, scaled by sqrt(1 - r).
+    The rescalings telescope: after r_0 .. r_{k-1} the divisor is
+    1 - sum_{j<k} r_j, so every peeled entry is psi_k = phi_k = sqrt(r_k).
+    The two largest entries (of ties, the last) are factored in closed form,
+    divided by scale = 1 - (sum of the others) >= 2 / n, times sqrt(scale).
     """
-    psi: list[float] = []
-    phi: list[float] = []
-    scale = 1.0
-    root = 1.0
-    for x in rs[:-2]:
-        r0 = x / scale
-        psi.append(math.sqrt(r0) * root)
-        phi.append(psi[-1])
-        scale *= 1.0 - r0
-        root *= math.sqrt(1.0 - r0)
-    r1, r2 = rs[-2] / scale, rs[-1] / scale
+    psi = list(map(math.sqrt, rs))
+    phi = psi.copy()
+    *head, j, i = sorted(range(len(rs)), key=rs.__getitem__)
+    scale = 1.0 - math.fsum(map(rs.__getitem__, head))
+    r1, r2, root = rs[j] / scale, rs[i] / scale, math.sqrt(scale)
     ang_sum = math.acos(min(1.0, max(-1.0, r1 - r2)))
     ang_diff = math.acos(min(1.0, max(-1.0, r1 + r2)))
     alpha = 0.5 * (ang_sum + ang_diff)
     beta = 0.5 * (ang_sum - ang_diff)
-    psi += [math.cos(alpha) * root, math.sin(alpha) * root]
-    phi += [math.cos(beta) * root, math.sin(beta) * root]
+    psi[j], psi[i] = math.cos(alpha) * root, math.sin(alpha) * root
+    phi[j], phi[i] = math.cos(beta) * root, math.sin(beta) * root
     return psi, phi
 
 
@@ -152,21 +143,20 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     n = z.size
     if n < 2:
         raise ValueError("amplitude factorization needs n >= 2")
-    if not np.isfinite(z).all():
-        raise ValueError(f"non-finite amplitude in {z}")
     r = np.abs(z)
-    if float(r.sum()) > 1.0 + EPS_FEAS:
-        raise NormViolation(f"sum of magnitudes {float(r.sum())!r} exceeds 1")
-    order = np.argsort(r, kind="stable")
-    psi_s, phi_s = _factor_real(r[order].tolist())
-    psi = np.zeros(n, dtype=complex)
-    phi = np.zeros(n, dtype=complex)
-    psi[order] = psi_s
-    phi[order] = phi_s
+    total = float(r.sum())
+    # NaN or inf in z makes the total NaN or inf; only then is z scanned.
+    if not total <= 1.0 + EPS_FEAS:
+        if not np.isfinite(z).all():
+            raise ValueError(f"non-finite amplitude in {z}")
+        raise NormViolation(f"sum of magnitudes {total!r} exceeds 1")
+    psi_r, phi_r = _factor_real(r.tolist())
     # Reattach phases onto phi; psi stays real, so conj(psi_k) phi_k = z_k.
-    nonzero = r > 0
-    phi[nonzero] *= z[nonzero] / r[nonzero]
-    residual = np.max(np.abs(psi.conj() * phi - z))
+    # A zero amplitude gets phase (0 + 1) / (0 + 1) = 1.
+    psi = np.array(psi_r, dtype=complex)
+    zero = r == 0.0
+    phi = (z + zero) / (r + zero) * phi_r
+    residual = float(np.abs(psi * phi - z).max())
     if residual > 1e-10:
         raise ClosureFailure(f"factorization residual {residual!r}")
     return psi, phi
@@ -185,7 +175,7 @@ def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
         psi = np.array([1.0, 0.0], dtype=complex)
         phi = np.array([math.sqrt(sc.t), math.sqrt(1.0 - sc.t)], dtype=complex)
         return ProjectiveWitness(psi, phi, labels=np.zeros(2, dtype=np.intp), n_outcomes=1)
-    xs = [math.sqrt(p * sc.s) for p in sc.dist.probs] + [math.sqrt(sc.t)]
+    xs = [*map(math.sqrt, map(sc.s.__mul__, sc.dist.probs)), math.sqrt(sc.t)]
     closed = close_polygon(xs)
     psi, phi = factor_amplitudes(closed.zs[:n])
     # Outcome k projects onto basis vector k; the stack is built only if read.

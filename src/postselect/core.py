@@ -129,10 +129,10 @@ class DiversityProfile:
 
 def as_state(entries: Sequence[complex] | np.ndarray, *, name: str = "state") -> np.ndarray:
     """Coerce to a read-only complex unit vector, checking the norm."""
-    v = np.asarray(entries, dtype=complex).reshape(-1).copy()
+    v = np.asarray(entries, dtype=complex).flatten()  # a copy, whatever the input
     if v.size < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(np.vdot(v, v).real)
     if not abs(norm - 1.0) <= EPS_UNIT:
         raise InvalidWitness(f"{name} has norm {norm!r}, not 1")
     v.setflags(write=False)

@@ -96,10 +96,14 @@ def _random_labels(b: int, d: int, n: int, rng: np.random.Generator) -> np.ndarr
     return np.cumsum(cuts, axis=1)
 
 
-def _group(contrib: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """Sum (b, d) contributions into (b, n) amplitudes by label, in column order."""
+def _flat_index(labels: np.ndarray, n: int) -> np.ndarray:
+    """(b, d) labels as indices into the flattened (b, n) amplitudes."""
+    return (labels + n * np.arange(labels.shape[0])[:, None]).ravel()
+
+
+def _group(contrib: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """Sum (b, d) contributions into (b, n) amplitudes by `_flat_index`, in column order."""
     b = contrib.shape[0]
-    flat = (labels + n * np.arange(b)[:, None]).ravel()
     re = np.bincount(flat, weights=contrib.real.ravel(), minlength=b * n)
     im = np.bincount(flat, weights=contrib.imag.ravel(), minlength=b * n)
     return (re + 1j * im).reshape(b, n)
@@ -216,7 +220,7 @@ def fuzz_projective(
         contrib = phi.conj() * psi
         labels = _random_labels(b, d, n, rng)
         t = np.abs(contrib.sum(axis=1)) ** 2
-        weights = np.abs(_group(contrib, labels, n)) ** 2
+        weights = np.abs(_group(contrib, _flat_index(labels, n), n)) ** 2
         s = weights.sum(axis=1)
         keep = s > S_DISCARD
         discarded += b - int(np.count_nonzero(keep))
@@ -314,7 +318,7 @@ def _search_extremal_s(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     # Fixed rank partition: rank-1 outcomes plus a remainder block.
-    labels = np.broadcast_to(np.minimum(np.arange(d), n - 1), (RESTARTS, d))
+    flat = _flat_index(np.broadcast_to(np.minimum(np.arange(d), n - 1), (RESTARTS, d)), n)
     sign = -1.0 if minimize else 1.0
     root_t, root_u = np.sqrt(t), np.sqrt(1.0 - t)
     # At t = 1, phi = psi whatever v is, so v may vanish.
@@ -328,7 +332,7 @@ def _search_extremal_s(
         v = z[:, d:] - np.einsum("ij,ij->i", psi.conj(), z[:, d:])[:, None] * psi
         vnorm = np.sqrt(np.einsum("ij,ij->i", v.view(np.float64), v.view(np.float64)))
         phi = root_t * psi + (root_u / np.maximum(vnorm, 1e-9))[:, None] * v
-        amps = _group(phi.conj() * psi, labels, n).view(np.float64)
+        amps = _group(phi.conj() * psi, flat, n).view(np.float64)
         s = np.einsum("ij,ij->i", amps, amps)
         valid = (norm >= 1e-9) & (vnorm >= v_floor) & (s > S_DISCARD)
         return np.where(valid, sign * s, -np.inf)

@@ -17,6 +17,7 @@ file of a built witness) decodes as a labelled witness, any other as dense.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -36,7 +37,7 @@ def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
     """value as one float array of the given shape (None: any length) with numeric entries.
 
     A JSON true or false is refused, also among numbers, where NumPy would read it
-    as 1 or 0.
+    as 1 or 0; the scan walks the nested lists the shape check found rectangular.
     """
     try:
         a = np.asarray(value)
@@ -46,7 +47,10 @@ def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
         raise InvalidWitness(f"{name} has a non-numeric entry")
     if a.ndim != len(shape) or any(want not in (got, None) for got, want in zip(a.shape, shape)):
         raise InvalidWitness(f"{name} has shape {a.shape}, expected {shape}")
-    if any(type(x) is bool for x in np.asarray(value, dtype=object).flat):
+    entries = value
+    for _ in range(a.ndim - 1):
+        entries = chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
         raise InvalidWitness(f"{name} has a boolean entry")
     return a.astype(float)
 

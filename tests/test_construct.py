@@ -65,6 +65,33 @@ class TestClosePolygon:
         assert np.allclose(np.abs(closed.zs), xs, atol=1e-11)
         assert abs(sum(closed.zs)) <= 1e-10 * max(1.0, total)
 
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [0.3, 0.3, 0.3, 0.3],
+            [1.0, 2.0, 1.0, 2.0, 1.0, 1.0],
+            [0.5, 0.25, 0.25],
+            [1.0, 2.0, 1.0, 4.0],
+            [1.0 + 0.5e-12, 0.5, 0.5],
+            [0.5, 1.0 + 0.5e-12, 0.5],
+            [0.0, 0.0, 0.0],
+            [0.0],
+            [0.7, 0.7],
+            [0.3, 0.4, 0.5],
+            [1.0] + [1e-3] * 1000,
+            [1e-3] * 500 + [1.0] + [1e-3] * 500,
+        ],
+        ids=[
+            "ties", "tied-pairs", "half", "half-last", "half-within-tol", "half-within-tol-second",
+            "zeros", "n1", "n2", "n3", "large-then-tiny", "tiny-large-tiny",
+        ],
+    )
+    def test_split_cases(self, xs):
+        # Each group sum is at most half the total, so the three edges always close.
+        closed = close_polygon(xs)
+        assert np.allclose(np.abs(closed.zs), xs, rtol=1e-15, atol=0.0)
+        assert abs(sum(closed.zs)) <= EPS_CLOSE * max(1.0, sum(xs))
+
     def test_degenerate_pair(self):
         closed = close_polygon([0.7, 0.7])
         assert abs(sum(closed.zs)) <= 1e-12
@@ -126,9 +153,19 @@ class TestFactorAmplitudes:
             for a, b in zip(_factor_real(rs), factor_real_recursive(rs)):
                 assert np.allclose(a, b, rtol=0, atol=1e-12)
 
+    def test_head_entries_are_square_roots(self, rng):
+        # The peeling rescalings telescope: every entry but the two largest is sqrt(r_k).
+        for n in (2, 3, 7, 40):
+            rs = sorted((rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 1.0)).tolist())
+            psi, phi = _factor_real(rs)
+            head = [math.sqrt(x) for x in rs[:-2]]
+            assert psi[:-2] == head and phi[:-2] == head
+            assert math.fsum(x * x for x in psi) == pytest.approx(1.0, abs=1e-14)
+            assert math.fsum(x * x for x in phi) == pytest.approx(1.0, abs=1e-14)
+
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_long_vectors(self, rng, n):
-        # One loop step per entry, no recursion: n beyond the interpreter's recursion limit.
+        # Closed form, no recursion: n beyond the interpreter's recursion limit.
         z = rng.dirichlet(np.ones(n)) * np.exp(2j * math.pi * rng.random(n))
         psi, phi = factor_amplitudes(z)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
