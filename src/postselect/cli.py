@@ -32,27 +32,23 @@ from .regions import (
     write_region_svg,
 )
 from .stats import diversity, diversity_profile, evaluate_witness
-from .witness_io import load_witness_with_metadata, witness_to_dict
+from .witness_io import load_witness_with_metadata, save_witness, witness_to_dict
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-class InputError(Exception):
-    """User input rejected; maps to exit code 2."""
-
-
 def _parse_probs(text: str) -> OutcomeDistribution:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"cannot parse probabilities {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse probabilities {text!r}: {exc}") from exc
     if not values:
-        raise InputError("empty probability list")
+        raise ValueError("empty probability list")
     total = sum(values)
     if abs(total - 1.0) > 1e-9:
-        raise InputError(f"probabilities sum to {total!r}, more than 1e-9 away from 1")
+        raise ValueError(f"probabilities sum to {total!r}, more than 1e-9 away from 1")
     return OutcomeDistribution([v / total for v in values])
 
 
@@ -84,12 +80,10 @@ def cmd_construct(args) -> int:
     else:
         witness = construct_generalized(sc)
     metadata = {"target": {"t": sc.t, "s": sc.s, "p": list(sc.dist.probs)}}
-    payload = json.dumps(witness_to_dict(witness, metadata), indent=1)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        save_witness(witness, args.out, metadata)
     else:
-        print(payload)
+        print(json.dumps(witness_to_dict(witness, metadata), indent=1))
     return 0
 
 
@@ -124,11 +118,11 @@ def cmd_region(args) -> int:
         grid = emit_ps_region(args.resolution)
     elif args.which == "pt":
         if args.s is None:
-            raise InputError("region --which pt requires --s")
+            raise ValueError("region --which pt requires --s")
         grid = emit_pt_sections(args.s, args.resolution)
     else:
         if args.n is None:
-            raise InputError("region --which ts requires --n")
+            raise ValueError("region --which ts requires --n")
         grid = emit_ts_region(args.n, args.resolution)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -145,12 +139,12 @@ def _thread_count(text: str) -> int:
     """The POSTSELECT_THREADS worker cap; an integer >= 1 or an input error."""
     if text.strip().lstrip("+").isdecimal() and int(text) >= 1:
         return int(text)
-    raise InputError(f"POSTSELECT_THREADS must be an integer >= 1, got {text!r}")
+    raise ValueError(f"POSTSELECT_THREADS must be an integer >= 1, got {text!r}")
 
 
 def cmd_fuzz(args) -> int:
     if args.outcomes > args.dim:
-        raise InputError(
+        raise ValueError(
             f"--outcomes {args.outcomes} exceeds --dim {args.dim} for projective fuzz"
         )
     workers = os.environ.get("POSTSELECT_THREADS")
@@ -238,9 +232,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleScenario as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1

@@ -82,14 +82,16 @@ def close_polygon(xs) -> ClosedPolygon:
     nothing is sorted.  ClosureFailure therefore signals a bug or a roundoff
     blow-up, never an unlucky split.  Roundoff grows with the magnitudes, so
     the residual bound EPS_CLOSE scales by max(1, total) like the pre-check.
-    Non-finite or negative magnitudes raise ValueError.
+    Negative magnitudes, or magnitudes whose sum is not finite (a NaN or an
+    inf among them, or an overflow), raise ValueError.
     """
     xs = list(map(float, xs))
-    if not (all(map(math.isfinite, xs)) and min(xs, default=0.0) >= 0.0):
-        raise ValueError(f"magnitudes must be finite and non-negative: {xs}")
+    total = sum(xs)
+    if not (math.isfinite(total) and min(xs, default=0.0) >= 0.0):
+        raise ValueError(f"magnitudes must be non-negative with a finite sum: {xs}")
     if not xs:
         return ClosedPolygon(zs=())
-    total, top = sum(xs), max(xs)
+    top = max(xs)
     if top > total - top + EPS_FEAS * max(1.0, total):
         raise PolygonViolation(f"{top!r} exceeds the sum of the remaining magnitudes")
     a = xs.index(top)

@@ -35,8 +35,8 @@ class FeasibilityVerdict:
     slack: dict[str, float]
 
 
-def _verdict(slack: dict[str, float], eps: float = EPS_FEAS) -> FeasibilityVerdict:
-    violated = tuple([tag for tag, v in slack.items() if not v >= -eps])
+def _verdict(slack: dict[str, float]) -> FeasibilityVerdict:
+    violated = tuple([tag for tag, v in slack.items() if not v >= -EPS_FEAS])
     return FeasibilityVerdict(not violated, violated, slack)
 
 

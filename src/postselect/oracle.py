@@ -16,8 +16,7 @@ are integers (`core._count`): a bool, float, NaN or inf raises ValueError.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,8 @@ from .errors import SearchBudgetExhausted
 
 # Postselected-ensemble discard threshold: P(.) is undefined when S vanishes.
 S_DISCARD = 1e-9
+# A fuzz draw is a violation when a raw slack falls below -FUZZ_EPS (roundoff).
+FUZZ_EPS = 1e-9
 # Coverage grids split [0, 1]^2 into NBINS^2 cells of side GRID_STEP.
 GRID_STEP = 0.01
 NBINS = round(1 / GRID_STEP)
@@ -130,15 +131,33 @@ class FuzzViolation:
     violated: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzReport:
-    """Outcome of one fuzz campaign; violations must stay empty."""
+    """Outcome of one fuzz campaign; violations must stay empty.
+
+    counts is a read-only int64 copy of shape (2, NBINS, NBINS): counts[0][i, j]
+    draws fell in (T, S) cell (i, j), counts[1][i, j] in the ternary slice's
+    (P_0, P_1) cell (i, j), axes as in `emit_ts_region` / `emit_ternary` at
+    resolution NBINS.  No `==`: compare reports by `digest()`.
+    """
 
     samples: int
     violations: tuple[FuzzViolation, ...]
-    coverage_grid: dict[tuple[int, int], int] = field(default_factory=dict)
-    ternary_grid: dict[tuple[int, int], int] = field(default_factory=dict)
+    counts: np.ndarray
     discarded: int = 0  # draws with S <= S_DISCARD; not part of the digest
+
+    def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.int64).reshape(2, NBINS, NBINS)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def coverage_grid(self) -> dict[tuple[int, int], int]:
+        return _grid(self.counts[0])
+
+    @property
+    def ternary_grid(self) -> dict[tuple[int, int], int]:
+        return _grid(self.counts[1])
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -154,18 +173,10 @@ class FuzzReport:
 def merge_reports(reports) -> FuzzReport:
     """Associative merge of per-worker fuzz reports."""
     reports = list(reports)
-    if not reports:
-        return FuzzReport(samples=0, violations=())
-    coverage: Counter = Counter()
-    ternary: Counter = Counter()
-    for r in reports:
-        coverage.update(r.coverage_grid)
-        ternary.update(r.ternary_grid)
     return FuzzReport(
         samples=sum(r.samples for r in reports),
         violations=tuple(v for r in reports for v in r.violations),
-        coverage_grid=dict(coverage),
-        ternary_grid=dict(ternary),
+        counts=sum((r.counts for r in reports), np.zeros((2, NBINS, NBINS), dtype=np.int64)),
         discarded=sum(r.discarded for r in reports),
     )
 
@@ -177,19 +188,20 @@ def _cell(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _grid(counts: np.ndarray) -> dict[tuple[int, int], int]:
-    """Flat per-cell counts as the report's {(i, j): count} dict of non-empty cells."""
-    return {divmod(int(c), NBINS): int(counts[c]) for c in np.flatnonzero(counts)}
+    """Per-cell counts, flat or (NBINS, NBINS), as the {(i, j): count} dict of non-empty cells."""
+    flat = counts.ravel()
+    return {divmod(int(c), NBINS): int(flat[c]) for c in np.flatnonzero(flat)}
 
 
-def fuzz_projective(
-    d: int, n: int, samples: int, rng: np.random.Generator, *, eps: float = 1e-9
-) -> FuzzReport:
+def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> FuzzReport:
     """Evaluate random projective witnesses against the analytic checker.
 
     Every sampled (psi, phi, projector set) must produce a scenario passing
-    the raw projective inequalities at tolerance eps (widened against
-    roundoff).  Draws with S <= S_DISCARD are counted as samples and as
-    `discarded`, and are neither checked nor binned.
+    the raw projective inequalities to within FUZZ_EPS.  Draws with
+    S <= S_DISCARD are counted as samples and as `discarded`, and are neither
+    checked nor binned.  The rest are counted into the report's `counts`
+    array, (T, S) cells for every draw and (P_0, P_1) cells for n = 3 draws
+    with T < GRID_STEP; `coverage_grid` / `ternary_grid` are derived from it.
 
     Outcome k projects onto the basis vectors e_j labelled k, so its amplitude
     is the sum of conj(phi_j) psi_j over them.  A Haar basis U per draw would
@@ -203,8 +215,6 @@ def fuzz_projective(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d, n = _shape(d, n)
-    if not 0.0 <= eps < np.inf:  # inf would pass every draw, nan flag every one
-        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     violations: list[FuzzViolation] = []
     # (T, S) coverage cells, then the ternary slice's (P_0, P_1) cells.
     counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
@@ -228,12 +238,12 @@ def fuzz_projective(
         probs = weights[keep] / s[keep, None]
         slacks = projective_raw_slack_arrays(t_k, s_k, probs)
         min_slack = np.minimum.reduce(list(slacks.values()))
-        flagged = np.flatnonzero(~(min_slack >= -eps))
+        flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
         for i, orig in zip(flagged, np.flatnonzero(keep)[flagged]):
             h = hashlib.sha256()
             for arr in (psi[orig], phi[orig], labels[orig]):
                 h.update(np.ascontiguousarray(arr).tobytes())
-            tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -eps)
+            tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
             violations.append(
                 FuzzViolation(
                     witness_digest=h.hexdigest(),
@@ -248,13 +258,7 @@ def fuzz_projective(
             near_zero_t = t_k < GRID_STEP
             cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
         counts += np.bincount(np.concatenate(cells), minlength=counts.size)
-    return FuzzReport(
-        samples=samples,
-        violations=tuple(violations),
-        coverage_grid=_grid(counts[: NBINS * NBINS]),
-        ternary_grid=_grid(counts[NBINS * NBINS :]),
-        discarded=discarded,
-    )
+    return FuzzReport(samples, tuple(violations), counts.reshape(2, NBINS, NBINS), discarded)
 
 
 def run_campaign(
@@ -265,13 +269,13 @@ def run_campaign(
     *,
     max_workers: int | None = None,
     chunk: int = 200_000,
-    eps: float = 1e-9,
 ) -> FuzzReport:
     """Split a fuzz campaign into deterministic per-chunk streams and merge.
 
     Each chunk owns its own counter-based stream derived from (seed, index),
     so the result is identical regardless of worker count.  Chunks run on a
-    thread pool of max_workers threads (None: the executor's default).
+    thread pool of max_workers threads (None: the executor's default).  seed
+    is an integer >= 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -279,6 +283,8 @@ def run_campaign(
     samples, chunk = _count(samples, "samples"), _count(chunk, "chunk")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if _count(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if max_workers is not None and _count(max_workers, "max_workers") < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     n_chunks = max(1, -(-samples // chunk))
@@ -290,7 +296,7 @@ def run_campaign(
 
     def work(args):
         size, stream = args
-        return fuzz_projective(d, n, size, stream, eps=eps)
+        return fuzz_projective(d, n, size, stream)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return merge_reports(pool.map(work, zip(sizes, streams)))

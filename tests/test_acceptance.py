@@ -71,7 +71,7 @@ def test_02_necessity_fuzz():
     total_violations = 0
     total_samples = 0
     for i, (d, n) in enumerate(shapes):
-        rep = run_campaign(d, n, per_shape, 200 + i, eps=1e-9)
+        rep = run_campaign(d, n, per_shape, 200 + i)
         total_violations += len(rep.violations)
         total_samples += rep.samples
     elapsed = time.perf_counter() - t0

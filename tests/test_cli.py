@@ -127,6 +127,16 @@ class TestConstructVerify:
         assert payload["kind"] == "projective"
         assert payload["dimension"] == 2
 
+    @pytest.mark.parametrize("kind", ["projective", "generalized"])
+    def test_out_file_holds_stdout_bytes(self, capsys, tmp_path, kind):
+        path = tmp_path / "w.json"
+        argv = ["construct", "--t", "0.1", "--s", "0.3", "--p", "0.5,0.3,0.2", "--kind", kind]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+
     def test_verify_detects_tampering(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         run(

@@ -111,6 +111,13 @@ class TestClosePolygon:
         with pytest.raises(ValueError, match="finite"):
             close_polygon(xs)
 
+    @pytest.mark.parametrize("xs", [[1e308, 1e308], [1e308] * 3], ids=["two", "three"])
+    def test_rejects_overflowing_sum(self, xs):
+        # Each magnitude is finite but their sum is inf, which would pass the
+        # pre-check and the residual bound and return an open polygon.
+        with pytest.raises(ValueError, match="finite"):
+            close_polygon(xs)
+
     def test_residual_scales_with_total(self):
         # Seeded input (n = 284, total 2e4) whose roundoff residual, about
         # 1.1e-11, exceeds the absolute EPS_CLOSE.
