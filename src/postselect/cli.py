@@ -7,7 +7,6 @@ scenario, failed verification, fuzz violations), 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -32,7 +31,7 @@ from .regions import (
     write_region_svg,
 )
 from .stats import diversity, diversity_profile, evaluate_witness
-from .witness_io import load_witness_with_metadata, save_witness, witness_to_dict
+from .witness_io import _write_witness, load_witness_with_metadata, save_witness
 
 
 def _fmt(x: float) -> str:
@@ -83,7 +82,7 @@ def cmd_construct(args) -> int:
     if args.out:
         save_witness(witness, args.out, metadata)
     else:
-        print(json.dumps(witness_to_dict(witness, metadata), indent=1))
+        _write_witness(witness, sys.stdout, metadata)
     return 0
 
 

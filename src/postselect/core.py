@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -40,6 +41,39 @@ EPS_PROB = 1e-12
 EPS_UNIT = 1e-10
 # Boundary tolerance of the feasibility inequalities (closed regions).
 EPS_FEAS = 1e-12
+
+
+def _count(k, name: str, lo: float = -math.inf) -> int:
+    """k as an int >= lo (default: no bound); ValueError for k < lo or a non-integer, bools too."""
+    if isinstance(k, bool):  # Python would read it as 0 or 1
+        raise ValueError(f"{name} = {k!r} is not an integer: {k} is a bool, not an outcome index")
+    try:
+        i = operator.index(k)
+    except TypeError as exc:
+        raise ValueError(f"{name} = {k!r} is not an integer: {exc}") from exc
+    if i < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {i}")
+    return i
+
+
+def _probability(x, name: str, *, positive: bool = False):
+    """x, checked to lie in [0, 1], or in (0, 1] when positive; ValueError otherwise (NaN too)."""
+    if not (x > 0.0 if positive else x >= 0.0) or not x <= 1.0:
+        raise ValueError(f"{name} = {x!r} outside {'(0' if positive else '[0'}, 1]")
+    return x
+
+
+def _holds_bool(value, ndim: int) -> bool:
+    """Whether value, ndim levels of nested sequences, holds a bool (NumPy reads one as 0 or 1).
+
+    An ndarray holds none, as its dtype tells.
+    """
+    if isinstance(value, np.ndarray):
+        return False
+    entries = [value]
+    for _ in range(ndim):
+        entries = chain.from_iterable(entries)
+    return not {bool, np.bool_}.isdisjoint(map(type, entries))
 
 
 @dataclass(frozen=True)
@@ -93,12 +127,9 @@ class ScenarioTriple:
     dist: OutcomeDistribution
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "s", float(self.s))
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"transition probability {self.t!r} outside [0, 1]")
-        if not 0.0 < self.s <= 1.0:
-            raise ValueError(f"success probability {self.s!r} outside (0, 1]")
+        t, s = float(self.t), float(self.s)
+        object.__setattr__(self, "t", _probability(t, "transition probability"))
+        object.__setattr__(self, "s", _probability(s, "success probability", positive=True))
 
     @property
     def n(self) -> int:
@@ -195,17 +226,14 @@ def _states(psi, phi) -> tuple[np.ndarray, np.ndarray]:
 def _labels(labels, n_outcomes, d: int) -> tuple[np.ndarray, int]:
     """labels as a read-only length-d intp array with entries in range(n), and n >= 1."""
     try:
-        n = _outcome_index(n_outcomes)
-    except TypeError as exc:
-        raise InvalidWitness(f"n_outcomes {n_outcomes!r} is not an integer: {exc}") from exc
+        n = _count(n_outcomes, "n_outcomes")
+    except ValueError as exc:
+        raise InvalidWitness(str(exc)) from exc
     try:
         a = np.asarray(labels)
     except (TypeError, ValueError) as exc:
         raise InvalidWitness(f"labels do not form one array: {exc}") from exc
-    # NumPy reads a bool among ints as 0 or 1; an ndarray's dtype already tells.
-    if a.dtype.kind not in "iu" or not isinstance(labels, np.ndarray) and any(
-        isinstance(x, (bool, np.bool_)) for x in np.asarray(labels, dtype=object).flat
-    ):
+    if a.dtype.kind not in "iu" or _holds_bool(labels, a.ndim):
         raise InvalidWitness(f"labels have a non-integer or boolean entry (dtype {a.dtype})")
     if a.shape != (d,):
         raise InvalidWitness(f"labels of shape {a.shape} for dimension {d}")
@@ -318,21 +346,6 @@ class ProjectiveWitness(_Witness):
         return ProjectiveWitness(self.phi, self.psi, labels=self.labels, n_outcomes=self.n_outcomes)
 
 
-def _outcome_index(k) -> int:
-    """k as an int; a bool is refused, though Python would read it as 0 or 1."""
-    if isinstance(k, bool):
-        raise TypeError(f"{k!r} is a bool, not an outcome index")
-    return operator.index(k)
-
-
-def _count(k, name: str) -> int:
-    """k as an int count argument; ValueError for a bool or any non-integer."""
-    try:
-        return _outcome_index(k)
-    except TypeError as exc:
-        raise ValueError(f"{name} = {k!r} is not an integer: {exc}") from exc
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class GeneralizedWitness(_Witness):
     """States psi, phi plus Kraus operators satisfying completeness.
@@ -349,8 +362,8 @@ class GeneralizedWitness(_Witness):
     def __init__(self, psi, phi, kraus, repaired=()):
         super().__init__(psi, phi, kraus)
         try:
-            repaired = tuple(map(_outcome_index, repaired))
-        except TypeError as exc:
+            repaired = tuple(_count(k, "repaired index") for k in repaired)
+        except (TypeError, ValueError) as exc:  # TypeError: repaired is not iterable
             raise InvalidWitness(f"repaired is not a list of outcome indices: {exc}") from exc
         if not all(0 <= k < self.n_outcomes for k in repaired):
             raise InvalidWitness(f"repaired {repaired} has an index outside range(n)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_FEAS, OutcomeDistribution, ScenarioTriple, _count, sqrt_probs
+from .core import EPS_FEAS, OutcomeDistribution, ScenarioTriple, _count, _probability, sqrt_probs
 from .errors import PolygonViolation, RegionViolation, SingularSystem
 
 # Constraint tags.
@@ -109,12 +109,9 @@ def ts_region_slacks(t, s, n: int):
 
 def check_ts_region(t: float, s: float, n: int) -> FeasibilityVerdict:
     """Is (T, S) achievable at all with an n-outcome projective measurement?"""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t = {t!r} outside [0, 1]")
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s = {s!r} outside (0, 1]")
-    if _count(n, "n") < 1:
-        raise ValueError(f"n = {n!r} must be >= 1")
+    _probability(t, "t")
+    _probability(s, "s", positive=True)
+    _count(n, "n", 1)
     return _verdict({k: float(v) for k, v in ts_region_slacks(t, s, n).items()})
 
 
@@ -132,14 +129,8 @@ def dichotomic_slacks(p, t, s):
 
 
 def check_dichotomic(p: float, t: float, s: float) -> FeasibilityVerdict:
-    """Two-outcome feasibility for P = (p, 1-p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p!r} outside [0, 1]")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t = {t!r} outside [0, 1]")
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s = {s!r} outside (0, 1]")
-    return _verdict({k: float(v) for k, v in dichotomic_slacks(p, t, s).items()})
+    """Two-outcome feasibility for P = (p, 1-p): the chain checker on (t, s, P)."""
+    return check_projective_chain(ScenarioTriple(t, s, OutcomeDistribution((p, 1.0 - p))))
 
 
 def ternary_disk_slack(p1, p2, p3):

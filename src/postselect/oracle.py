@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _count
+from .core import _count, _probability
 from .feasibility import projective_raw_slack_arrays
 from .errors import SearchBudgetExhausted
 
@@ -211,9 +211,7 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     averaged over U, (T, S, P) has its law at U = I.  A violation's
     witness_digest is the SHA-256 of its psi, phi and labels bytes.
     """
-    samples = _count(samples, "samples")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count(samples, "samples", 1)
     d, n = _shape(d, n)
     violations: list[FuzzViolation] = []
     # (T, S) coverage cells, then the ternary slice's (P_0, P_1) cells.
@@ -280,13 +278,10 @@ def run_campaign(
     from concurrent.futures import ThreadPoolExecutor
 
     d, n = _shape(d, n)
-    samples, chunk = _count(samples, "samples"), _count(chunk, "chunk")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if _count(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if max_workers is not None and _count(max_workers, "max_workers") < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    samples, chunk = _count(samples, "samples", 1), _count(chunk, "chunk", 1)
+    seed = _count(seed, "seed", 0)
+    if max_workers is not None:
+        max_workers = _count(max_workers, "max_workers", 1)
     n_chunks = max(1, -(-samples // chunk))
     sizes = [chunk] * (n_chunks - 1) + [samples - chunk * (n_chunks - 1)]
     streams = [
@@ -317,12 +312,9 @@ def _search_extremal_s(
     S <= S_DISCARD, scores -inf, so any valid proposal replaces it.  trials
     counts proposals over all walkers, rounded up to whole steps.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transition probability must lie in [0, 1], got {t!r}")
+    _probability(t, "transition probability")
     d, n = _shape(d, n)
-    trials = _count(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count(trials, "trials", 1)
     # Fixed rank partition: rank-1 outcomes plus a remainder block.
     flat = _flat_index(np.broadcast_to(np.minimum(np.arange(d), n - 1), (RESTARTS, d)), n)
     sign = -1.0 if minimize else 1.0

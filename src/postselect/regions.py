@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_FEAS, _count
+from .core import EPS_FEAS, _count, _probability
 from . import feasibility
 from .feasibility import MAX_OUTCOME_POLYGON, OUTSIDE_SIMPLEX, S_BOUND
 
@@ -81,53 +81,39 @@ def _broadcast_centers(axes: tuple[Axis, ...]) -> tuple[np.ndarray, ...]:
     return np.ix_(*[ax.centers() for ax in axes])
 
 
-def _resolution(resolution) -> int:
-    """Cells per axis as an int >= 2; ValueError for anything else, a bool included."""
-    resolution = _count(resolution, "resolution")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    return resolution
-
-
-def _tags_from_slacks(axes: tuple[Axis, ...], slacks: dict[str, np.ndarray], extra_masks=None):
+def _tags_from_slacks(axes: tuple[Axis, ...], slacks: dict[str, np.ndarray]):
     """Tag names and the (N,) per-cell violation bitmask; NaN slacks count as violated.
 
-    Slacks and masks come from broadcast axis centers and may span fewer axes
-    than the grid (pt's SBound depends on p only), so each mask is broadcast
-    to the full grid before its bit is set.
+    Slacks come from broadcast axis centers and may span fewer axes than the
+    grid (pt's SBound depends on p only), so each mask is broadcast to the
+    full grid before its bit is set.
     """
-    bad = {tag: ~(arr >= -EPS_FEAS) for tag, arr in slacks.items()}
-    if extra_masks:
-        bad.update(extra_masks)
     shape = _shape(axes)
     bits = [
-        np.broadcast_to(mask, shape).astype(np.uint8) << k
-        for k, mask in enumerate(bad.values())
+        np.broadcast_to(~(arr >= -EPS_FEAS), shape).astype(np.uint8) << k
+        for k, arr in enumerate(slacks.values())
     ]
-    return tuple(bad), np.bitwise_or.reduce(bits).reshape(-1)
+    return tuple(slacks), np.bitwise_or.reduce(bits).reshape(-1)
 
 
 def emit_ternary(resolution: int) -> RegionGrid:
     """Barycentric grid of the n = 3, T = 0 disk within the probability simplex.
 
-    Cells whose center falls outside the simplex are tagged OutsideSimplex;
-    inside cells are feasible iff they lie in the disk.
+    Cells whose center falls outside the simplex, p3 = 1 - p1 - p2 < 0, are
+    tagged OutsideSimplex; inside cells are feasible iff they lie in the disk.
     """
-    resolution = _resolution(resolution)
+    resolution = _count(resolution, "resolution", 2)
     axes = (Axis("p1", 0.0, 1.0, resolution), Axis("p2", 0.0, 1.0, resolution))
     p1, p2 = _broadcast_centers(axes)
     p3 = 1.0 - p1 - p2
-    outside = p3 < -EPS_FEAS
     disk = feasibility.ternary_disk_slack(p1, p2, np.maximum(p3, 0.0))
-    tags, violated = _tags_from_slacks(
-        axes, {MAX_OUTCOME_POLYGON: disk}, extra_masks={OUTSIDE_SIMPLEX: outside}
-    )
+    tags, violated = _tags_from_slacks(axes, {MAX_OUTCOME_POLYGON: disk, OUTSIDE_SIMPLEX: p3})
     return RegionGrid(axes, tags, violated)
 
 
 def emit_ps_region(resolution: int) -> RegionGrid:
     """Two-outcome (p, S) region: S <= 1/(1 + 2 sqrt(p(1-p)))."""
-    resolution = _resolution(resolution)
+    resolution = _count(resolution, "resolution", 2)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
     p, s = _broadcast_centers(axes)
     slack = feasibility.dichotomic_slacks(p, 0.0, s)[S_BOUND]
@@ -144,9 +130,8 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
     and sqrt(p) + sqrt(1-p) <= 1/sqrt(S); the last condition produces the
     vertical cuts for s > 1/2.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s = {s!r} outside (0, 1]")
-    resolution = _resolution(resolution)
+    _probability(s, "s", positive=True)
+    resolution = _count(resolution, "resolution", 2)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("t", 0.0, 1.0, resolution))
     p, t = _broadcast_centers(axes)
     slacks = feasibility.dichotomic_slacks(p, t, s)
@@ -161,9 +146,8 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
 
 def emit_ts_region(n: int, resolution: int) -> RegionGrid:
     """(T, S) region for n outcomes: T/n <= S <= (T+1)/2."""
-    if _count(n, "n") < 1:
-        raise ValueError("n must be >= 1")
-    resolution = _resolution(resolution)
+    _count(n, "n", 1)
+    resolution = _count(resolution, "resolution", 2)
     axes = (Axis("t", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
     t, s = _broadcast_centers(axes)
     tags, violated = _tags_from_slacks(axes, feasibility.ts_region_slacks(t, s, n))

@@ -17,12 +17,11 @@ file of a built witness) decodes as a labelled witness, any other as dense.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .core import GeneralizedWitness, ProjectiveWitness, _Witness
+from .core import GeneralizedWitness, ProjectiveWitness, _Witness, _holds_bool
 from .errors import InvalidWitness
 
 _KINDS = {cls.kind: cls for cls in (ProjectiveWitness, GeneralizedWitness)}
@@ -37,7 +36,7 @@ def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
     """value as one float array of the given shape (None: any length) with numeric entries.
 
     A JSON true or false is refused, also among numbers, where NumPy would read it
-    as 1 or 0; the scan walks the nested lists the shape check found rectangular.
+    as 1 or 0; `core._holds_bool` scans the lists the shape check found rectangular.
     """
     try:
         a = np.asarray(value)
@@ -47,10 +46,7 @@ def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
         raise InvalidWitness(f"{name} has a non-numeric entry")
     if a.ndim != len(shape) or any(want not in (got, None) for got, want in zip(a.shape, shape)):
         raise InvalidWitness(f"{name} has shape {a.shape}, expected {shape}")
-    entries = value
-    for _ in range(a.ndim - 1):
-        entries = chain.from_iterable(entries)
-    if bool in set(map(type, entries)):
+    if _holds_bool(value, a.ndim):
         raise InvalidWitness(f"{name} has a boolean entry")
     return a.astype(float)
 
@@ -110,10 +106,15 @@ def witness_from_dict(data: dict[str, Any]) -> _Witness:
     return w
 
 
+def _write_witness(w, stream, metadata: dict[str, Any] | None = None) -> None:
+    """Write w's JSON document, then a newline, to a text stream without joining one string."""
+    json.dump(witness_to_dict(w, metadata), stream, indent=1)
+    stream.write("\n")
+
+
 def save_witness(w, path: str, metadata: dict[str, Any] | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(witness_to_dict(w, metadata), fh, indent=1)
-        fh.write("\n")
+        _write_witness(w, fh, metadata)
 
 
 def load_witness_with_metadata(path: str) -> tuple[_Witness, dict[str, Any]]:

@@ -22,6 +22,7 @@ from postselect.feasibility import (
     LOWER_CHAIN,
     _verdict,
     chain_slacks,
+    dichotomic_slacks,
     projective_raw_slack_arrays,
 )
 from conftest import random_distribution, random_scenario
@@ -196,6 +197,26 @@ class TestDichotomic:
             s = float(rng.uniform(1e-3, 1.0))
             raw = check_projective_raw(scenario(t, s, (p, 1.0 - p)))
             assert check_dichotomic(p, t, s).feasible == raw.feasible
+
+    def test_slacks_equal_the_region_kernel_bit_for_bit(self):
+        # check_dichotomic is the chain checker on (p, 1 - p); the pt and ps maps use
+        # dichotomic_slacks.  The two share no code, so this keeps them pinned together.
+        rng = np.random.default_rng(1501)
+        corners = np.array(
+            [(p, t, s) for p in (0.0, 0.5, 1.0) for t in (0.0, 1.0, 0.3)
+             for s in (5e-324, 1e-310, 0.5, 1.0)]
+        )
+        draws = rng.random((3000, 3))
+        draws[:, 2] = 1.0 - draws[:, 2]  # s in (0, 1]
+        draws[:300, 2] *= 1e-308  # subnormal s, where T/S overflows
+        p, t, s = np.concatenate([corners, draws]).T
+        kernel = dichotomic_slacks(p, t, s)
+        for i, args in enumerate(zip(p.tolist(), t.tolist(), s.tolist())):
+            slack = check_dichotomic(*args).slack
+            assert list(slack) == list(kernel), args
+            got = np.array(list(slack.values()))
+            want = np.array([arr[i] for arr in kernel.values()])
+            assert got.tobytes() == want.tobytes(), (args, got, want)
 
 
 class TestConeDecomposition:

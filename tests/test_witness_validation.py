@@ -9,7 +9,9 @@ n * d^2 * 16 bytes, so every set here stays at d <= 6.  A labelled witness
 given its labels is checked on its labels and n_outcomes alone.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +181,23 @@ def test_operators_or_labels_not_both():
         ProjectiveWitness([1, 0], [0, 1], np.eye(2)[None], labels=[0, 0], n_outcomes=1)
     with pytest.raises(InvalidWitness, match="needs operators or labels"):
         ProjectiveWitness([1, 0], [0, 1])
+
+
+def test_only_core_reads_integers_with_operator_index():
+    # Every other module reads integer input through core._count, which refuses bools
+    # and checks the lower bound; operator.mul and the rest of operator stay allowed.
+    readers = set()
+    for path in Path(core.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            calls = isinstance(node, ast.Attribute) and node.attr == "index" and (
+                isinstance(node.value, ast.Name) and node.value.id == "operator"
+            )
+            imports = isinstance(node, ast.ImportFrom) and node.module == "operator" and (
+                "index" in {alias.name for alias in node.names}
+            )
+            if calls or imports:
+                readers.add(path.name)
+    assert readers == {"core.py"}, readers
 
 
 @pytest.mark.parametrize("repaired", [(True,), (0, False)])
