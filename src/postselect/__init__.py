@@ -18,7 +18,7 @@ from .core import (
     ProjectiveWitness,
     ScenarioTriple,
 )
-from .stats import diversity, diversity_profile, evaluate_witness, renyi_entropy
+from .stats import diversity, diversity_profile, evaluate_witness
 from .feasibility import (
     ConeDecomposition,
     FeasibilityVerdict,
@@ -70,7 +70,6 @@ __all__ = [
     "diversity",
     "diversity_profile",
     "evaluate_witness",
-    "renyi_entropy",
     "ConeDecomposition",
     "FeasibilityVerdict",
     "check_dichotomic",

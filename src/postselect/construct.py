@@ -4,9 +4,9 @@ Pipeline for the projective case: close a polygon over the amplitude
 magnitudes, drop the closing edge, factor the remaining complex numbers
 into a pair of unit vectors, label basis vector k with outcome k (the
 witness stores the labels, not an (n, n, n) projector stack).
-The generalized case writes its Kraus operators in closed form,
-V_k = |phi'><e_k|: every outcome leaves the same post-measurement state
-phi', which decouples the measurement from the postselection.
+The generalized case is closed form: psi_k = sqrt(P(k)), phi and phi' one
+scalar step and one axpy each, and V_k = |phi'><e_k|, so every outcome leaves
+the same state phi', which decouples the measurement from the postselection.
 """
 
 from __future__ import annotations
@@ -184,14 +184,17 @@ def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
     return ProjectiveWitness(psi, phi, labels=np.arange(n), n_outcomes=n)
 
 
-def _orthogonal_unit(v: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to v (one Gram-Schmidt step)."""
-    d = v.size
-    k = int(np.argmin(np.abs(v)))
-    e = np.zeros(d, dtype=complex)
-    e[k] = 1.0
-    w = e - np.vdot(v, e) * v
-    return w / np.linalg.norm(w)
+def _rotate(v: np.ndarray, c: float, s: float) -> np.ndarray:
+    """c v + s u for real unit v, s = sqrt(1 - c^2), u the unit vector along e_k - v_k v.
+
+    With |v_k| least, |v_k| <= 1/sqrt(2): the sum is (c - beta v_k) v + beta e_k,
+    beta = s / sqrt(1 - v_k^2).
+    """
+    k = int(np.abs(v).argmin())
+    beta = s / math.sqrt(1.0 - v[k] * v[k])
+    out = (c - beta * v[k]) * v
+    out[k] += beta
+    return out
 
 
 def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
@@ -210,21 +213,18 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
         raise DegeneratePostselection(f"success probability {sc.s!r} is numerically zero")
     n = sc.n
     d = max(n, 2)
-    psi = np.zeros(d, dtype=complex)
+    psi = np.zeros(d)
     psi[:n] = np.sqrt(sc.dist.probs)
-    psi /= np.linalg.norm(psi)
-    phi = math.sqrt(sc.t) * psi + math.sqrt(1.0 - sc.t) * _orthogonal_unit(psi)
-    phi /= np.linalg.norm(phi)
-    phi_post = math.sqrt(sc.s) * phi + math.sqrt(1.0 - sc.s) * _orthogonal_unit(phi)
-    phi_post /= np.linalg.norm(phi_post)
+    phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
+    phi_post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
     # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps
     # |e_k><e_k| so the V_k^dag V_k still sum to the identity.
-    positive = np.asarray(sc.dist.probs) > 0.0
+    positive = psi[:n] > 0.0  # sqrt(p) > 0 exactly when p > 0
     live, repaired = np.flatnonzero(positive), np.flatnonzero(~positive)
     kraus = np.zeros((n, d, d), dtype=complex)
     kraus[live, :, live] = phi_post
     kraus[repaired, repaired, repaired] = 1.0
     if n == 1:
         # One outcome on a qubit: complete V_0 to a unitary.
-        kraus[0, :, 1] = _orthogonal_unit(phi_post)
+        kraus[0, :, 1] = _rotate(phi_post, 0.0, 1.0)
     return GeneralizedWitness(psi, phi, kraus, repaired.tolist())

@@ -41,6 +41,8 @@ EPS_PROB = 1e-12
 EPS_UNIT = 1e-10
 # Boundary tolerance of the feasibility inequalities (closed regions).
 EPS_FEAS = 1e-12
+# Types that NumPy or float() read as numbers, which no numeric input may hold.
+_NOT_NUMBERS = frozenset({bool, np.bool_, str, np.str_, bytes, np.bytes_})
 
 
 def _count(k, name: str, lo: float = -math.inf) -> int:
@@ -56,38 +58,43 @@ def _count(k, name: str, lo: float = -math.inf) -> int:
     return i
 
 
-def _probability(x, name: str, *, positive: bool = False):
-    """x, checked to lie in [0, 1], or in (0, 1] when positive; ValueError otherwise (NaN too)."""
+def _probability(x, name: str, *, positive: bool = False) -> float:
+    """float(x) in [0, 1], or in (0, 1] when positive; ValueError otherwise (NaN, bool, str too)."""
+    if type(x) in _NOT_NUMBERS:
+        raise ValueError(f"{name} = {x!r} is a {type(x).__name__}, not a number")
+    x = float(x)
     if not (x > 0.0 if positive else x >= 0.0) or not x <= 1.0:
         raise ValueError(f"{name} = {x!r} outside {'(0' if positive else '[0'}, 1]")
     return x
 
 
-def _holds_bool(value, ndim: int) -> bool:
-    """Whether value, ndim levels of nested sequences, holds a bool (NumPy reads one as 0 or 1).
+def _holds_non_number(value, ndim: int) -> bool:
+    """Whether value, ndim levels of nested sequences, holds a bool or a string (see _NOT_NUMBERS).
 
-    An ndarray holds none, as its dtype tells.
+    An ndarray is judged by its dtype alone: it holds none when of integer or float kind.
     """
     if isinstance(value, np.ndarray):
-        return False
-    entries = [value]
-    for _ in range(ndim):
-        entries = chain.from_iterable(entries)
-    return not {bool, np.bool_}.isdisjoint(map(type, entries))
+        return value.dtype.kind not in "iuf"
+    for _ in range(ndim - 1):
+        value = chain.from_iterable(value)
+    return not _NOT_NUMBERS.isdisjoint(map(type, value if ndim else (value,)))
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probability vector over n >= 1 measurement outcomes."""
+    """Probability vector over n >= 1 outcomes, from a sequence or ndarray of numbers."""
 
     probs: tuple[float, ...]
 
     def __init__(self, probs: Sequence[float]):
-        # An ndarray converts in one call instead of one NumPy scalar at a time.
-        p = tuple(map(float, probs.tolist() if isinstance(probs, np.ndarray) else probs))
+        array = isinstance(probs, np.ndarray)
+        entries = probs.tolist() if array else tuple(probs)  # one call, not one scalar at a time
+        if _holds_non_number(probs if array else entries, 1):
+            raise ValueError(f"probabilities must be numbers, not bools or strings: {entries!r}")
+        p = tuple(map(float, entries))
         if len(p) < 1:
             raise ValueError("distribution needs at least one outcome")
-        if any(x < 0.0 for x in p):
+        if any(map(0.0.__gt__, p)):
             raise ValueError(f"negative probability in {p}")
         total = sum(p)
         # The entries are non-negative, so a NaN or inf among them makes the total non-finite.
@@ -95,7 +102,7 @@ class OutcomeDistribution:
             raise ValueError(f"non-finite probability in {p}")
         if abs(total - 1.0) > EPS_PROB:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", p)
+        self.__dict__["probs"] = p
 
     @property
     def n(self) -> int:
@@ -126,10 +133,10 @@ class ScenarioTriple:
     s: float
     dist: OutcomeDistribution
 
-    def __post_init__(self):
-        t, s = float(self.t), float(self.s)
-        object.__setattr__(self, "t", _probability(t, "transition probability"))
-        object.__setattr__(self, "s", _probability(s, "success probability", positive=True))
+    def __init__(self, t: float, s: float, dist: OutcomeDistribution):
+        t = _probability(t, "transition probability")
+        s = _probability(s, "success probability", positive=True)
+        self.__dict__.update(t=t, s=s, dist=dist)
 
     @property
     def n(self) -> int:
@@ -233,7 +240,7 @@ def _labels(labels, n_outcomes, d: int) -> tuple[np.ndarray, int]:
         a = np.asarray(labels)
     except (TypeError, ValueError) as exc:
         raise InvalidWitness(f"labels do not form one array: {exc}") from exc
-    if a.dtype.kind not in "iu" or _holds_bool(labels, a.ndim):
+    if a.dtype.kind not in "iu" or _holds_non_number(labels, a.ndim):
         raise InvalidWitness(f"labels have a non-integer or boolean entry (dtype {a.dtype})")
     if a.shape != (d,):
         raise InvalidWitness(f"labels of shape {a.shape} for dimension {d}")
@@ -278,10 +285,7 @@ class _Witness:
             raise InvalidWitness(f"operators of shape {ops.shape} for dimension {psi.size}")
         ops.setflags(write=False)
         self._validate(ops)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "n_outcomes", len(ops))
+        self.__dict__.update(psi=psi, phi=phi, operators=ops, n_outcomes=len(ops))
 
     @property
     def dimension(self) -> int:
@@ -312,10 +316,7 @@ class ProjectiveWitness(_Witness):
             raise InvalidWitness("a projective witness takes operators or labels, not both")
         psi, phi = _states(psi, phi)
         labels, n = _labels(labels, n_outcomes, psi.size)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "n_outcomes", n)
+        self.__dict__.update(psi=psi, phi=phi, labels=labels, n_outcomes=n)
 
     def _validate(self, ops: np.ndarray) -> None:
         """Keep an exact partition as labels; check any other stack as dense."""
@@ -324,7 +325,7 @@ class ProjectiveWitness(_Witness):
         if np.count_nonzero(ops) == ops.shape[1] and (ones.sum(axis=0) == 1).all():
             labels = ones.argmax(axis=0)
             labels.setflags(write=False)
-            object.__setattr__(self, "labels", labels)
+            self.__dict__["labels"] = labels
         else:
             _validate_projectors(ops)
 
@@ -367,7 +368,7 @@ class GeneralizedWitness(_Witness):
             raise InvalidWitness(f"repaired is not a list of outcome indices: {exc}") from exc
         if not all(0 <= k < self.n_outcomes for k in repaired):
             raise InvalidWitness(f"repaired {repaired} has an index outside range(n)")
-        object.__setattr__(self, "repaired", repaired)
+        self.__dict__["repaired"] = repaired
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:

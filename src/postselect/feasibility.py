@@ -34,6 +34,9 @@ class FeasibilityVerdict:
     violated: tuple[str, ...]
     slack: dict[str, float]
 
+    def __init__(self, feasible: bool, violated: tuple[str, ...], slack: dict[str, float]):
+        self.__dict__.update(feasible=feasible, violated=violated, slack=slack)
+
 
 def _verdict(slack: dict[str, float]) -> FeasibilityVerdict:
     violated = tuple([tag for tag, v in slack.items() if not v >= -EPS_FEAS])
@@ -109,10 +112,8 @@ def ts_region_slacks(t, s, n: int):
 
 def check_ts_region(t: float, s: float, n: int) -> FeasibilityVerdict:
     """Is (T, S) achievable at all with an n-outcome projective measurement?"""
-    _probability(t, "t")
-    _probability(s, "s", positive=True)
-    _count(n, "n", 1)
-    return _verdict({k: float(v) for k, v in ts_region_slacks(t, s, n).items()})
+    t, s = _probability(t, "t"), _probability(s, "s", positive=True)
+    return _verdict(ts_region_slacks(t, s, _count(n, "n", 1)))
 
 
 def dichotomic_slacks(p, t, s):

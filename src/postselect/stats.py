@@ -87,11 +87,6 @@ def diversity(dist: OutcomeDistribution, q: float) -> float:
     return math.exp(log_d)
 
 
-def renyi_entropy(dist: OutcomeDistribution, q: float) -> float:
-    """Renyi entropy of order q (natural log), as log of the diversity index."""
-    return math.log(diversity(dist, q))
-
-
 def diversity_profile(dist: OutcomeDistribution) -> DiversityProfile:
     """The (D_1/2, D_inf) pair, with their logarithms."""
     d_half = diversity(dist, 0.5)

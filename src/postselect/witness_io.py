@@ -17,11 +17,12 @@ file of a built witness) decodes as a labelled witness, any other as dense.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Any
 
 import numpy as np
 
-from .core import GeneralizedWitness, ProjectiveWitness, _Witness, _holds_bool
+from .core import GeneralizedWitness, ProjectiveWitness, _Witness, _holds_non_number
 from .errors import InvalidWitness
 
 _KINDS = {cls.kind: cls for cls in (ProjectiveWitness, GeneralizedWitness)}
@@ -36,7 +37,7 @@ def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
     """value as one float array of the given shape (None: any length) with numeric entries.
 
     A JSON true or false is refused, also among numbers, where NumPy would read it
-    as 1 or 0; `core._holds_bool` scans the lists the shape check found rectangular.
+    as 1 or 0; `core._holds_non_number` scans the lists the shape check found rectangular.
     """
     try:
         a = np.asarray(value)
@@ -46,7 +47,7 @@ def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
         raise InvalidWitness(f"{name} has a non-numeric entry")
     if a.ndim != len(shape) or any(want not in (got, None) for got, want in zip(a.shape, shape)):
         raise InvalidWitness(f"{name} has shape {a.shape}, expected {shape}")
-    if _holds_bool(value, a.ndim):
+    if _holds_non_number(value, a.ndim):
         raise InvalidWitness(f"{name} has a boolean entry")
     return a.astype(float)
 
@@ -107,8 +108,11 @@ def witness_from_dict(data: dict[str, Any]) -> _Witness:
 
 
 def _write_witness(w, stream, metadata: dict[str, Any] | None = None) -> None:
-    """Write w's JSON document, then a newline, to a text stream without joining one string."""
-    json.dump(witness_to_dict(w, metadata), stream, indent=1)
+    """Write json.dumps(w's document, indent=1) + "\n" to a text stream in chunks."""
+    tokens = json.JSONEncoder(indent=1).iterencode(witness_to_dict(w, metadata))
+    # 2^16 tokens of at least one character each: every write but the last holds >= 64 KiB.
+    while chunk := "".join(islice(tokens, 1 << 16)):
+        stream.write(chunk)
     stream.write("\n")
 
 

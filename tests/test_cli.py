@@ -23,6 +23,7 @@ from postselect import (
 )
 from postselect.cli import main
 from postselect.witness_io import (
+    _write_witness,
     load_witness,
     save_witness,
     witness_from_dict,
@@ -381,6 +382,30 @@ class TestWitnessIO:
             assert getattr(w2, "repaired", ()) == getattr(w, "repaired", ())
             for a, b in ((w2.psi, w.psi), (w2.phi, w.phi), (w2.operators, w.operators)):
                 assert np.array_equal(a, b)
+
+
+    def test_writer_joins_tokens_into_large_writes(self):
+        # json.dump writes each token separately: 138,121 writes for this witness, each
+        # a system call on an unbuffered stdout.
+        n = 30
+        w = construct_projective(
+            ScenarioTriple(0.05, 0.5 / n, OutcomeDistribution(np.full(n, 1.0 / n)))
+        )
+        meta = {"target": {"t": 0.05, "s": 0.5 / n, "p": [1.0 / n] * n}}
+
+        class CountingStream(io.StringIO):
+            def write(self, text):
+                self.sizes.append(len(text))
+                return super().write(text)
+
+        stream = CountingStream()
+        stream.sizes = []
+        _write_witness(w, stream, meta)
+        assert stream.getvalue() == json.dumps(witness_to_dict(w, meta), indent=1) + "\n"
+        assert len(stream.getvalue()) > 800_000
+        *full, last, newline = stream.sizes
+        assert all(size >= 64 * 1024 for size in full) and last > 0 and newline == 1
+        assert len(stream.sizes) <= len(stream.getvalue()) // (64 * 1024) + 2
 
 
 def run_captured(argv):

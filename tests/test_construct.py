@@ -24,7 +24,7 @@ from postselect.errors import (
     NormViolation,
     PolygonViolation,
 )
-from conftest import random_feasible_scenario, random_scenario
+from conftest import random_distribution, random_feasible_scenario, random_scenario
 
 
 def factor_real_recursive(rs):
@@ -287,7 +287,65 @@ def test_numerically_zero_success_probability_refused(build):
     assert_reproduces(sc, build(sc), tol=1e-12)
 
 
+def gram_schmidt_generalized(sc):
+    """The Gram-Schmidt form of construct_generalized, kept as its reference.
+
+    Returns (psi, phi, Kraus stack, repaired): each orthogonal direction is one
+    Gram-Schmidt step against a basis vector, and every state is renormalized.
+    """
+
+    def orthogonal_unit(v):
+        k = int(np.argmin(np.abs(v)))
+        e = np.zeros(v.size, dtype=complex)
+        e[k] = 1.0
+        w = e - np.vdot(v, e) * v
+        return w / np.linalg.norm(w)
+
+    n, d = sc.n, max(sc.n, 2)
+    psi = np.zeros(d, dtype=complex)
+    psi[:n] = np.sqrt(sc.dist.probs)
+    psi /= np.linalg.norm(psi)
+    phi = math.sqrt(sc.t) * psi + math.sqrt(1.0 - sc.t) * orthogonal_unit(psi)
+    phi /= np.linalg.norm(phi)
+    post = math.sqrt(sc.s) * phi + math.sqrt(1.0 - sc.s) * orthogonal_unit(phi)
+    post /= np.linalg.norm(post)
+    stack, repaired = np.zeros((n, d, d), dtype=complex), []
+    for k, p in enumerate(sc.dist.probs):
+        if p > 0.0:
+            stack[k, :, k] = post
+        else:
+            stack[k, k, k] = 1.0
+            repaired.append(k)
+    if n == 1:
+        stack[0, :, 1] = orthogonal_unit(post)
+    return psi, phi, stack, tuple(repaired)
+
+
 class TestConstructGeneralized:
+    def test_matches_gram_schmidt_form(self):
+        rng = np.random.default_rng(1601)
+        scenarios = []
+        for n in range(1, 7):
+            one_hot = np.eye(n)[int(rng.integers(n))]
+            dists = [OutcomeDistribution(one_hot)]
+            if n > 1:
+                dists += [random_distribution(rng, n=n, allow_zeros=True) for _ in range(60)]
+                zeroed = np.array(dists[-1].probs)
+                zeroed[: n // 2] = 0.0
+                dists.append(OutcomeDistribution(zeroed / zeroed.sum()))
+            for dist in dists:
+                t, s = float(rng.random()), 1e-6 + (1.0 - 1e-6) * float(rng.random())
+                scenarios += [ScenarioTriple(t, s, dist), ScenarioTriple(t, 1.0, dist)]
+            scenarios += [ScenarioTriple(t, s, dists[-1]) for t in (0.0, 1.0) for s in (0.3, 1.0)]
+        assert sum(0.0 in sc.dist.probs for sc in scenarios) > 50
+        for sc in scenarios:
+            w = construct_generalized(sc)
+            psi, phi, stack, repaired = gram_schmidt_generalized(sc)
+            assert w.repaired == repaired
+            for got, want in ((w.psi, psi), (w.phi, phi), (w.operators, stack)):
+                assert np.abs(got - want).max() <= 1e-12, sc
+            assert_reproduces(sc, w, tol=1e-9)
+
     def test_any_scenario_round_trip(self, rng):
         for _ in range(400):
             sc = random_scenario(rng, allow_zeros=True)

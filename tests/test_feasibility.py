@@ -99,6 +99,46 @@ class TestChainSlacks:
             OutcomeDistribution(probs)
 
 
+ONE = OutcomeDistribution((1.0,))
+NON_NUMBER_PROBABILITIES = {
+    "t-str": (ScenarioTriple, ("0.5", 0.5, ONE)),
+    "s-bool": (ScenarioTriple, (0.5, True, ONE)),
+    "t-numpy-bool": (ScenarioTriple, (np.bool_(False), 0.5, ONE)),
+    "s-bytes": (ScenarioTriple, (0.5, b"0.5", ONE)),
+    "s-numpy-str": (ScenarioTriple, (0.5, np.str_("0.5"), ONE)),
+    "p-str": (OutcomeDistribution, (["0.5", "0.5"],)),
+    "p-bool": (OutcomeDistribution, ((0.0, True),)),
+    "p-numpy-str": (OutcomeDistribution, ([0.5, np.str_("0.5")],)),
+    "p-bool-array": (OutcomeDistribution, (np.array([True, False]),)),
+    "p-str-array": (OutcomeDistribution, (np.array(["0.5", "0.5"]),)),
+    "dichotomic-t-str": (check_dichotomic, (0.5, "0.5", 0.5)),
+    "dichotomic-p-bool": (check_dichotomic, (True, 0.5, 0.5)),
+    "dichotomic-s-numpy-bool": (check_dichotomic, (0.5, 0.5, np.bool_(True))),
+    "ts-region-t-str": (check_ts_region, ("0.5", 0.5, 2)),
+    "ts-region-s-bool": (check_ts_region, (0.5, True, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "build, args", NON_NUMBER_PROBABILITIES.values(), ids=NON_NUMBER_PROBABILITIES.keys()
+)
+def test_bool_and_str_probabilities_refused(build, args):
+    # float() reads each of these as a number; a probability given as one is an input error.
+    with pytest.raises(ValueError):
+        build(*args)
+
+
+
+def test_numeric_probability_types_accepted():
+    dist = OutcomeDistribution(np.array([1, 0]))
+    assert dist.probs == (1.0, 0.0) and type(dist.probs[0]) is float
+    sc = ScenarioTriple(np.float32(0.5), 1, OutcomeDistribution([np.int64(1), np.float32(0.0)]))
+    assert (sc.t, sc.s, sc.dist.probs) == (0.5, 1.0, (1.0, 0.0))
+    assert type(sc.t) is float and type(sc.s) is float
+    # The type scan reads an iterator's entries once, so none are lost.
+    assert OutcomeDistribution(x for x in (0.5, 0.5)).probs == (0.5, 0.5)
+
+
 class TestGeneralized:
     def test_always_feasible(self, rng):
         assert check_generalized(scenario(0.0, 0.9, (0.2,) * 5)).feasible
