@@ -45,9 +45,6 @@ from .oracle import (
     oracle_max_s,
     oracle_min_s,
     run_campaign,
-    sample_projective,
-    sample_state,
-    sample_unitary,
 )
 from .regions import (
     RegionGrid,
@@ -91,9 +88,6 @@ __all__ = [
     "oracle_max_s",
     "oracle_min_s",
     "run_campaign",
-    "sample_projective",
-    "sample_state",
-    "sample_unitary",
     "RegionGrid",
     "emit_ps_region",
     "emit_pt_sections",

@@ -216,8 +216,11 @@ def _validate_kraus(a: np.ndarray) -> None:
 
     The sum is one product: the rows of all V_k stacked form an (n d, d) matrix.
     """
-    flat = a.reshape(-1, a.shape[-1])
-    if not np.abs(flat.conj().T @ flat - np.eye(a.shape[-1])).max() <= EPS_UNIT:
+    d = a.shape[-1]
+    flat = a.reshape(-1, d)
+    gram = flat.conj().T @ flat
+    gram.flat[:: d + 1] -= 1.0
+    if not np.abs(gram).max() <= EPS_UNIT:
         raise InvalidWitness("Kraus operators are not complete")
 
 

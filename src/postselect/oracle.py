@@ -46,39 +46,12 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _haar(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR with the phases of R's diagonal moved into Q.
-
-    For complex Gaussian z this makes Q Haar-distributed (Mezzadri,
-    arXiv:math-ph/0609050).  Takes one (d, d) matrix or a (b, d, d) stack.
-    """
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    mags = np.abs(diag)
-    return q * np.where(mags > 0, diag / np.where(mags > 0, mags, 1.0), 1.0)[..., None, :]
-
-
 def _shape(d, n=1) -> tuple[int, int]:
     """(d, n) as integers with 1 <= n <= d, else ValueError; n = 1 checks d alone."""
     d, n = _count(d, "d"), _count(n, "n")
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
     return d, n
-
-
-def sample_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector uniform on the complex sphere (normalized complex Gaussian)."""
-    d = _shape(d)[0]
-    while True:
-        z = _complex_normal(rng, d)
-        norm = np.linalg.norm(z)
-        if norm > 1e-12:
-            return z / norm
-
-
-def sample_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary: complex Gaussian matrix, QR, diagonal phase fix."""
-    return _haar(_complex_normal(rng, (_shape(d)[0],) * 2))
 
 
 def _random_labels(b: int, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,18 +81,6 @@ def _group(contrib: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     re = np.bincount(flat, weights=contrib.real.ravel(), minlength=b * n)
     im = np.bincount(flat, weights=contrib.imag.ravel(), minlength=b * n)
     return (re + 1j * im).reshape(b, n)
-
-
-def sample_projective(d: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Random complete orthogonal projector set: Haar basis, random rank partition."""
-    d, n = _shape(d, n)
-    u = sample_unitary(d, rng)
-    labels = _random_labels(1, d, n, rng)[0]
-    projs = []
-    for k in range(n):
-        cols = u[:, labels == k]
-        projs.append(cols @ cols.conj().T)
-    return tuple(projs)
 
 
 @dataclass(frozen=True)

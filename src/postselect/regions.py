@@ -3,19 +3,23 @@
 Grids use cell centers over half-open axis ranges, emitted in row-major
 order (first axis slowest).  A grid stores its axes, per-cell tags and
 polylines, and derives its cell centers (`coords`) from the axes.  Emitters
-evaluate the slack kernels on the axis centers shaped to broadcast, (r0, 1)
-and (1, r1), so work that depends on one axis is done once per axis value,
-not once per cell; each tag's mask is broadcast to the full grid before its
-bit is set.  CSV is the normative artifact: each cell's text comes from a
-table of every (column, bitmask) pair, built once per grid, and each
-first-axis row is written with one join.  The SVG holds one rect per run of
-feasible cells along the second axis.
+evaluate the slack kernels on blocks of ROW_BLOCK first-axis rows, the
+block's centers shaped (B, 1) against the second axis's (1, r1), so work
+that depends on one axis is done once per axis value and the working set
+stays a few blocks wide at any resolution; each block's bits are ORed into
+one preallocated bitmask.  CSV is the normative artifact: each bitmask has
+one list of its cells' texts (column center, then suffix), built once per
+grid, and each first-axis row is joined from slices of those lists over
+the row's runs of equal masks and written in one call.  The SVG holds one
+rect per run of feasible cells along the second axis; all rects, and each
+polyline's points, are formatted by one %-template.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,9 @@ import numpy as np
 from .core import EPS_FEAS, _count, _probability
 from . import feasibility
 from .feasibility import MAX_OUTCOME_POLYGON, OUTSIDE_SIMPLEX, S_BOUND
+
+# First-axis rows whose slacks are evaluated together; bounds the emitters' working memory.
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ class RegionGrid:
     def coords(self) -> np.ndarray:
         """(N, len(axes)) cell centers, row-major."""
         out = np.empty((*_shape(self.axes), len(self.axes)))
-        for k, centers in enumerate(_broadcast_centers(self.axes)):
+        for k, centers in enumerate(np.ix_(*[ax.centers() for ax in self.axes])):
             out[..., k] = centers
         return out.reshape(-1, len(self.axes))
 
@@ -76,24 +83,22 @@ def _shape(axes: tuple[Axis, ...]) -> tuple[int, ...]:
     return tuple(ax.resolution for ax in axes)
 
 
-def _broadcast_centers(axes: tuple[Axis, ...]) -> tuple[np.ndarray, ...]:
-    """Each axis's centers shaped to broadcast against the others: (r0, 1) and (1, r1)."""
-    return np.ix_(*[ax.centers() for ax in axes])
-
-
-def _tags_from_slacks(axes: tuple[Axis, ...], slacks: dict[str, np.ndarray]):
+def _violations(
+    axes: tuple[Axis, Axis], slacks: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]]
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Tag names and the (N,) per-cell violation bitmask; NaN slacks count as violated.
 
-    Slacks come from broadcast axis centers and may span fewer axes than the
-    grid (pt's SBound depends on p only), so each mask is broadcast to the
-    full grid before its bit is set.
+    `slacks(x, y)` maps a block's first-axis centers, shaped (B, 1), and the
+    second axis's centers, shaped (1, r1), to a dict of slack arrays that
+    broadcast to (B, r1); pt's SBound depends on p only and stays (B, 1).
     """
-    shape = _shape(axes)
-    bits = [
-        np.broadcast_to(~(arr >= -EPS_FEAS), shape).astype(np.uint8) << k
-        for k, arr in enumerate(slacks.values())
-    ]
-    return tuple(slacks), np.bitwise_or.reduce(bits).reshape(-1)
+    c0, c1 = (ax.centers() for ax in axes)
+    violated = np.zeros((len(c0), len(c1)), dtype=np.uint8)
+    for r in range(0, len(c0), ROW_BLOCK):
+        named = slacks(c0[r : r + ROW_BLOCK, None], c1[None, :])
+        for k, arr in enumerate(named.values()):
+            violated[r : r + ROW_BLOCK] |= (~(arr >= -EPS_FEAS)).view(np.uint8) << np.uint8(k)
+    return tuple(named), violated.reshape(-1)
 
 
 def emit_ternary(resolution: int) -> RegionGrid:
@@ -104,20 +109,22 @@ def emit_ternary(resolution: int) -> RegionGrid:
     """
     resolution = _count(resolution, "resolution", 2)
     axes = (Axis("p1", 0.0, 1.0, resolution), Axis("p2", 0.0, 1.0, resolution))
-    p1, p2 = _broadcast_centers(axes)
-    p3 = 1.0 - p1 - p2
-    disk = feasibility.ternary_disk_slack(p1, p2, np.maximum(p3, 0.0))
-    tags, violated = _tags_from_slacks(axes, {MAX_OUTCOME_POLYGON: disk, OUTSIDE_SIMPLEX: p3})
-    return RegionGrid(axes, tags, violated)
+
+    def slacks(p1, p2):
+        p3 = 1.0 - p1 - p2
+        disk = feasibility.ternary_disk_slack(p1, p2, np.maximum(p3, 0.0))
+        return {MAX_OUTCOME_POLYGON: disk, OUTSIDE_SIMPLEX: p3}
+
+    return RegionGrid(axes, *_violations(axes, slacks))
 
 
 def emit_ps_region(resolution: int) -> RegionGrid:
     """Two-outcome (p, S) region: S <= 1/(1 + 2 sqrt(p(1-p)))."""
     resolution = _count(resolution, "resolution", 2)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
-    p, s = _broadcast_centers(axes)
-    slack = feasibility.dichotomic_slacks(p, 0.0, s)[S_BOUND]
-    tags, violated = _tags_from_slacks(axes, {S_BOUND: slack})
+    tags, violated = _violations(
+        axes, lambda p, s: {S_BOUND: feasibility.dichotomic_slacks(p, 0.0, s)[S_BOUND]}
+    )
     pp = np.linspace(0.0, 1.0, 4 * resolution + 1)
     boundary = np.stack([pp, 1.0 / (1.0 + 2.0 * np.sqrt(pp * (1.0 - pp)))], axis=1)
     return RegionGrid(axes, tags, violated, polylines=(("s_max", boundary),))
@@ -133,9 +140,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
     _probability(s, "s", positive=True)
     resolution = _count(resolution, "resolution", 2)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("t", 0.0, 1.0, resolution))
-    p, t = _broadcast_centers(axes)
-    slacks = feasibility.dichotomic_slacks(p, t, s)
-    tags, violated = _tags_from_slacks(axes, slacks)
+    tags, violated = _violations(axes, lambda p, t: feasibility.dichotomic_slacks(p, t, s))
     pp = np.linspace(0.0, 1.0, 4 * resolution + 1)
     lower = np.stack([pp, s * (np.sqrt(pp) - np.sqrt(1.0 - pp)) ** 2], axis=1)
     upper = np.stack(
@@ -149,8 +154,7 @@ def emit_ts_region(n: int, resolution: int) -> RegionGrid:
     _count(n, "n", 1)
     resolution = _count(resolution, "resolution", 2)
     axes = (Axis("t", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
-    t, s = _broadcast_centers(axes)
-    tags, violated = _tags_from_slacks(axes, feasibility.ts_region_slacks(t, s, n))
+    tags, violated = _violations(axes, lambda t, s: feasibility.ts_region_slacks(t, s, n))
     diag = np.stack([np.linspace(0, 1, 2), np.linspace(0, 1, 2)], axis=1)
     return RegionGrid(
         axes, tags, violated, polylines=(("measurement_enhanced_diagonal", diag),)
@@ -168,14 +172,28 @@ def write_region_csv(grid: RegionGrid, stream: io.TextIOBase) -> None:
         + "\n"
         for mask in range(1 << len(grid.tags))
     ]
-    # A cell's text is its row's axis center, then table[j * 2^len(tags) + mask]: its
-    # column's axis center and its suffix.  The row text joins the cells, so each
-    # line is built in one join and written in one call.
+    # texts[mask][j] is column j's axis center, then the suffix of `mask`.  A row
+    # joins its axis center with the cells, taken as one slice of texts[mask] per
+    # run of equal masks, so each line is built in one join and written in one call.
     rows, cols = ([f"{x:.12g}," for x in ax.centers().tolist()] for ax in grid.axes)
-    table = np.array([col + end for col in cols for end in suffix], dtype=object)
-    offsets = np.arange(len(cols)) * len(suffix)
-    for row, masks in zip(rows, grid.violated.reshape(len(rows), len(cols))):
-        stream.write(row.join(["", *table[offsets + masks]]))
+    texts = [[col + end for col in cols] for end in suffix]
+    r1 = len(cols)
+    masks = grid.violated.reshape(len(rows), r1)
+    # A run starts at each row's first cell and wherever the mask changes, and ends
+    # where the next run starts.  flatnonzero is many times faster than a 2-D nonzero.
+    starts = np.ones(masks.shape, dtype=bool)
+    np.not_equal(masks[:, 1:], masks[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    run_rows, run_cols = divmod(first, r1)
+    run_ends = np.append(first[1:], masks.size) - run_rows * r1
+    line = [""]
+    for i, j, k, mask in zip(
+        run_rows.tolist(), run_cols.tolist(), run_ends.tolist(), grid.violated[first].tolist()
+    ):
+        line += texts[mask][j:k]
+        if k == r1:
+            stream.write(rows[i].join(line))
+            line = [""]
 
 
 def write_region_svg(grid: RegionGrid, stream: io.TextIOBase) -> None:
@@ -197,21 +215,18 @@ def write_region_svg(grid: RegionGrid, stream: io.TextIOBase) -> None:
         f'<rect x="{ax_x.lo:g}" y="{ax_y.lo:g}" width="{w:g}" height="{h:g}" fill="white"/>\n'
     )
     # A run starts where its row's zero-padded feasibility steps up and ends where it
-    # steps down; nonzero lists both in row-major order, so they pair up.
+    # steps down; flatnonzero lists both in row-major order, so they pair up.
     table = grid.feasible.reshape(ax_x.resolution, ax_y.resolution).astype(np.int8)
     step = np.diff(np.pad(table, ((0, 0), (1, 1))), axis=1)
-    rows, starts = np.nonzero(step == 1)
-    ends = np.nonzero(step == -1)[1]
+    rows, starts = divmod(np.flatnonzero(step == 1), ax_y.resolution + 1)
+    ends = np.flatnonzero(step == -1) % (ax_y.resolution + 1)
     xs, ys, heights = ax_x.lo + rows * cw, ax_y.lo + starts * ch, (ends - starts) * ch
-    for x, y, height in zip(xs.tolist(), ys.tolist(), heights.tolist()):
-        stream.write(
-            f'<rect x="{x:.6g}" y="{y:.6g}" width="{cw:.6g}" height="{height:.6g}" '
-            f'fill="#b0b0b0"/>\n'
-        )
+    rect = f'<rect x="%.6g" y="%.6g" width="{cw:.6g}" height="%.6g" fill="#b0b0b0"/>\n'
+    stream.write(rect * len(xs) % tuple(np.stack([xs, ys, heights], axis=1).ravel().tolist()))
     for name, pts in grid.polylines:
-        joined = " ".join(f"{x:.6g},{y:.6g}" for x, y in pts.tolist())
+        points = " ".join(["%.6g,%.6g"] * len(pts)) % tuple(pts.ravel().tolist())
         stream.write(
-            f'<polyline points="{joined}" fill="none" stroke="black" '
+            f'<polyline points="{points}" fill="none" stroke="black" '
             f'stroke-width="{min(cw, ch) / 2:.6g}"><title>{name}</title></polyline>\n'
         )
     stream.write("</g>\n</svg>\n")

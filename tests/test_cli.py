@@ -17,9 +17,6 @@ from postselect import (
     check_projective_raw,
     construct_generalized,
     construct_projective,
-    sample_projective,
-    sample_state,
-    sample_unitary,
 )
 from postselect.cli import main
 from postselect.witness_io import (
@@ -29,6 +26,7 @@ from postselect.witness_io import (
     witness_from_dict,
     witness_to_dict,
 )
+from samplers import sample_projective, sample_state, sample_unitary
 
 
 def run(capsys, *argv):

@@ -13,9 +13,6 @@ from postselect import (
     oracle_max_s,
     oracle_min_s,
     run_campaign,
-    sample_projective,
-    sample_state,
-    sample_unitary,
 )
 from postselect import oracle
 from postselect.cli import main
@@ -31,10 +28,10 @@ from postselect.oracle import (
     _flat_index,
     _grid,
     _group,
-    _haar,
     _random_labels,
     merge_reports,
 )
+from samplers import _haar, sample_projective, sample_state, sample_unitary
 
 
 def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:

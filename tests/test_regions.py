@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from postselect import (
     emit_ternary,
     emit_ts_region,
 )
+from postselect import feasibility
 from postselect.feasibility import (
     MAX_OUTCOME_POLYGON,
     OUTSIDE_SIMPLEX,
@@ -28,6 +30,7 @@ from postselect.feasibility import (
 )
 from postselect.regions import (
     INSCRIBED_DISK_FRACTION,
+    ROW_BLOCK,
     Axis,
     RegionGrid,
     ternary_disk_area_fraction,
@@ -44,6 +47,76 @@ def reference_region_csv(grid) -> str:
         feasible = "true" if mask == 0 else "false"
         lines.append(",".join(f"{x:.12g}" for x in row) + f",{feasible},{violated}")
     return "\n".join(lines) + "\n"
+
+
+def reference_region_svg(grid) -> str:
+    """The SVG as first written, one f-string per rect and per polyline point."""
+    ax_x, ax_y = grid.axes[0], grid.axes[1]
+    w = ax_x.hi - ax_x.lo
+    h = ax_y.hi - ax_y.lo
+    cw = w / ax_x.resolution
+    ch = h / ax_y.resolution
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{ax_x.lo:g} {ax_y.lo:g} {w:g} {h:g}" '
+        f'width="640" height="640" preserveAspectRatio="xMidYMid meet">\n',
+        f'<g transform="translate(0,{(ax_y.lo + ax_y.hi):g}) scale(1,-1)">\n',
+        f'<rect x="{ax_x.lo:g}" y="{ax_y.lo:g}" width="{w:g}" height="{h:g}" fill="white"/>\n',
+    ]
+    table = grid.feasible.reshape(ax_x.resolution, ax_y.resolution).astype(np.int8)
+    step = np.diff(np.pad(table, ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(step == 1)
+    ends = np.nonzero(step == -1)[1]
+    xs, ys, heights = ax_x.lo + rows * cw, ax_y.lo + starts * ch, (ends - starts) * ch
+    for x, y, height in zip(xs.tolist(), ys.tolist(), heights.tolist()):
+        out.append(
+            f'<rect x="{x:.6g}" y="{y:.6g}" width="{cw:.6g}" height="{height:.6g}" '
+            f'fill="#b0b0b0"/>\n'
+        )
+    for name, pts in grid.polylines:
+        joined = " ".join(f"{x:.6g},{y:.6g}" for x, y in pts.tolist())
+        out.append(
+            f'<polyline points="{joined}" fill="none" stroke="black" '
+            f'stroke-width="{min(cw, ch) / 2:.6g}"><title>{name}</title></polyline>\n'
+        )
+    return "".join(out) + "</g>\n</svg>\n"
+
+
+def full_grid_violated(emit, args, axes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Tags and bitmask as the emitters first built them, from one full-grid slack pass.
+
+    The kernels see the whole (r0, 1) and (1, r1) axes, and each tag's mask is
+    broadcast to the full grid before its bit is set.  They are looked up on
+    `feasibility` at call time, so a patched kernel reaches both sides.
+    """
+    x, y = np.ix_(*[ax.centers() for ax in axes])
+    if emit is emit_ternary:
+        z = 1.0 - x - y
+        disk = feasibility.ternary_disk_slack(x, y, np.maximum(z, 0.0))
+        slacks = {MAX_OUTCOME_POLYGON: disk, OUTSIDE_SIMPLEX: z}
+    elif emit is emit_ps_region:
+        slacks = {S_BOUND: feasibility.dichotomic_slacks(x, 0.0, y)[S_BOUND]}
+    elif emit is emit_pt_sections:
+        slacks = feasibility.dichotomic_slacks(x, y, args[0])
+    else:
+        slacks = feasibility.ts_region_slacks(x, y, args[0])
+    shape = (x.size, y.size)
+    bits = [
+        np.broadcast_to(~(arr >= -EPS_FEAS), shape).astype(np.uint8) << k
+        for k, arr in enumerate(slacks.values())
+    ]
+    return tuple(slacks), np.bitwise_or.reduce(bits).reshape(-1)
+
+
+def nan_on_row(kernel, x0):
+    """`kernel` with every slack it returns set to NaN where its first argument is x0."""
+
+    def patched(x, *rest):
+        out = kernel(x, *rest)
+        if isinstance(out, dict):
+            return {tag: np.where(x == x0, np.nan, arr) for tag, arr in out.items()}
+        return np.where(x == x0, np.nan, out)
+
+    return patched
 
 
 def mesh_violated(emit, args, axes) -> tuple[tuple[str, ...], np.ndarray]:
@@ -145,6 +218,48 @@ class TestBitmask:
             RegionGrid(axes, ("a", "b"), violated)
         violated[5] = 3
         RegionGrid(axes, ("a", "b"), violated)
+
+
+class TestRowBlocks:
+    """Emitters evaluate their slacks on blocks of ROW_BLOCK first-axis rows."""
+
+    EMITTERS = [
+        pytest.param(emit_ternary, (), "ternary_disk_slack", id="ternary"),
+        pytest.param(emit_ps_region, (), "dichotomic_slacks", id="ps"),
+        pytest.param(
+            emit_pt_sections, (2.0 / (2.0 + math.sqrt(3.0)),), "dichotomic_slacks", id="pt"
+        ),
+        pytest.param(emit_ts_region, (3,), "ts_region_slacks", id="ts"),
+    ]
+
+    @pytest.mark.parametrize(
+        "resolution", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 401]
+    )
+    @pytest.mark.parametrize("emit, args, kernel", EMITTERS)
+    def test_blocks_match_the_full_grid(self, monkeypatch, emit, args, kernel, resolution):
+        # The last first-axis row lies in the last block, a partial one unless
+        # ROW_BLOCK divides the resolution; its kernel slacks are all NaN.
+        x0 = Axis("x", 0.0, 1.0, resolution).centers()[-1]
+        monkeypatch.setattr(feasibility, kernel, nan_on_row(getattr(feasibility, kernel), x0))
+        grid = emit(*args, resolution)
+        tags, violated = full_grid_violated(emit, args, grid.axes)
+        assert grid.tags == tags
+        assert np.array_equal(grid.violated, violated)
+        nan_bits = 1 if emit is emit_ternary else (1 << len(tags)) - 1
+        last = grid.violated.reshape(resolution, resolution)[-1]
+        assert np.all(last & nan_bits == nan_bits)
+
+    @pytest.mark.parametrize("emit, args, kernel", EMITTERS)
+    def test_working_set_is_bounded_at_resolution_1000(self, emit, args, kernel):
+        # Blocks of 32 rows peak at 2-3.5 MiB here; slacks on the full grid
+        # peaked at 20-61 MiB.
+        tracemalloc.start()
+        try:
+            emit(*args, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTernaryGrid:
@@ -294,6 +409,13 @@ class TestSerialization:
             for line in writes[1:]:
                 assert line.count("\n") == r1 and line.endswith("\n")
             assert "".join(writes) == reference_region_csv(grid)
+
+    @pytest.mark.parametrize("emit, args", CSV_GRIDS)
+    def test_svg_matches_per_rect_reference(self, emit, args):
+        grid = emit(*args)
+        buf = io.StringIO()
+        write_region_svg(grid, buf)
+        assert buf.getvalue() == reference_region_svg(grid)
 
     @pytest.mark.parametrize("emit, args", SVG_GRIDS)
     def test_svg_runs_cover_exactly_the_feasible_cells(self, emit, args):

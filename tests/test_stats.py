@@ -17,8 +17,8 @@ from postselect import (
     evaluate_witness,
 )
 from postselect.errors import DegeneratePostselection, InvalidWitness
-from postselect.oracle import sample_projective, sample_state
 from postselect.stats import transition_amplitudes
+from samplers import sample_projective, sample_state
 
 ROOT_HALF = math.sqrt(0.5)
 BASIS_2 = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))

@@ -27,9 +27,9 @@ from postselect import (
 from postselect import core
 from postselect.core import EPS_UNIT, _diagonal_projectors
 from postselect.errors import InvalidWitness
-from postselect.oracle import sample_projective, sample_state, sample_unitary
 from postselect.stats import evaluate_witness, transition_amplitudes
 from postselect.witness_io import load_witness, save_witness, witness_to_dict
+from samplers import sample_projective, sample_state, sample_unitary
 
 
 def check_projective_loop(projs) -> str | None:
