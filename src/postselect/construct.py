@@ -25,6 +25,7 @@ from .core import (
     GeneralizedWitness,
     ProjectiveWitness,
     ScenarioTriple,
+    _holds_non_number,
 )
 from .errors import (
     ClosureFailure,
@@ -82,13 +83,14 @@ def close_polygon(xs) -> ClosedPolygon:
     nothing is sorted.  ClosureFailure therefore signals a bug or a roundoff
     blow-up, never an unlucky split.  Roundoff grows with the magnitudes, so
     the residual bound EPS_CLOSE scales by max(1, total) like the pre-check.
-    Negative magnitudes, or magnitudes whose sum is not finite (a NaN or an
-    inf among them, or an overflow), raise ValueError.
+    Negative magnitudes, a bool or a string among them, or magnitudes whose
+    sum is not finite (a NaN or an inf, or an overflow) raise ValueError.
     """
-    xs = list(map(float, xs))
+    entries = list(xs)
+    xs = list(map(float, entries))
     total = sum(xs)
-    if not (math.isfinite(total) and min(xs, default=0.0) >= 0.0):
-        raise ValueError(f"magnitudes must be non-negative with a finite sum: {xs}")
+    if _holds_non_number(entries, 1) or not (math.isfinite(total) and min(xs, default=0.0) >= 0.0):
+        raise ValueError(f"magnitudes must be non-negative numbers with a finite sum: {entries}")
     if not xs:
         return ClosedPolygon(zs=())
     top = max(xs)
@@ -139,9 +141,12 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors (psi, phi) with conj(psi_k) * phi_k = z_k.
 
     Exists iff sum_k |z_k| <= 1.  Phases of z are stripped before the real
-    construction and reattached onto phi.
+    construction and reattached onto phi.  Bools and strings raise ValueError.
     """
-    z = np.asarray(zs, dtype=complex).reshape(-1)
+    z = np.asarray(zs, dtype=complex)
+    if _holds_non_number(zs, z.ndim, "iufc"):  # the input's own dtype or entries, not z's
+        raise ValueError(f"amplitudes must be numbers, not bools or strings: {zs!r}")
+    z = z.reshape(-1)
     n = z.size
     if n < 2:
         raise ValueError("amplitude factorization needs n >= 2")
@@ -217,13 +222,12 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     psi[:n] = np.sqrt(sc.dist.probs)
     phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
     phi_post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps
-    # |e_k><e_k| so the V_k^dag V_k still sum to the identity.
+    # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps |e_k><e_k|
+    # so the V_k^dag V_k still sum to the identity.  Every other entry is +0.0.
     positive = psi[:n] > 0.0  # sqrt(p) > 0 exactly when p > 0
-    live, repaired = np.flatnonzero(positive), np.flatnonzero(~positive)
-    kraus = np.zeros((n, d, d), dtype=complex)
-    kraus[live, :, live] = phi_post
-    kraus[repaired, repaired, repaired] = 1.0
+    repaired = np.flatnonzero(~positive)
+    e = np.eye(n, d, dtype=bool)  # row k is e_k
+    kraus = np.where(e[:, None, :], np.where(positive[:, None], phi_post, e)[:, :, None], 0.0)
     if n == 1:
         # One outcome on a qubit: complete V_0 to a unitary.
         kraus[0, :, 1] = _rotate(phi_post, 0.0, 1.0)

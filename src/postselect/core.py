@@ -1,7 +1,10 @@
 """Domain types for postselected-measurement statistics.
 
 All types are immutable value objects validated at construction time; every
-operation elsewhere in the package is a pure function over them.
+operation elsewhere in the package is a pure function over them.  Witness
+input becomes an array in one place, ``_array``: each state, operator stack,
+label array and witness-file field is one array of the expected shape and a
+numeric dtype kind, with no bool or string among its numbers.
 
 Both witness kinds share one base, ``_Witness``, holding the n operators as
 one read-only ``(n, d, d)`` complex array, ``operators``, and naming its kind
@@ -68,16 +71,37 @@ def _probability(x, name: str, *, positive: bool = False) -> float:
     return x
 
 
-def _holds_non_number(value, ndim: int) -> bool:
+def _holds_non_number(value, ndim: int, kinds: str = "iuf") -> bool:
     """Whether value, ndim levels of nested sequences, holds a bool or a string (see _NOT_NUMBERS).
 
-    An ndarray is judged by its dtype alone: it holds none when of integer or float kind.
+    An ndarray is judged by its dtype alone: it holds none when its kind is in kinds.
+    _array runs it on every witness array, where NumPy reads a bool among numbers as a number.
     """
     if isinstance(value, np.ndarray):
-        return value.dtype.kind not in "iuf"
+        return value.dtype.kind not in kinds
     for _ in range(ndim - 1):
         value = chain.from_iterable(value)
     return not _NOT_NUMBERS.isdisjoint(map(type, value if ndim else (value,)))
+
+
+def _array(value, name: str, shape: tuple[int | None, ...], kinds: str) -> np.ndarray:
+    """value as one array of the given shape (a leading None: any length), of a dtype kind in kinds.
+
+    The one reader of witness input: InvalidWitness for a ragged or unreadable value, another
+    dtype kind or shape, or a list holding a bool or a string that NumPy read as a number.
+    """
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidWitness(f"{name} is not one rectangular array: {exc}") from exc
+    if a.dtype.kind not in kinds:
+        raise InvalidWitness(f"{name} has a non-numeric entry (dtype {a.dtype})")
+    k = shape.count(None)  # the leading Nones; one tuple comparison, not a loop, checks the rest
+    if a.ndim != len(shape) or a.shape[k:] != shape[k:]:
+        raise InvalidWitness(f"{name} has shape {a.shape}, expected {shape}")
+    if _holds_non_number(value, a.ndim, kinds):
+        raise InvalidWitness(f"{name} has a boolean or string entry")
+    return a
 
 
 @dataclass(frozen=True)
@@ -166,8 +190,8 @@ class DiversityProfile:
 
 
 def as_state(entries: Sequence[complex] | np.ndarray, *, name: str = "state") -> np.ndarray:
-    """Coerce to a read-only complex unit vector, checking the norm."""
-    v = np.asarray(entries, dtype=complex).flatten()  # a copy, whatever the input
+    """Read a 1-D numeric array as a read-only complex unit vector, checking the norm."""
+    v = _array(entries, name, (None,), "iufc").astype(complex)  # a copy, whatever the input
     if v.size < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     norm = math.sqrt(np.vdot(v, v).real)
@@ -239,14 +263,7 @@ def _labels(labels, n_outcomes, d: int) -> tuple[np.ndarray, int]:
         n = _count(n_outcomes, "n_outcomes")
     except ValueError as exc:
         raise InvalidWitness(str(exc)) from exc
-    try:
-        a = np.asarray(labels)
-    except (TypeError, ValueError) as exc:
-        raise InvalidWitness(f"labels do not form one array: {exc}") from exc
-    if a.dtype.kind not in "iu" or _holds_non_number(labels, a.ndim):
-        raise InvalidWitness(f"labels have a non-integer or boolean entry (dtype {a.dtype})")
-    if a.shape != (d,):
-        raise InvalidWitness(f"labels of shape {a.shape} for dimension {d}")
+    a = _array(labels, "labels", (d,), "iu")
     if not (a.min() >= 0 and a.max() < n):  # also refuses n < 1, as d >= 1
         raise InvalidWitness(f"labels have an outcome outside range({n})")
     a = a.astype(np.intp)  # a copy, whatever the input
@@ -278,14 +295,9 @@ class _Witness:
 
     def __init__(self, psi, phi, operators):
         psi, phi = _states(psi, phi)
-        try:
-            ops = np.array(operators, dtype=complex)  # one copy, whatever the input
-        except (TypeError, ValueError) as exc:
-            raise InvalidWitness(f"operators do not form one array: {exc}") from exc
+        ops = _array(operators, "operators", (None, psi.size, psi.size), "iufc").astype(complex)
         if not ops.size:
             raise InvalidWitness(f"empty {self.kind} operator set")
-        if ops.shape[1:] != (psi.size, psi.size):
-            raise InvalidWitness(f"operators of shape {ops.shape} for dimension {psi.size}")
         ops.setflags(write=False)
         self._validate(ops)
         self.__dict__.update(psi=psi, phi=phi, operators=ops, n_outcomes=len(ops))

@@ -26,7 +26,7 @@ from .errors import SearchBudgetExhausted
 
 # Postselected-ensemble discard threshold: P(.) is undefined when S vanishes.
 S_DISCARD = 1e-9
-# A fuzz draw is a violation when a raw slack falls below -FUZZ_EPS (roundoff).
+# A fuzz draw is a violation when a chain slack falls below -FUZZ_EPS (roundoff).
 FUZZ_EPS = 1e-9
 # Coverage grids split [0, 1]^2 into NBINS^2 cells of side GRID_STEP.
 GRID_STEP = 0.01
@@ -157,8 +157,8 @@ def _grid(counts: np.ndarray) -> dict[tuple[int, int], int]:
 def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> FuzzReport:
     """Evaluate random projective witnesses against the analytic checker.
 
-    Every sampled (psi, phi, projector set) must produce a scenario passing
-    the raw projective inequalities to within FUZZ_EPS.  Draws with
+    Every sampled (psi, phi, projector set) must produce a scenario whose
+    chain slacks (projective_raw_slack_arrays) are all >= -FUZZ_EPS.  Draws with
     S <= S_DISCARD are counted as samples and as `discarded`, and are neither
     checked nor binned.  The rest are counted into the report's `counts`
     array, (T, S) cells for every draw and (P_0, P_1) cells for n = 3 draws

@@ -4,8 +4,9 @@ Schema: kind ("projective" | "generalized"), dimension (an integer d >= 1),
 psi/phi as d [re, im] pairs, operators as n row-major d x d matrices of
 [re, im] pairs, plus a free-form metadata map (target scenario, seeds, and a
 generalized witness's ``repaired`` list of outcome indices).  Decoding reads
-each array as one numeric array of the declared shape, and checks a target:
-finite numbers t and s, and one finite p per outcome.
+every array with core._array, as the witness classes do, so a file holds the
+numbers they accept: real numbers of the declared shape, no bools or strings.
+A target needs finite numbers t and s, and one finite p per outcome.
 
 The file always holds the dense operator stack: encoding a labelled
 projective witness builds (and caches) its stack, so a built witness writes
@@ -22,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import GeneralizedWitness, ProjectiveWitness, _Witness, _holds_non_number
+from .core import GeneralizedWitness, ProjectiveWitness, _array, _Witness
 from .errors import InvalidWitness
 
 _KINDS = {cls.kind: cls for cls in (ProjectiveWitness, GeneralizedWitness)}
@@ -33,28 +34,9 @@ def _to_pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _numbers(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
-    """value as one float array of the given shape (None: any length) with numeric entries.
-
-    A JSON true or false is refused, also among numbers, where NumPy would read it
-    as 1 or 0; `core._holds_non_number` scans the lists the shape check found rectangular.
-    """
-    try:
-        a = np.asarray(value)
-    except ValueError as exc:
-        raise InvalidWitness(f"{name} is not a rectangular array: {exc}") from exc
-    if a.dtype.kind not in "iuf":
-        raise InvalidWitness(f"{name} has a non-numeric entry")
-    if a.ndim != len(shape) or any(want not in (got, None) for got, want in zip(a.shape, shape)):
-        raise InvalidWitness(f"{name} has shape {a.shape}, expected {shape}")
-    if _holds_non_number(value, a.ndim):
-        raise InvalidWitness(f"{name} has a boolean entry")
-    return a.astype(float)
-
-
 def _complex(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
     """[re, im] pairs of the given shape as one complex array; inf parts stay inf."""
-    return _numbers(value, name, (*shape, 2)).view(complex)[..., 0]
+    return _array(value, name, (*shape, 2), "iuf").astype(float).view(complex)[..., 0]
 
 
 def witness_to_dict(w: _Witness, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -77,7 +59,7 @@ def _check_target(target, n: int) -> None:
         values, n_p = [target["t"], target["s"], *target["p"]], len(target["p"])
     except (KeyError, TypeError) as exc:
         raise InvalidWitness(f"malformed metadata.target: {exc!r}") from exc
-    if not np.isfinite(_numbers(values, "metadata.target", (None,))).all():
+    if not np.isfinite(_array(values, "metadata.target", (None,), "iuf")).all():
         raise InvalidWitness("metadata.target has a non-finite entry")
     if n_p != n:
         raise InvalidWitness(f"metadata.target.p has {n_p} entries for {n} outcomes")

@@ -17,7 +17,7 @@ from postselect import (
     factor_amplitudes,
 )
 from postselect import core
-from postselect.construct import EPS_CLOSE, _factor_real
+from postselect.construct import EPS_CLOSE, _factor_real, _rotate
 from postselect.errors import (
     DegeneratePostselection,
     InfeasibleScenario,
@@ -118,6 +118,26 @@ class TestClosePolygon:
         with pytest.raises(ValueError, match="finite"):
             close_polygon(xs)
 
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            ["0.5", "0.5"],
+            [True, True],
+            [0.5, False, 0.5],
+            [np.bool_(True), 1.0],
+            np.array([1, 1], dtype=bool),
+        ],
+        ids=["strings", "bools", "bool-among-floats", "np-bool", "bool-array"],
+    )
+    def test_rejects_bools_and_strings(self, xs):
+        with pytest.raises(ValueError, match="numbers with a finite sum"):
+            close_polygon(xs)
+
+    def test_reads_arrays_and_iterables(self):
+        want = close_polygon([0.5, 0.3, 0.4]).zs
+        for xs in (np.array([0.5, 0.3, 0.4]), (0.5, 0.3, 0.4), iter([0.5, 0.3, 0.4])):
+            assert close_polygon(xs).zs == want
+
     def test_residual_scales_with_total(self):
         # Seeded input (n = 284, total 2e4) whose roundoff residual, about
         # 1.1e-11, exceeds the absolute EPS_CLOSE.
@@ -186,6 +206,21 @@ class TestFactorAmplitudes:
     def test_rejects_overlong(self):
         with pytest.raises(NormViolation):
             factor_amplitudes([0.8, 0.4])
+
+    @pytest.mark.parametrize(
+        "zs",
+        [["0.25", "0.25"], [True, False], [0.25, np.bool_(False)], np.array([True, True]), [b"0"]],
+        ids=["strings", "bools", "np-bool-among-floats", "bool-array", "bytes"],
+    )
+    def test_rejects_bools_and_strings(self, zs):
+        with pytest.raises(ValueError, match="not bools or strings"):
+            factor_amplitudes(zs)
+
+    def test_reads_complex_arrays(self):
+        z = np.array([0.25, 0.25j, -0.1])
+        for zs in (z, z.tolist(), tuple(z), z[:, None]):
+            psi, phi = factor_amplitudes(zs)
+            assert np.max(np.abs(psi.conj() * phi - z)) <= 1e-12
 
     def test_rejects_single(self):
         with pytest.raises(ValueError):
@@ -321,7 +356,41 @@ def gram_schmidt_generalized(sc):
     return psi, phi, stack, tuple(repaired)
 
 
+def fancy_index_stack(sc):
+    """construct_generalized's Kraus stack as zeros plus two fancy-index writes, as a reference."""
+    n, d = sc.n, max(sc.n, 2)
+    psi = np.zeros(d)
+    psi[:n] = np.sqrt(sc.dist.probs)
+    phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
+    post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
+    positive = psi[:n] > 0.0
+    live, repaired = np.flatnonzero(positive), np.flatnonzero(~positive)
+    kraus = np.zeros((n, d, d), dtype=complex)
+    kraus[live, :, live] = post
+    kraus[repaired, repaired, repaired] = 1.0
+    if n == 1:
+        kraus[0, :, 1] = _rotate(post, 0.0, 1.0)
+    return kraus
+
+
 class TestConstructGeneralized:
+    def test_stack_matches_fancy_index_form(self):
+        # Values and the sign of every zero: a -0.0 would print as -0.0 in a witness file.
+        rng = np.random.default_rng(1801)
+        negative, zeroed = 0, 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            sc = random_scenario(rng, n=n, allow_zeros=n > 1)
+            got, want = construct_generalized(sc).operators, fancy_index_stack(sc)
+            assert np.array_equal(got, want), sc
+            for part in ("real", "imag"):
+                signs = np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
+                assert np.array_equal(*signs), sc
+            # A negative phi' entry is where a product with a 0/1 mask would write -0.0.
+            negative += bool((want.real < 0.0).any())
+            zeroed += 0.0 in sc.dist.probs
+        assert negative > 100 and zeroed > 100, (negative, zeroed)
+
     def test_matches_gram_schmidt_form(self):
         rng = np.random.default_rng(1601)
         scenarios = []

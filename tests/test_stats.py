@@ -126,6 +126,11 @@ class TestDiversity:
             for q in (0.0, 0.5, 1.0, 2.0, 7.5, math.inf):
                 assert diversity(uniform, q) == pytest.approx(n, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [True, False, "2", b"2", np.bool_(True)])
+    def test_order_must_be_a_number(self, q):
+        with pytest.raises(ValueError, match="not a bool or string"):
+            diversity(OutcomeDistribution((0.5, 0.5)), q)
+
     def test_point_mass(self):
         point = OutcomeDistribution((1.0, 0.0))
         assert diversity(point, math.inf) == 1.0

@@ -10,7 +10,9 @@ given its labels is checked on its labels and n_outcomes alone.
 """
 
 import ast
+import copy
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from postselect import core
 from postselect.core import EPS_UNIT, _diagonal_projectors
 from postselect.errors import InvalidWitness
 from postselect.stats import evaluate_witness, transition_amplitudes
-from postselect.witness_io import load_witness, save_witness, witness_to_dict
+from postselect.witness_io import load_witness, save_witness, witness_from_dict, witness_to_dict
 from samplers import sample_projective, sample_state, sample_unitary
 
 
@@ -153,6 +155,11 @@ MALFORMED_LABELS = {
     "float-entries": ([0.0, 1.0], 2),
     "float-array": (np.array([0.0, 1.0]), 2),
     "string-entries": (["0", "1"], 2),
+    "np-bool-among-ints": ([np.bool_(False), 1], 2),
+    "bytes-entries": ([b"0", b"1"], 2),
+    "object-array": (np.array([0, 1], dtype=object), 2),
+    "complex-entries": ([0j, 1], 2),
+    "scalar": (0, 2),
     "negative": ([0, -1], 2),
     "label-equals-n": ([0, 2], 2),
     "huge-unsigned": (np.array([0, 2**64 - 1], dtype=np.uint64), 2),
@@ -329,3 +336,200 @@ def test_decoded_built_file_is_labelled(tmp_path, monkeypatch):
     assert np.array_equal(w.operators, built.operators)
     assert evaluate_witness(w) == evaluate_witness(built)
     assert witness_to_dict(w) == witness_to_dict(built)
+
+
+# One reader for witness input: every malformed form of a state, operator stack
+# or witness-file field raises InvalidWitness from core._array, as labels do above.
+E2 = np.eye(2)
+MALFORMED_STATES = {
+    "bools": [True, False],
+    "np-bools": [np.bool_(True), 0],
+    "bool-among-numbers": [1, False],
+    "bool-array": np.array([True, False]),
+    "strings": ["1", "0"],
+    "bytes": [b"1", b"0"],
+    "object-array": np.array([1, 0], dtype=object),
+    "none-entry": [None, 1],
+    "ragged": [[1, 0], [1]],
+    "2-D": [[1, 0]],
+    "scalar": 1,
+}
+MALFORMED_OPERATORS = {
+    "bools": [[[True, False], [False, True]]],
+    "np-bool-entry": [[[np.bool_(True), 0.0], [0.0, 1.0]]],
+    "bool-array": np.eye(2, dtype=bool)[None],
+    "strings": [[["1", "0"], ["0", "1"]]],
+    "bytes": [[[b"1", b"0"], [b"0", b"1"]]],
+    "object-array": np.eye(2, dtype=object)[None],
+    "ragged": [E2, [[1, 0]]],
+    "2-D": E2,
+    "4-D": E2[None, None],
+}
+
+
+def intake_cases():
+    """One witness build per malformed state and operator stack (labels: MALFORMED_LABELS)."""
+    classes = (ProjectiveWitness, GeneralizedWitness)
+    for field in ("psi", "phi"):
+        for case, value in MALFORMED_STATES.items():
+            psi, phi = (value, [0, 1]) if field == "psi" else ([1, 0], value)
+            for cls in classes:
+                build = partial(cls, psi, phi, E2[None])
+                yield pytest.param(build, id=f"{field}-{case}-{cls.kind}")
+            labelled = partial(ProjectiveWitness, psi, phi, labels=[0, 0], n_outcomes=1)
+            yield pytest.param(labelled, id=f"{field}-{case}-labelled")
+    for case, value in MALFORMED_OPERATORS.items():
+        for cls in classes:
+            yield pytest.param(partial(cls, [1, 0], [0, 1], value), id=f"ops-{case}-{cls.kind}")
+
+
+@pytest.mark.parametrize("build", intake_cases())
+def test_malformed_witness_input_rejected(build):
+    with pytest.raises(InvalidWitness):
+        build()
+
+
+def pairs(entries):
+    """[re, im] pairs with zero imaginary parts, as a witness file holds them."""
+    return np.stack([entries, np.zeros_like(entries)], -1).tolist()
+
+
+FILE = {
+    "kind": "generalized",
+    "dimension": 2,
+    "psi": pairs(np.array([1.0, 0.0])),
+    "phi": pairs(np.array([0.0, 1.0])),
+    "operators": pairs(E2[None]),
+    "metadata": {"target": {"t": 0.0, "s": 0.5, "p": [1.0]}},
+}
+MALFORMED_ENTRIES = {
+    "bool": True,
+    "np-bool": np.bool_(True),
+    "string": "1",
+    "bytes": b"1",
+    "none": None,
+    "object": {},
+}
+
+
+def file_cases():
+    """(field, edit) pairs: each edit breaks one field of FILE in place."""
+
+    def set_entry(path, value):
+        def edit(doc):
+            *head, last = path
+            target = doc
+            for key in head:
+                target = target[key]
+            target[last] = value
+
+        return edit
+
+    entries = {
+        "psi": ("psi", 0, 0),
+        "phi": ("phi", 1, 1),
+        "operators": ("operators", 0, 1, 1, 0),
+        "target.t": ("metadata", "target", "t"),
+        "target.s": ("metadata", "target", "s"),
+        "target.p": ("metadata", "target", "p", 0),
+    }
+    for field, path in entries.items():
+        for case, value in MALFORMED_ENTRIES.items():
+            yield pytest.param(set_entry(path, value), id=f"{field}-{case}")
+    for field in ("psi", "phi"):
+        yield pytest.param(set_entry((field, 1), [0.0]), id=f"{field}-ragged")
+        yield pytest.param(set_entry((field,), [[1.0, 0.0, 0.0]] * 2), id=f"{field}-wrong-pair")
+        yield pytest.param(set_entry((field,), [1.0, 0.0]), id=f"{field}-wrong-ndim")
+    yield pytest.param(set_entry(("operators", 0, 1), [[1.0, 0.0]]), id="operators-ragged")
+    yield pytest.param(set_entry(("operators",), pairs(E2)), id="operators-wrong-ndim")
+    yield pytest.param(set_entry(("metadata", "target", "p"), [[1.0]]), id="target.p-wrong-ndim")
+
+
+@pytest.mark.parametrize("edit", file_cases())
+def test_malformed_witness_file_field_rejected(edit):
+    doc = copy.deepcopy(FILE)
+    witness_from_dict(copy.deepcopy(doc))  # the unedited file decodes
+    edit(doc)
+    with pytest.raises(InvalidWitness):
+        witness_from_dict(doc)
+
+
+ACCEPTED_STATES = {
+    "int-list": [1, 0],
+    "float-list": [1.0, 0.0],
+    "complex-list": [1j, 0j],
+    "int-tuple": (0, 1),
+    "complex-array": np.array([1j, 0.0]),
+    "int8-array": np.array([1, 0], dtype=np.int8),
+    "float32-array": np.array([0.0, 1.0], dtype=np.float32),
+    "list-of-0-d-arrays": [np.array(1.0), np.array(0.0)],
+}
+ACCEPTED_OPERATORS = {
+    "int-list": [[[1, 0], [0, 1]]],
+    "float-list": E2[None].tolist(),
+    "complex-list": [[[1 + 0j, 0j], [0j, 1 + 0j]]],
+    "complex-array": E2[None].astype(complex),
+    "list-of-arrays": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+    "tuple-of-arrays": (np.diag([1.0, 0.0]).astype(complex), np.diag([0, 1])),
+}
+ACCEPTED_LABELS = {
+    "int-list": [0, 1],
+    "int-tuple": (1, 0),
+    "int8-array": np.array([0, 1], dtype=np.int8),
+    "uint64-array": np.array([1, 1], dtype=np.uint64),
+    "np-int-entries": [np.int64(0), np.int32(1)],
+}
+
+
+@pytest.mark.parametrize("state", ACCEPTED_STATES.values(), ids=ACCEPTED_STATES.keys())
+@pytest.mark.parametrize("ops", ACCEPTED_OPERATORS.values(), ids=ACCEPTED_OPERATORS.keys())
+def test_numeric_witness_input_accepted(state, ops):
+    for cls in (ProjectiveWitness, GeneralizedWitness):
+        w = cls(state, state, ops)
+        assert w.psi.dtype == complex and w.psi.shape == (2,) and not w.psi.flags.writeable
+        assert w.operators.dtype == complex and w.operators.shape[1:] == (2, 2)
+        assert np.array_equal(w.psi, np.asarray(state, dtype=complex))
+        assert np.array_equal(w.operators, np.asarray(ops, dtype=complex))
+
+
+@pytest.mark.parametrize("labels", ACCEPTED_LABELS.values(), ids=ACCEPTED_LABELS.keys())
+def test_integer_labels_accepted(labels):
+    w = ProjectiveWitness([1, 0], [0, 1], labels=labels, n_outcomes=2)
+    assert w.labels.dtype == np.intp and np.array_equal(w.labels, np.asarray(labels))
+
+
+def test_integer_witness_file_accepted():
+    doc = copy.deepcopy(FILE)
+    doc["psi"], doc["operators"] = [[1, 0], [0, 0]], [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+    doc["metadata"]["target"] = {"t": 0, "s": 1, "p": [1]}
+    w = witness_from_dict(doc)
+    assert np.array_equal(w.psi, [1, 0]) and np.array_equal(w.operators, E2[None])
+
+
+def array_casts(path: Path) -> set[tuple[str, str | None]]:
+    """(module, enclosing function) of every np.asarray / np.array call in a module."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr in {"asarray", "array"}
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "np"
+            ):
+                found.add((path.name, scope))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_core_array_reads_witness_arrays():
+    # Witness input becomes an array in one place, core._array, which refuses bools,
+    # strings, bytes, objects, ragged input and a wrong shape with InvalidWitness.
+    package = Path(core.__file__).parent
+    casts = array_casts(package / "core.py") | array_casts(package / "witness_io.py")
+    assert casts == {("core.py", "_array")}, casts
