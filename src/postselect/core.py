@@ -46,6 +46,7 @@ EPS_UNIT = 1e-10
 EPS_FEAS = 1e-12
 # Types that NumPy or float() read as numbers, which no numeric input may hold.
 _NOT_NUMBERS = frozenset({bool, np.bool_, str, np.str_, bytes, np.bytes_})
+_NOT_NUMBERS_OR_ARRAYS = _NOT_NUMBERS | {np.ndarray}
 
 
 def _count(k, name: str, lo: float = -math.inf) -> int:
@@ -62,8 +63,11 @@ def _count(k, name: str, lo: float = -math.inf) -> int:
 
 
 def _probability(x, name: str, *, positive: bool = False) -> float:
-    """float(x) in [0, 1], or in (0, 1] when positive; ValueError otherwise (NaN, bool, str too)."""
-    if type(x) in _NOT_NUMBERS:
+    """float(x) in [0, 1], or in (0, 1] when positive; ValueError otherwise (NaN, bool, str too).
+
+    An ndarray is judged by its dtype kind, which must be integer or float (_holds_non_number).
+    """
+    if type(x) in _NOT_NUMBERS_OR_ARRAYS and _holds_non_number(x, 0):
         raise ValueError(f"{name} = {x!r} is a {type(x).__name__}, not a number")
     x = float(x)
     if not (x > 0.0 if positive else x >= 0.0) or not x <= 1.0:
@@ -74,14 +78,20 @@ def _probability(x, name: str, *, positive: bool = False) -> float:
 def _holds_non_number(value, ndim: int, kinds: str = "iuf") -> bool:
     """Whether value, ndim levels of nested sequences, holds a bool or a string (see _NOT_NUMBERS).
 
-    An ndarray is judged by its dtype alone: it holds none when its kind is in kinds.
-    _array runs it on every witness array, where NumPy reads a bool among numbers as a number.
+    An ndarray, the value or an entry, is judged by its dtype alone: it holds none when its
+    kind is in kinds.  _array runs it on every witness array, where NumPy reads a bool among
+    numbers, or a 0-d bool array, as a number.  Plain numbers take one scan of their types;
+    value is a sequence, not an iterator, since an array or non-number among them is looked
+    up again entry by entry.
     """
     if isinstance(value, np.ndarray):
         return value.dtype.kind not in kinds
+    flat = value if ndim else (value,)
     for _ in range(ndim - 1):
-        value = chain.from_iterable(value)
-    return not _NOT_NUMBERS.isdisjoint(map(type, value if ndim else (value,)))
+        flat = chain.from_iterable(flat)
+    if _NOT_NUMBERS_OR_ARRAYS.isdisjoint(map(type, flat)):
+        return False
+    return not ndim or any(_holds_non_number(x, ndim - 1, kinds) for x in value)
 
 
 def _array(value, name: str, shape: tuple[int | None, ...], kinds: str) -> np.ndarray:

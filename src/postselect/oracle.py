@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .core import _count, _probability
-from .feasibility import projective_raw_slack_arrays
+from .feasibility import _row_sum, projective_raw_slack_arrays
 from .errors import SearchBudgetExhausted
 
 # Postselected-ensemble discard threshold: P(.) is undefined when S vanishes.
@@ -42,8 +43,17 @@ def default_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _unit_rows(rng: np.random.Generator, b: int, d: int) -> np.ndarray:
+    """(b, d) rows uniform on the unit sphere of C^d.
+
+    The real parts are drawn standard normal, then the imaginary parts, and each
+    row is divided by its norm.
+    """
+    z = np.empty((b, d), dtype=complex)
+    z.real = rng.standard_normal((b, d))
+    z.imag = rng.standard_normal((b, d))
+    z /= np.sqrt(_row_sum((z.conj() * z).real))[:, None]
+    return z
 
 
 def _shape(d, n=1) -> tuple[int, int]:
@@ -58,16 +68,18 @@ def _random_labels(b: int, d: int, n: int, rng: np.random.Generator) -> np.ndarr
     """(b, d) column labels of b uniform compositions of d into n positive parts.
 
     Cuts go in the n - 1 of the d - 1 column gaps that hold the smallest of
-    d - 1 uniform draws; a label counts the cuts before its column.  Nothing
-    is drawn when n == 1 or n == d, whose composition is fixed.
+    d - 1 uniform draws; a label counts the cuts before its column, added up
+    one column at a time.  Nothing is drawn when n == 1 or n == d, whose
+    composition is fixed: one row of labels, broadcast read-only to b rows.
     """
-    cuts = np.zeros((b, d), dtype=np.intp)
-    if 1 < n < d:
-        gaps = np.argsort(rng.random((b, d - 1)), axis=1)[:, : n - 1]
-        np.put_along_axis(cuts, gaps + 1, 1, axis=1)
-    elif n == d:
-        cuts[:, 1:] = 1
-    return np.cumsum(cuts, axis=1)
+    if not 1 < n < d:
+        return np.broadcast_to(np.minimum(np.arange(d, dtype=np.intp), n - 1), (b, d))
+    labels = np.zeros((b, d), dtype=np.intp)
+    gaps = np.argsort(rng.random((b, d - 1)), axis=1)[:, : n - 1]
+    np.put_along_axis(labels, gaps + 1, 1, axis=1)
+    for j in range(1, d):
+        labels[:, j] += labels[:, j - 1]
+    return labels
 
 
 def _flat_index(labels: np.ndarray, n: int) -> np.ndarray:
@@ -171,6 +183,12 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     of (psi, phi), independent and uniform on the sphere; so at every U, and
     averaged over U, (T, S, P) has its law at U = I.  A violation's
     witness_digest is the SHA-256 of its psi, phi and labels bytes.
+
+    Row sums and maxima add or compare whole columns (`feasibility._row_sum`,
+    np.maximum) instead of reducing along the short last axis, and equal
+    NumPy's axis reductions bit for bit.  Nothing is grouped at n = d, where
+    each column is an outcome, or at n = 1, where the row total is the one
+    amplitude and S is T.
     """
     samples = _count(samples, "samples", 1)
     d, n = _shape(d, n)
@@ -181,24 +199,31 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     while done < samples:
         b = min(BATCH_SIZE, samples - done)
         done += b
-        psi = _complex_normal(rng, (b, d))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        phi = _complex_normal(rng, (b, d))
-        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        psi = _unit_rows(rng, b, d)
+        phi = _unit_rows(rng, b, d)
         # Per-column amplitude contributions <phi|e_j><e_j|psi>.
         contrib = phi.conj() * psi
         labels = _random_labels(b, d, n, rng)
-        t = np.abs(contrib.sum(axis=1)) ** 2
-        weights = np.abs(_group(contrib, _flat_index(labels, n), n)) ** 2
-        s = weights.sum(axis=1)
+        t = np.abs(_row_sum(contrib)) ** 2
+        # |amplitude|^2 per outcome: the row total's is t at n = 1; at n = d each column is one.
+        if n == 1:
+            weights = t[:, None]
+        else:
+            weights = np.abs(contrib if n == d else _group(contrib, _flat_index(labels, n), n)) ** 2
+        del contrib
+        s = _row_sum(weights)
         keep = s > S_DISCARD
-        discarded += b - int(np.count_nonzero(keep))
-        t_k, s_k = np.minimum(t[keep], 1.0), np.minimum(s[keep], 1.0)
-        probs = weights[keep] / s[keep, None]
+        kept = int(np.count_nonzero(keep))
+        discarded += b - kept
+        if kept < b:
+            t, s, weights = t[keep], s[keep], weights[keep]
+        probs = weights / s[:, None]
+        t_k, s_k = np.minimum(t, 1.0), np.minimum(s, 1.0)
         slacks = projective_raw_slack_arrays(t_k, s_k, probs)
-        min_slack = np.minimum.reduce(list(slacks.values()))
+        min_slack = reduce(np.minimum, slacks.values())
         flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
-        for i, orig in zip(flagged, np.flatnonzero(keep)[flagged]):
+        origins = flagged if kept == b else np.flatnonzero(keep)[flagged]
+        for i, orig in zip(flagged, origins):
             h = hashlib.sha256()
             for arr in (psi[orig], phi[orig], labels[orig]):
                 h.update(np.ascontiguousarray(arr).tobytes())

@@ -8,7 +8,12 @@ counts are checked by `oracle._shape`, as the package checks its own.
 
 import numpy as np
 
-from postselect.oracle import _complex_normal, _random_labels, _shape
+from postselect.oracle import _random_labels, _shape
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian array: the real parts are drawn first, then the imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _haar(z: np.ndarray) -> np.ndarray:

@@ -126,8 +126,9 @@ class TestClosePolygon:
             [0.5, False, 0.5],
             [np.bool_(True), 1.0],
             np.array([1, 1], dtype=bool),
+            [np.array(True), np.array(True)],
         ],
-        ids=["strings", "bools", "bool-among-floats", "np-bool", "bool-array"],
+        ids=["strings", "bools", "bool-among-floats", "np-bool", "bool-array", "0-d-bool-arrays"],
     )
     def test_rejects_bools_and_strings(self, xs):
         with pytest.raises(ValueError, match="numbers with a finite sum"):
@@ -135,7 +136,8 @@ class TestClosePolygon:
 
     def test_reads_arrays_and_iterables(self):
         want = close_polygon([0.5, 0.3, 0.4]).zs
-        for xs in (np.array([0.5, 0.3, 0.4]), (0.5, 0.3, 0.4), iter([0.5, 0.3, 0.4])):
+        zero_d = [np.array(0.5), np.array(0.3), np.array(0.4)]
+        for xs in (np.array([0.5, 0.3, 0.4]), (0.5, 0.3, 0.4), iter([0.5, 0.3, 0.4]), zero_d):
             assert close_polygon(xs).zs == want
 
     def test_residual_scales_with_total(self):
@@ -209,8 +211,10 @@ class TestFactorAmplitudes:
 
     @pytest.mark.parametrize(
         "zs",
-        [["0.25", "0.25"], [True, False], [0.25, np.bool_(False)], np.array([True, True]), [b"0"]],
-        ids=["strings", "bools", "np-bool-among-floats", "bool-array", "bytes"],
+        [["0.25", "0.25"], [True, False], [0.25, np.bool_(False)], np.array([True, True]), [b"0"],
+         [0.25, np.array(False)]],
+        ids=["strings", "bools", "np-bool-among-floats", "bool-array", "bytes",
+             "0-d-bool-array-among-floats"],
     )
     def test_rejects_bools_and_strings(self, zs):
         with pytest.raises(ValueError, match="not bools or strings"):

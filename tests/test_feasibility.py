@@ -20,6 +20,7 @@ from postselect.errors import PolygonViolation, RegionViolation, SingularSystem
 from postselect.feasibility import (
     S_BOUND,
     LOWER_CHAIN,
+    _row_sum,
     _verdict,
     chain_slacks,
     dichotomic_slacks,
@@ -88,6 +89,34 @@ class TestChainSlacks:
             for tag, v in scalar.items():
                 assert v == pytest.approx(rows[tag][i], abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_row_kernel_equals_axis_reductions_bit_for_bit(self, n):
+        rng = np.random.default_rng(700 + n)
+        t = rng.uniform(0.0, 1.0, 3000)
+        s = rng.uniform(1e-3, 1.0, 3000)
+        probs = rng.dirichlet(np.ones(n), 3000)
+        probs[:300, rng.integers(n)] = 0.0  # zero entries, as zeroed outcomes give
+        sq = np.sqrt(probs)
+        want = chain_slacks(np.sqrt(t / s), sq.sum(axis=1), sq.max(axis=1), np.sqrt(s))
+        got = projective_raw_slack_arrays(t, s, probs)
+        assert list(got) == list(want)
+        for tag in want:
+            assert got[tag].tobytes() == want[tag].tobytes(), tag
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_row_sum_equals_numpy_sum_bit_for_bit(self, dtype):
+        # Widths cover every pairwise-sum case: in-order rows, one and several
+        # 8-scalar blocks with and without leftovers, and splits past 128 scalars.
+        rng = np.random.default_rng(1901)
+        for k in [*range(1, 40), 63, 64, 65, 127, 128, 129, 257, 300]:
+            a = np.zeros((200, k), dtype=dtype)
+            a.real = rng.standard_normal((200, k)) * np.exp(8 * rng.standard_normal((200, k)))
+            if dtype is complex:
+                a.imag = rng.standard_normal((200, k)) * np.exp(8 * rng.standard_normal((200, k)))
+            got = _row_sum(a)
+            assert got.shape == (200,) and not np.shares_memory(got, a)
+            assert got.tobytes() == a.sum(axis=1).tobytes(), k
+
     def test_nan_slack_is_violated(self):
         v = _verdict({LOWER_CHAIN: float("nan"), S_BOUND: 0.0})
         assert not v.feasible
@@ -106,11 +135,13 @@ NON_NUMBER_PROBABILITIES = {
     "t-numpy-bool": (ScenarioTriple, (np.bool_(False), 0.5, ONE)),
     "s-bytes": (ScenarioTriple, (0.5, b"0.5", ONE)),
     "s-numpy-str": (ScenarioTriple, (0.5, np.str_("0.5"), ONE)),
+    "t-0-d-bool-array": (ScenarioTriple, (np.array(True), 0.5, ONE)),
     "p-str": (OutcomeDistribution, (["0.5", "0.5"],)),
     "p-bool": (OutcomeDistribution, ((0.0, True),)),
     "p-numpy-str": (OutcomeDistribution, ([0.5, np.str_("0.5")],)),
     "p-bool-array": (OutcomeDistribution, (np.array([True, False]),)),
     "p-str-array": (OutcomeDistribution, (np.array(["0.5", "0.5"]),)),
+    "p-0-d-bool-arrays": (OutcomeDistribution, ([np.array(True), 0.0],)),
     "dichotomic-t-str": (check_dichotomic, (0.5, "0.5", 0.5)),
     "dichotomic-p-bool": (check_dichotomic, (True, 0.5, 0.5)),
     "dichotomic-s-numpy-bool": (check_dichotomic, (0.5, 0.5, np.bool_(True))),
@@ -135,6 +166,9 @@ def test_numeric_probability_types_accepted():
     sc = ScenarioTriple(np.float32(0.5), 1, OutcomeDistribution([np.int64(1), np.float32(0.0)]))
     assert (sc.t, sc.s, sc.dist.probs) == (0.5, 1.0, (1.0, 0.0))
     assert type(sc.t) is float and type(sc.s) is float
+    # 0-d arrays are judged by their dtype: numbers pass.
+    sc = ScenarioTriple(np.array(0.5), np.array(1), OutcomeDistribution([np.array(1.0), 0]))
+    assert (sc.t, sc.s, sc.dist.probs) == (0.5, 1.0, (1.0, 0.0))
     # The type scan reads an iterator's entries once, so none are lost.
     assert OutcomeDistribution(x for x in (0.5, 0.5)).probs == (0.5, 0.5)
 

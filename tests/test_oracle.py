@@ -17,21 +17,22 @@ from postselect import (
 from postselect import oracle
 from postselect.cli import main
 from postselect.errors import SearchBudgetExhausted
-from postselect.feasibility import S_HALF_PLUS_T, T_OVER_N, ts_region_slacks
+from postselect.feasibility import S_HALF_PLUS_T, T_OVER_N, chain_slacks, ts_region_slacks
 from postselect.oracle import (
     BATCH_SIZE,
+    FUZZ_EPS,
+    FuzzViolation,
     GRID_STEP,
     NBINS,
     S_DISCARD,
     _cell,
-    _complex_normal,
     _flat_index,
     _grid,
     _group,
     _random_labels,
     merge_reports,
 )
-from samplers import _haar, sample_projective, sample_state, sample_unitary
+from samplers import _complex_normal, _haar, sample_projective, sample_state, sample_unitary
 
 
 def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:
@@ -65,6 +66,60 @@ def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:
             cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
         counts += np.bincount(np.concatenate(cells), minlength=counts.size)
     return counts
+
+
+def axis_reduction_fuzz(d: int, n: int, samples: int, rng, shift: float = 0.0):
+    """Reference: the fuzz's batch loop before its row reductions went column-wise.
+
+    Norms by np.linalg.norm, sums and maxima along axis 1 (its own slack kernel,
+    every slack lowered by shift) and _group for every n.  Reads BATCH_SIZE and
+    S_DISCARD from the oracle module when called, as fuzz_projective does.
+    Returns (counts, discarded, violations).
+    """
+    violations = []
+    counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
+    done = discarded = 0
+    while done < samples:
+        b = min(oracle.BATCH_SIZE, samples - done)
+        done += b
+        psi = _complex_normal(rng, (b, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        phi = _complex_normal(rng, (b, d))
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        contrib = phi.conj() * psi
+        labels = _random_labels(b, d, n, rng)
+        t = np.abs(contrib.sum(axis=1)) ** 2
+        weights = np.abs(_group(contrib, _flat_index(labels, n), n)) ** 2
+        s = weights.sum(axis=1)
+        keep = s > oracle.S_DISCARD
+        discarded += b - int(np.count_nonzero(keep))
+        t_k, s_k = np.minimum(t[keep], 1.0), np.minimum(s[keep], 1.0)
+        probs = weights[keep] / s[keep, None]
+        sq = np.sqrt(probs)
+        slacks = chain_slacks(np.sqrt(t_k / s_k), sq.sum(axis=1), sq.max(axis=1), np.sqrt(s_k))
+        slacks = {tag: arr - shift for tag, arr in slacks.items()}
+        min_slack = np.minimum.reduce(list(slacks.values()))
+        flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
+        for i, orig in zip(flagged, np.flatnonzero(keep)[flagged]):
+            h = hashlib.sha256()
+            for arr in (psi[orig], phi[orig], labels[orig]):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
+            violations.append(
+                FuzzViolation(
+                    witness_digest=h.hexdigest(),
+                    t=float(t_k[i]),
+                    s=float(s_k[i]),
+                    probs=tuple(float(x) for x in probs[i]),
+                    violated=tags,
+                )
+            )
+        cells = [_cell(t_k, s_k)]
+        if n == 3:
+            near_zero_t = t_k < GRID_STEP
+            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
+        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+    return counts, discarded, tuple(violations)
 
 
 def coarse(counts) -> np.ndarray:
@@ -150,8 +205,23 @@ class TestPartitions:
     @pytest.mark.parametrize("d, n", [(3, 1), (3, 3)])
     def test_fixed_compositions_draw_nothing(self, d, n):
         rng = default_rng(3)
-        _random_labels(10, d, n, rng)
+        labels = _random_labels(10, d, n, rng)
         assert rng.random() == default_rng(3).random()
+        assert labels.dtype == np.intp and labels.tolist() == [[0, 0, 0] if n == 1 else [0, 1, 2]] * 10
+
+    def test_labels_count_the_cuts_before_each_column(self):
+        # The running count is added up column by column; np.cumsum is the reference.
+        for d, n in ((2, 1), (5, 3), (6, 3), (9, 4), (12, 11)):
+            rng = default_rng(d)
+            labels = _random_labels(500, d, n, rng)
+            rng = default_rng(d)
+            cuts = np.zeros((500, d), dtype=np.intp)
+            if 1 < n < d:
+                gaps = np.argsort(rng.random((500, d - 1)), axis=1)[:, : n - 1]
+                np.put_along_axis(cuts, gaps + 1, 1, axis=1)
+            elif n == d:
+                cuts[:, 1:] = 1
+            assert labels.dtype == np.intp and np.array_equal(labels, np.cumsum(cuts, axis=1))
 
     def test_group_matches_loop(self):
         rng = default_rng(9)
@@ -294,6 +364,26 @@ class TestViolations:
         assert out.count("VIOLATION ") == 20
 
 
+class TestBatchLoop:
+    @pytest.mark.parametrize("s_discard", [S_DISCARD, 0.05], ids=["default", "raised"])
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (3, 3), (4, 2), (4, 4), (6, 3), (9, 4)])
+    def test_matches_axis_reduction_reference(self, monkeypatch, d, n, s_discard):
+        # Every draw is flagged on both sides, so each violation pins one draw's psi,
+        # phi, labels, T, S and P exactly; 700-draw batches make the last one partial.
+        flag_every_draw(monkeypatch)
+        monkeypatch.setattr(oracle, "BATCH_SIZE", 700)
+        monkeypatch.setattr(oracle, "S_DISCARD", s_discard)
+        report = fuzz_projective(d, n, 1_600, default_rng(100 * d + n))
+        reference = axis_reduction_fuzz(d, n, 1_600, default_rng(100 * d + n), shift=10.0)
+        counts, discarded, violations = reference
+        assert np.array_equal(report.counts.ravel(), counts)
+        assert report.discarded == discarded
+        assert report.violations == violations
+        assert len(violations) == 1_600 - discarded
+        # The raised threshold discards draws (S = 1 at d = 1), so the masked copies run.
+        assert (discarded > 0) == (s_discard > S_DISCARD and d > 1)
+
+
 class TestDiscarded:
     def test_counted_and_identical_across_worker_counts(self, monkeypatch):
         # S <= 1e-9 is too rare to see in a test run (at n = 1, S = T and
@@ -368,11 +458,15 @@ class TestCampaign:
         [
             (3, 3, "035662015ca6ca8e5cc303eb0db9bc92d9fe609697394052a2f7e942e9ba6b26"),
             (4, 2, "31f8e4af7214944ddec3a4735809e7c94f89f8f8cca57f5910b3f9cd2584bfd6"),
+            (6, 3, "288d91cc9ca70bee353754ad269c651e34aaed56bb7d20a9900eabff68d6303e"),
+            (3, 1, "70d947d645773eaf1b0e1b076d6f14f33baf6fc3cb5b4cea1a2b5ebbbd512ade"),
         ],
     )
     def test_digest_is_pinned(self, d, n, digest):
-        # Recorded when reports still carried a grid_step field, which the digest
-        # hashed; it now hashes GRID_STEP in its place, so no digest moves.
+        # (3, 3) and (4, 2) were recorded when reports still carried a grid_step
+        # field, which the digest hashed; it now hashes GRID_STEP in its place, so
+        # no digest moves.  (6, 3) and (3, 1) were recorded before the row sums
+        # went column-wise and the grouping was skipped at n = d and n = 1.
         for workers in (1, 2):
             report = run_campaign(d, n, 20_000, 7, max_workers=workers, chunk=5_000)
             assert report.digest() == digest

@@ -346,6 +346,7 @@ MALFORMED_STATES = {
     "np-bools": [np.bool_(True), 0],
     "bool-among-numbers": [1, False],
     "bool-array": np.array([True, False]),
+    "0-d-bool-array-among-numbers": [np.array(True), 0.0],
     "strings": ["1", "0"],
     "bytes": [b"1", b"0"],
     "object-array": np.array([1, 0], dtype=object),
@@ -357,6 +358,7 @@ MALFORMED_STATES = {
 MALFORMED_OPERATORS = {
     "bools": [[[True, False], [False, True]]],
     "np-bool-entry": [[[np.bool_(True), 0.0], [0.0, 1.0]]],
+    "0-d-bool-array-entry": [[[np.array(True), 0.0], [0.0, 1.0]]],
     "bool-array": np.eye(2, dtype=bool)[None],
     "strings": [[["1", "0"], ["0", "1"]]],
     "bytes": [[[b"1", b"0"], [b"0", b"1"]]],
@@ -387,6 +389,12 @@ def intake_cases():
 def test_malformed_witness_input_rejected(build):
     with pytest.raises(InvalidWitness):
         build()
+
+
+@pytest.mark.parametrize("value", MALFORMED_STATES.values(), ids=MALFORMED_STATES.keys())
+def test_as_state_rejects_malformed_states(value):
+    with pytest.raises(InvalidWitness):
+        core.as_state(value)
 
 
 def pairs(entries):
@@ -463,6 +471,7 @@ ACCEPTED_STATES = {
     "int8-array": np.array([1, 0], dtype=np.int8),
     "float32-array": np.array([0.0, 1.0], dtype=np.float32),
     "list-of-0-d-arrays": [np.array(1.0), np.array(0.0)],
+    "list-of-0-d-complex-arrays": [np.array(1j), np.array(0j)],
 }
 ACCEPTED_OPERATORS = {
     "int-list": [[[1, 0], [0, 1]]],
