@@ -96,38 +96,30 @@ def check_projective_chain(sc: ScenarioTriple) -> FeasibilityVerdict:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) of a 2-D float or complex array, bit for bit, as a new array of column sums.
+    """a.sum(axis=1) of a 2-D float or complex array, bit for bit, as a new array.
 
     NumPy reduces each row on its own, which is slow when rows are short.  Its pairwise
-    sum adds a row of fewer than 8 scalars (8 real or 4 complex entries) in index order;
-    a longer one it spreads over 8 scalar accumulators, one block of 8 at a time, sums
-    them as a tree and adds the leftover entries in order, and past 128 scalars it first
-    splits the row in two.  The columns are added in that order.  A sum of zeros may come
-    out -0.0 where NumPy gives 0.0.
+    sum adds a row of fewer than 8 scalars (8 real or 4 complex entries) in index
+    order, starting from 0.0, so such rows are summed here by adding whole columns in
+    that order.  Longer rows keep NumPy's own reduction.  The in-order layout is
+    NumPy's, not a documented contract; it was checked on NumPy 2.4.6.
     """
-    k, lanes = a.shape[1], 4 if a.dtype.kind == "c" else 8
-    if k > 16 * lanes:
-        half = k // 2 - k // 2 % lanes
-        return _row_sum(a[:, :half]) + _row_sum(a[:, half:])
-    cols = list(a.T)
-    if k < lanes:
-        return sum(cols[1:], cols[0]) if k > 1 else cols[0].copy()
-    done = k - k % lanes
-    acc = [sum(cols[j + lanes : done : lanes], cols[j]) for j in range(lanes)]
-    while len(acc) > 1:
-        acc = [x + y for x, y in zip(acc[::2], acc[1::2])]
-    return sum(cols[done:], acc[0])
+    if a.shape[1] * (2 if a.dtype.kind == "c" else 1) >= 8:
+        return a.sum(axis=1)
+    return reduce(np.add, a.T, 0.0)
 
 
 def projective_raw_slack_arrays(t: np.ndarray, s: np.ndarray, probs: np.ndarray):
     """Row-wise chain slacks for t, s of shape (B,) and probs of shape (B, n).
 
-    The per-row sum and maximum of sqrt(P) run over the n columns (`_row_sum`,
-    np.maximum), not along the short last axis; they equal sq.sum(axis=1) and
-    sq.max(axis=1) bit for bit.
+    For n < 8 the per-row sum and maximum of sqrt(P) run over the n columns
+    (`_row_sum`, np.maximum), not along the short last axis; wider rows keep the
+    axis reductions.  Either way they equal sq.sum(axis=1) and sq.max(axis=1)
+    bit for bit.
     """
     sq = np.sqrt(probs)
-    return chain_slacks(np.sqrt(t / s), _row_sum(sq), reduce(np.maximum, sq.T), np.sqrt(s))
+    top = reduce(np.maximum, sq.T) if sq.shape[1] < 8 else sq.max(axis=1)
+    return chain_slacks(np.sqrt(t / s), _row_sum(sq), top, np.sqrt(s))
 
 
 def check_generalized(sc: ScenarioTriple) -> FeasibilityVerdict:

@@ -68,18 +68,16 @@ def _random_labels(b: int, d: int, n: int, rng: np.random.Generator) -> np.ndarr
     """(b, d) column labels of b uniform compositions of d into n positive parts.
 
     Cuts go in the n - 1 of the d - 1 column gaps that hold the smallest of
-    d - 1 uniform draws; a label counts the cuts before its column, added up
-    one column at a time.  Nothing is drawn when n == 1 or n == d, whose
-    composition is fixed: one row of labels, broadcast read-only to b rows.
+    d - 1 uniform draws; a label counts the cuts before its column.  Nothing
+    is drawn when n == 1 or n == d, whose composition is fixed: one row of
+    labels, broadcast read-only to b rows.
     """
     if not 1 < n < d:
         return np.broadcast_to(np.minimum(np.arange(d, dtype=np.intp), n - 1), (b, d))
-    labels = np.zeros((b, d), dtype=np.intp)
+    cuts = np.zeros((b, d), dtype=np.intp)
     gaps = np.argsort(rng.random((b, d - 1)), axis=1)[:, : n - 1]
-    np.put_along_axis(labels, gaps + 1, 1, axis=1)
-    for j in range(1, d):
-        labels[:, j] += labels[:, j - 1]
-    return labels
+    np.put_along_axis(cuts, gaps + 1, 1, axis=1)
+    return np.cumsum(cuts, axis=1)
 
 
 def _flat_index(labels: np.ndarray, n: int) -> np.ndarray:
@@ -184,11 +182,11 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     averaged over U, (T, S, P) has its law at U = I.  A violation's
     witness_digest is the SHA-256 of its psi, phi and labels bytes.
 
-    Row sums and maxima add or compare whole columns (`feasibility._row_sum`,
-    np.maximum) instead of reducing along the short last axis, and equal
-    NumPy's axis reductions bit for bit.  Nothing is grouped at n = d, where
-    each column is an outcome, or at n = 1, where the row total is the one
-    amplitude and S is T.
+    Rows of fewer than 8 scalars are summed by whole columns
+    (`feasibility._row_sum`), equal to NumPy's axis reductions bit for bit.
+    Nothing is grouped at n = d.  At n = 1, S is still grouped: `_group` adds
+    in index order and NumPy sums 4 or more complex entries pairwise, so S may
+    differ from T in the last bit.
     """
     samples = _count(samples, "samples", 1)
     d, n = _shape(d, n)
@@ -205,11 +203,8 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
         contrib = phi.conj() * psi
         labels = _random_labels(b, d, n, rng)
         t = np.abs(_row_sum(contrib)) ** 2
-        # |amplitude|^2 per outcome: the row total's is t at n = 1; at n = d each column is one.
-        if n == 1:
-            weights = t[:, None]
-        else:
-            weights = np.abs(contrib if n == d else _group(contrib, _flat_index(labels, n), n)) ** 2
+        # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
+        weights = np.abs(contrib if n == d else _group(contrib, _flat_index(labels, n), n)) ** 2
         del contrib
         s = _row_sum(weights)
         keep = s > S_DISCARD

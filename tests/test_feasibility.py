@@ -89,7 +89,7 @@ class TestChainSlacks:
             for tag, v in scalar.items():
                 assert v == pytest.approx(rows[tag][i], abs=1e-12)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_row_kernel_equals_axis_reductions_bit_for_bit(self, n):
         rng = np.random.default_rng(700 + n)
         t = rng.uniform(0.0, 1.0, 3000)
@@ -105,17 +105,21 @@ class TestChainSlacks:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_row_sum_equals_numpy_sum_bit_for_bit(self, dtype):
-        # Widths cover every pairwise-sum case: in-order rows, one and several
-        # 8-scalar blocks with and without leftovers, and splits past 128 scalars.
+        # Rows of fewer than 8 scalars are summed by column, wider ones by NumPy.
+        # The test fails if a NumPy build stops adding short rows in index order
+        # from 0.0, which is a layout of its pairwise sum, not a documented contract.
         rng = np.random.default_rng(1901)
-        for k in [*range(1, 40), 63, 64, 65, 127, 128, 129, 257, 300]:
+        for k in range(1, 10):
             a = np.zeros((200, k), dtype=dtype)
             a.real = rng.standard_normal((200, k)) * np.exp(8 * rng.standard_normal((200, k)))
             if dtype is complex:
                 a.imag = rng.standard_normal((200, k)) * np.exp(8 * rng.standard_normal((200, k)))
             got = _row_sum(a)
             assert got.shape == (200,) and not np.shares_memory(got, a)
-            assert got.tobytes() == a.sum(axis=1).tobytes(), k
+            layout = "NumPy no longer sums rows of fewer than 8 scalars in index order"
+            assert got.tobytes() == a.sum(axis=1).tobytes(), f"width {k}: {layout}"
+        zeros = np.full((3, 2), -0.0, dtype=dtype)
+        assert _row_sum(zeros).tobytes() == zeros.sum(axis=1).tobytes()
 
     def test_nan_slack_is_violated(self):
         v = _verdict({LOWER_CHAIN: float("nan"), S_BOUND: 0.0})

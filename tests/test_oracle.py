@@ -209,20 +209,6 @@ class TestPartitions:
         assert rng.random() == default_rng(3).random()
         assert labels.dtype == np.intp and labels.tolist() == [[0, 0, 0] if n == 1 else [0, 1, 2]] * 10
 
-    def test_labels_count_the_cuts_before_each_column(self):
-        # The running count is added up column by column; np.cumsum is the reference.
-        for d, n in ((2, 1), (5, 3), (6, 3), (9, 4), (12, 11)):
-            rng = default_rng(d)
-            labels = _random_labels(500, d, n, rng)
-            rng = default_rng(d)
-            cuts = np.zeros((500, d), dtype=np.intp)
-            if 1 < n < d:
-                gaps = np.argsort(rng.random((500, d - 1)), axis=1)[:, : n - 1]
-                np.put_along_axis(cuts, gaps + 1, 1, axis=1)
-            elif n == d:
-                cuts[:, 1:] = 1
-            assert labels.dtype == np.intp and np.array_equal(labels, np.cumsum(cuts, axis=1))
-
     def test_group_matches_loop(self):
         rng = default_rng(9)
         contrib = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
@@ -366,7 +352,9 @@ class TestViolations:
 
 class TestBatchLoop:
     @pytest.mark.parametrize("s_discard", [S_DISCARD, 0.05], ids=["default", "raised"])
-    @pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (3, 3), (4, 2), (4, 4), (6, 3), (9, 4)])
+    @pytest.mark.parametrize(
+        "d, n", [(1, 1), (2, 1), (4, 1), (9, 1), (3, 3), (4, 2), (4, 4), (6, 3), (9, 4)]
+    )
     def test_matches_axis_reduction_reference(self, monkeypatch, d, n, s_discard):
         # Every draw is flagged on both sides, so each violation pins one draw's psi,
         # phi, labels, T, S and P exactly; 700-draw batches make the last one partial.
@@ -466,7 +454,7 @@ class TestCampaign:
         # (3, 3) and (4, 2) were recorded when reports still carried a grid_step
         # field, which the digest hashed; it now hashes GRID_STEP in its place, so
         # no digest moves.  (6, 3) and (3, 1) were recorded before the row sums
-        # went column-wise and the grouping was skipped at n = d and n = 1.
+        # went column-wise and the grouping was skipped at n = d.
         for workers in (1, 2):
             report = run_campaign(d, n, 20_000, 7, max_workers=workers, chunk=5_000)
             assert report.digest() == digest
