@@ -3,10 +3,12 @@
 Pipeline for the projective case: close a polygon over the amplitude
 magnitudes, drop the closing edge, factor the remaining complex numbers
 into a pair of unit vectors, label basis vector k with outcome k (the
-witness stores the labels, not an (n, n, n) projector stack).
-The generalized case is closed form: psi_k = sqrt(P(k)), phi and phi' one
-scalar step and one axpy each, and V_k = |phi'><e_k|, so every outcome leaves
-the same state phi', which decouples the measurement from the postselection.
+witness stores the labels, not an (n, n, n) projector stack).  The builder
+passes its own floats straight to the cores _close and _factor, which the
+public close_polygon and factor_amplitudes call once they have read their input.
+The generalized case is closed form on float lists: psi_k = sqrt(P(k)), phi and
+phi' one scalar step and one axpy each, and V_k = |phi'><e_k|, so every outcome
+leaves the same state phi', which decouples the measurement from the postselection.
 """
 
 from __future__ import annotations
@@ -66,6 +68,28 @@ def _triangle_dirs(sums: list[float]) -> list[complex] | None:
     return [1.0 + 0.0j, ub, uc / m if m > 0.0 else 1.0 + 0.0j]
 
 
+def _close(xs: list[float], total: float) -> list[complex]:
+    """close_polygon's core: z_k of magnitude xs[k] summing to 0, for n >= 1 xs summing to total."""
+    top = max(xs)
+    if top > total - top + EPS_FEAS * max(1.0, total):
+        raise PolygonViolation(f"{top!r} exceeds the sum of the remaining magnitudes")
+    a = xs.index(top)
+    rest = xs[:a] + xs[a + 1 :]
+    # cum[k] sums the first k of the others; B holds the first `cut` of them.
+    cum = list(accumulate(rest, initial=0.0))
+    cut = bisect_right(cum, 0.5 * total) - 1
+    sums = [top, cum[cut], cum[-1] - cum[cut]]
+    dirs = _triangle_dirs(sums)
+    if dirs is None:
+        raise ClosureFailure(f"group sums {sums} form no triangle")
+    by_index = [dirs[1]] * cut + [dirs[2]] * (len(rest) - cut)
+    by_index.insert(a, dirs[0])
+    zs = list(map(operator.mul, xs, by_index))
+    if abs(sum(zs)) > EPS_CLOSE * max(1.0, total):
+        raise ClosureFailure(f"closure residual {abs(sum(zs))!r} for {xs}")
+    return zs
+
+
 def close_polygon(xs) -> ClosedPolygon:
     """Find complex z_k with |z_k| = x_k and sum_k z_k = 0.
 
@@ -93,24 +117,7 @@ def close_polygon(xs) -> ClosedPolygon:
         raise ValueError(f"magnitudes must be non-negative numbers with a finite sum: {entries}")
     if not xs:
         return ClosedPolygon(zs=())
-    top = max(xs)
-    if top > total - top + EPS_FEAS * max(1.0, total):
-        raise PolygonViolation(f"{top!r} exceeds the sum of the remaining magnitudes")
-    a = xs.index(top)
-    rest = xs[:a] + xs[a + 1 :]
-    # cum[k] sums the first k of the others; B holds the first `cut` of them.
-    cum = list(accumulate(rest, initial=0.0))
-    cut = bisect_right(cum, 0.5 * total) - 1
-    sums = [top, cum[cut], cum[-1] - cum[cut]]
-    dirs = _triangle_dirs(sums)
-    if dirs is None:
-        raise ClosureFailure(f"group sums {sums} form no triangle")
-    by_index = [dirs[1]] * cut + [dirs[2]] * (len(rest) - cut)
-    by_index.insert(a, dirs[0])
-    zs = tuple(map(operator.mul, xs, by_index))
-    if abs(sum(zs)) > EPS_CLOSE * max(1.0, total):
-        raise ClosureFailure(f"closure residual {abs(sum(zs))!r} for {xs}")
-    return ClosedPolygon(zs=zs)
+    return ClosedPolygon(zs=tuple(_close(xs, total)))
 
 
 def _factor_real(rs: list[float]) -> tuple[list[float], list[float]]:
@@ -137,6 +144,21 @@ def _factor_real(rs: list[float]) -> tuple[list[float], list[float]]:
     return psi, phi
 
 
+def _factor(zs: list[complex]) -> tuple[list[float], list[complex]]:
+    """factor_amplitudes' core on n >= 2 finite amplitudes: real psi, complex phi."""
+    rs = np.abs(zs).tolist()  # NumPy's |z|: _factor_real's sort and acos amplify a last bit
+    total = sum(rs)
+    if not total <= 1.0 + EPS_FEAS:
+        raise NormViolation(f"sum of magnitudes {total!r} exceeds 1")
+    psi, phi_r = _factor_real(rs)
+    # Reattach phases onto phi (phase 1 where z_k = 0); psi stays real, so conj(psi_k) phi_k = z_k.
+    phi = [z / r * f if r else complex(f) for z, r, f in zip(zs, rs, phi_r)]
+    residual = max(abs(p * f - z) for p, f, z in zip(psi, phi, zs))
+    if residual > 1e-10:
+        raise ClosureFailure(f"factorization residual {residual!r}")
+    return psi, phi
+
+
 def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors (psi, phi) with conj(psi_k) * phi_k = z_k.
 
@@ -147,26 +169,12 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     if _holds_non_number(zs, z.ndim, "iufc"):  # the input's own dtype or entries, not z's
         raise ValueError(f"amplitudes must be numbers, not bools or strings: {zs!r}")
     z = z.reshape(-1)
-    n = z.size
-    if n < 2:
+    if z.size < 2:
         raise ValueError("amplitude factorization needs n >= 2")
-    r = np.abs(z)
-    total = float(r.sum())
-    # NaN or inf in z makes the total NaN or inf; only then is z scanned.
-    if not total <= 1.0 + EPS_FEAS:
-        if not np.isfinite(z).all():
-            raise ValueError(f"non-finite amplitude in {z}")
-        raise NormViolation(f"sum of magnitudes {total!r} exceeds 1")
-    psi_r, phi_r = _factor_real(r.tolist())
-    # Reattach phases onto phi; psi stays real, so conj(psi_k) phi_k = z_k.
-    # A zero amplitude gets phase (0 + 1) / (0 + 1) = 1.
-    psi = np.array(psi_r, dtype=complex)
-    zero = r == 0.0
-    phi = (z + zero) / (r + zero) * phi_r
-    residual = float(np.abs(psi * phi - z).max())
-    if residual > 1e-10:
-        raise ClosureFailure(f"factorization residual {residual!r}")
-    return psi, phi
+    if not np.isfinite(z).all():
+        raise ValueError(f"non-finite amplitude in {z}")
+    psi, phi = _factor(z.tolist())
+    return np.array(psi, dtype=complex), np.array(phi)
 
 
 def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
@@ -183,21 +191,21 @@ def construct_projective(sc: ScenarioTriple) -> ProjectiveWitness:
         phi = np.array([math.sqrt(sc.t), math.sqrt(1.0 - sc.t)], dtype=complex)
         return ProjectiveWitness(psi, phi, labels=np.zeros(2, dtype=np.intp), n_outcomes=1)
     xs = [*map(math.sqrt, map(sc.s.__mul__, sc.dist.probs)), math.sqrt(sc.t)]
-    closed = close_polygon(xs)
-    psi, phi = factor_amplitudes(closed.zs[:n])
+    psi, phi = _factor(_close(xs, sum(xs))[:n])
     # Outcome k projects onto basis vector k; the stack is built only if read.
-    return ProjectiveWitness(psi, phi, labels=np.arange(n), n_outcomes=n)
+    return ProjectiveWitness(np.array(psi), np.array(phi), labels=np.arange(n), n_outcomes=n)
 
 
-def _rotate(v: np.ndarray, c: float, s: float) -> np.ndarray:
+def _rotate(v: list[float], c: float, s: float) -> list[float]:
     """c v + s u for real unit v, s = sqrt(1 - c^2), u the unit vector along e_k - v_k v.
 
-    With |v_k| least, |v_k| <= 1/sqrt(2): the sum is (c - beta v_k) v + beta e_k,
-    beta = s / sqrt(1 - v_k^2).
+    k is the first index of least |v_k|, as argmin gives; then |v_k| <= 1/sqrt(2)
+    and the sum is (c - beta v_k) v + beta e_k, beta = s / sqrt(1 - v_k^2).
     """
-    k = int(np.abs(v).argmin())
+    k = min(range(len(v)), key=list(map(abs, v)).__getitem__)
     beta = s / math.sqrt(1.0 - v[k] * v[k])
-    out = (c - beta * v[k]) * v
+    a = c - beta * v[k]
+    out = [a * x for x in v]
     out[k] += beta
     return out
 
@@ -218,17 +226,18 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
         raise DegeneratePostselection(f"success probability {sc.s!r} is numerically zero")
     n = sc.n
     d = max(n, 2)
-    psi = np.zeros(d)
-    psi[:n] = np.sqrt(sc.dist.probs)
+    psi = [*map(math.sqrt, sc.dist.probs)] + [0.0] * (d - n)
     phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
     phi_post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
     # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps |e_k><e_k|
     # so the V_k^dag V_k still sum to the identity.  Every other entry is +0.0.
-    positive = psi[:n] > 0.0  # sqrt(p) > 0 exactly when p > 0
-    repaired = np.flatnonzero(~positive)
-    e = np.eye(n, d, dtype=bool)  # row k is e_k
-    kraus = np.where(e[:, None, :], np.where(positive[:, None], phi_post, e)[:, :, None], 0.0)
+    live = [k for k in range(n) if psi[k] > 0.0]  # sqrt(p) > 0 exactly when p > 0
+    repaired = [k for k in range(n) if not psi[k] > 0.0]
+    kraus = np.zeros((n, d, d))
+    kraus[live, :, live] = phi_post
+    if repaired:
+        kraus[repaired, repaired, repaired] = 1.0
     if n == 1:
         # One outcome on a qubit: complete V_0 to a unitary.
         kraus[0, :, 1] = _rotate(phi_post, 0.0, 1.0)
-    return GeneralizedWitness(psi, phi, kraus, repaired.tolist())
+    return GeneralizedWitness(np.array(psi), np.array(phi), kraus, repaired)

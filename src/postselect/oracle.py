@@ -275,7 +275,8 @@ def run_campaign(
         return fuzz_projective(d, n, size, stream)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return merge_reports(pool.map(work, zip(sizes, streams)))
+        # Wait for every chunk first, so that merge_reports times only the merge.
+        return merge_reports(list(pool.map(work, zip(sizes, streams))))
 
 
 def _search_extremal_s(

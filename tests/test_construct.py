@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 
 from postselect import (
     EPS_PROB,
+    GeneralizedWitness,
     OutcomeDistribution,
     ScenarioTriple,
+    check_projective_raw,
     close_polygon,
     construct_generalized,
     construct_projective,
     evaluate_witness,
     factor_amplitudes,
 )
-from postselect import core
+from postselect import construct, core
 from postselect.construct import EPS_CLOSE, _factor_real, _rotate
 from postselect.errors import (
+    ClosureFailure,
     DegeneratePostselection,
     InfeasibleScenario,
     NormViolation,
@@ -466,3 +469,124 @@ class TestConstructGeneralized:
                 assert np.array_equal(column, columns[0])
             for other in states[1:]:
                 assert abs(abs(np.vdot(states[0], other)) - 1.0) <= 1e-10
+
+
+class TestBuilderChecks:
+    """construct_projective hands its own floats to the closure and factorization cores,
+    which keep the checks that the public close_polygon and factor_amplitudes run."""
+
+    SC = ScenarioTriple(0.3, 0.2, OutcomeDistribution((0.6, 0.3, 0.1)))
+
+    def test_open_polygon_refused(self, monkeypatch):
+        # Every edge along +1 sums to the perimeter, not to 0.
+        monkeypatch.setattr(construct, "_triangle_dirs", lambda sums: [1.0 + 0.0j] * 3)
+        with pytest.raises(ClosureFailure, match="closure residual"):
+            construct_projective(self.SC)
+
+    def test_factorization_residual_refused(self, monkeypatch):
+        exact = construct._factor_real
+
+        def perturbed(rs):
+            psi, phi = exact(rs)
+            return [x + 1e-6 for x in psi], phi
+
+        monkeypatch.setattr(construct, "_factor_real", perturbed)
+        with pytest.raises(ClosureFailure, match="factorization residual"):
+            construct_projective(self.SC)
+
+
+def edge_scenarios(rng, count, n_max):
+    """Seeded projectively feasible scenarios from n = 2 to n_max, drawn to sit on edges.
+
+    P has zero entries in about 30 % of draws, S is 1/D_1/2 (or a hair below it)
+    half the time, and T is 0 or 1 half the time; draws the raw checker refuses
+    are skipped.
+    """
+    scenarios = []
+    while len(scenarios) < count:
+        n = int(np.exp(rng.uniform(math.log(2), math.log(n_max + 1))))
+        dist = random_distribution(rng, n=n, allow_zeros=True)
+        sq = np.sqrt(dist.probs)
+        s_top = 1.0 / float(sq.sum()) ** 2
+        s = s_top * float(rng.choice([1.0, 1.0 - 1e-12, rng.uniform(1e-3, 1.0), rng.uniform(1e-3, 1.0)]))
+        lower = max(0.0, 2.0 * float(sq.max()) - float(sq.sum()))
+        t_inside = min(1.0, float(rng.uniform(lower, sq.sum())) ** 2 * s)
+        t = float(rng.choice([0.0, 1.0, t_inside, t_inside]))
+        sc = ScenarioTriple(t, s, dist)
+        if check_projective_raw(sc).feasible:
+            scenarios.append(sc)
+    return scenarios
+
+
+def test_builder_agrees_with_public_pipeline():
+    # The builder skips the public functions' input scans, not their algorithm.
+    scenarios = edge_scenarios(np.random.default_rng(2001), 600, 200)
+    assert sum(sc.t in (0.0, 1.0) for sc in scenarios) > 100
+    assert sum(0.0 in sc.dist.probs for sc in scenarios) > 100
+    assert sum(sc.n > 50 for sc in scenarios) > 100
+    saturated = 0
+    for sc in scenarios:
+        xs = [math.sqrt(sc.s * p) for p in sc.dist.probs] + [math.sqrt(sc.t)]
+        saturated += math.fsum(xs[:-1]) >= 1.0 - 1e-9
+        psi, phi = factor_amplitudes(close_polygon(xs).zs[: sc.n])
+        w = construct_projective(sc)
+        assert np.abs(w.psi - psi).max() <= 1e-14, sc
+        assert np.abs(w.phi - phi).max() <= 1e-14, sc
+        assert_reproduces(sc, w, tol=1e-9)
+    assert saturated > 100
+
+
+def numpy_rotate(v: np.ndarray, c: float, s: float) -> np.ndarray:
+    """The NumPy form of construct._rotate, kept as a reference."""
+    k = int(np.abs(v).argmin())
+    beta = s / math.sqrt(1.0 - v[k] * v[k])
+    out = (c - beta * v[k]) * v
+    out[k] += beta
+    return out
+
+
+def numpy_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
+    """The NumPy form of construct_generalized, kept as a reference."""
+    if sc.s <= EPS_PROB:
+        raise DegeneratePostselection(f"success probability {sc.s!r} is numerically zero")
+    n = sc.n
+    d = max(n, 2)
+    psi = np.zeros(d)
+    psi[:n] = np.sqrt(sc.dist.probs)
+    phi = numpy_rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
+    phi_post = numpy_rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
+    # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps |e_k><e_k|
+    # so the V_k^dag V_k still sum to the identity.  Every other entry is +0.0.
+    positive = psi[:n] > 0.0  # sqrt(p) > 0 exactly when p > 0
+    repaired = np.flatnonzero(~positive)
+    e = np.eye(n, d, dtype=bool)  # row k is e_k
+    kraus = np.where(e[:, None, :], np.where(positive[:, None], phi_post, e)[:, :, None], 0.0)
+    if n == 1:
+        # One outcome on a qubit: complete V_0 to a unitary.
+        kraus[0, :, 1] = numpy_rotate(phi_post, 0.0, 1.0)
+    return GeneralizedWitness(psi, phi, kraus, repaired.tolist())
+
+
+def test_generalized_matches_numpy_form_bytewise():
+    rng = np.random.default_rng(2002)
+    built = refused = zeroed = 0
+    for _ in range(2400):
+        n = int(rng.integers(1, 9))
+        dist = random_distribution(rng, n=n, allow_zeros=n > 1)
+        t = float(rng.choice([0.0, 1.0, rng.random(), rng.random()]))
+        s = float(rng.choice([1.0, 2e-12, 1e-13, 1e-6 + (1.0 - 1e-6) * rng.random()]))
+        sc = ScenarioTriple(t, s, dist)
+        try:
+            want = numpy_generalized(sc)
+        except DegeneratePostselection:
+            with pytest.raises(DegeneratePostselection):
+                construct_generalized(sc)
+            refused += 1
+            continue
+        got = construct_generalized(sc)
+        for a, b in ((got.psi, want.psi), (got.phi, want.phi), (got.operators, want.operators)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), sc
+        assert got.repaired == want.repaired, sc
+        built += 1
+        zeroed += bool(want.repaired)
+    assert built > 1500 and refused > 300 and zeroed > 200, (built, refused, zeroed)
