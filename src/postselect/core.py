@@ -170,6 +170,8 @@ class ScenarioTriple:
     def __init__(self, t: float, s: float, dist: OutcomeDistribution):
         t = _probability(t, "transition probability")
         s = _probability(s, "success probability", positive=True)
+        if not isinstance(dist, OutcomeDistribution):
+            raise ValueError(f"dist must be an OutcomeDistribution, got {type(dist).__name__}")
         self.__dict__.update(t=t, s=s, dist=dist)
 
     @property

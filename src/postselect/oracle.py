@@ -16,6 +16,7 @@ are integers (`core._count`): a bool, float, NaN or inf raises ValueError.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,8 +33,10 @@ FUZZ_EPS = 1e-9
 # Coverage grids split [0, 1]^2 into NBINS^2 cells of side GRID_STEP.
 GRID_STEP = 0.01
 NBINS = round(1 / GRID_STEP)
-# Draws evaluated per vectorized step; bounds the fuzz's working memory.
+# Draws per batch; it lays out the stream (per batch: normals, then labels), so digests pin it.
 BATCH_SIZE = 50_000
+# Entries per row block of a batch (BLOCK_CELLS // d rows, at least one); bounds working memory.
+BLOCK_CELLS = 2**15
 # Walkers advanced together by the extremal-S searches.
 RESTARTS = 4
 
@@ -43,16 +46,17 @@ def default_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _unit_rows(rng: np.random.Generator, b: int, d: int) -> np.ndarray:
-    """(b, d) rows uniform on the unit sphere of C^d.
+def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(b, d) complex rows re + i im scaled to unit norm; uniform on the sphere for normal draws.
 
-    The real parts are drawn standard normal, then the imaginary parts, and each
-    row is divided by its norm.
+    Each row is multiplied by 1 / norm, which gives the bits of dividing by the
+    norm: NumPy divides a complex number by a real one r with Smith's algorithm,
+    which computes (a + b*0) * (1/r) and (b - a*0) * (1/r).
     """
-    z = np.empty((b, d), dtype=complex)
-    z.real = rng.standard_normal((b, d))
-    z.imag = rng.standard_normal((b, d))
-    z /= np.sqrt(_row_sum((z.conj() * z).real))[:, None]
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    z *= (1.0 / np.sqrt(_row_sum((z.conj() * z).real)))[:, None]
     return z
 
 
@@ -182,6 +186,11 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     averaged over U, (T, S, P) has its law at U = I.  A violation's
     witness_digest is the SHA-256 of its psi, phi and labels bytes.
 
+    A batch of BATCH_SIZE draws takes its normals in one (4, b, d) call (psi's real
+    and imaginary parts, then phi's), then its labels; only these are batch-sized.
+    Its rows are evaluated in blocks of BLOCK_CELLS // d, and every value is computed
+    row by row, so the blocks, like `_unit_rows`' multiply by 1 / norm, change no bit.
+
     Rows of fewer than 8 scalars are summed by whole columns
     (`feasibility._row_sum`), equal to NumPy's axis reductions bit for bit.
     Nothing is grouped at n = d.  At n = 1, S is still grouped: `_group` adds
@@ -193,50 +202,54 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     violations: list[FuzzViolation] = []
     # (T, S) coverage cells, then the ternary slice's (P_0, P_1) cells.
     counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
+    rows = max(1, BLOCK_CELLS // d)
     done = discarded = 0
     while done < samples:
         b = min(BATCH_SIZE, samples - done)
         done += b
-        psi = _unit_rows(rng, b, d)
-        phi = _unit_rows(rng, b, d)
-        # Per-column amplitude contributions <phi|e_j><e_j|psi>.
-        contrib = phi.conj() * psi
+        # psi's real and imaginary parts, then phi's: the order of four (b, d) draws.
+        normals = rng.standard_normal((4, b, d))
         labels = _random_labels(b, d, n, rng)
-        t = np.abs(_row_sum(contrib)) ** 2
-        # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
-        weights = np.abs(contrib if n == d else _group(contrib, _flat_index(labels, n), n)) ** 2
-        del contrib
-        s = _row_sum(weights)
-        keep = s > S_DISCARD
-        kept = int(np.count_nonzero(keep))
-        discarded += b - kept
-        if kept < b:
-            t, s, weights = t[keep], s[keep], weights[keep]
-        probs = weights / s[:, None]
-        t_k, s_k = np.minimum(t, 1.0), np.minimum(s, 1.0)
-        slacks = projective_raw_slack_arrays(t_k, s_k, probs)
-        min_slack = reduce(np.minimum, slacks.values())
-        flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
-        origins = flagged if kept == b else np.flatnonzero(keep)[flagged]
-        for i, orig in zip(flagged, origins):
-            h = hashlib.sha256()
-            for arr in (psi[orig], phi[orig], labels[orig]):
-                h.update(np.ascontiguousarray(arr).tobytes())
-            tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
-            violations.append(
-                FuzzViolation(
-                    witness_digest=h.hexdigest(),
-                    t=float(t_k[i]),
-                    s=float(s_k[i]),
-                    probs=tuple(float(x) for x in probs[i]),
-                    violated=tags,
+        for r in range(0, b, rows):
+            psi = _unit_rows(*normals[:2, r : r + rows])
+            phi = _unit_rows(*normals[2:, r : r + rows])
+            # Per-column amplitude contributions <phi|e_j><e_j|psi>.
+            contrib = phi.conj() * psi
+            t = np.abs(_row_sum(contrib)) ** 2
+            # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
+            amps = contrib if n == d else _group(contrib, _flat_index(labels[r : r + rows], n), n)
+            weights = np.abs(amps) ** 2
+            s = _row_sum(weights)
+            keep = s > S_DISCARD
+            kept = int(np.count_nonzero(keep))
+            discarded += len(keep) - kept
+            if kept < len(keep):
+                t, s, weights = t[keep], s[keep], weights[keep]
+            probs = weights / s[:, None]
+            t_k, s_k = np.minimum(t, 1.0), np.minimum(s, 1.0)
+            slacks = projective_raw_slack_arrays(t_k, s_k, probs)
+            min_slack = reduce(np.minimum, slacks.values())
+            flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
+            origins = flagged if kept == len(keep) else np.flatnonzero(keep)[flagged]
+            for i, orig in zip(flagged, origins):
+                h = hashlib.sha256()
+                for arr in (psi[orig], phi[orig], labels[r + orig]):
+                    h.update(np.ascontiguousarray(arr).tobytes())
+                tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
+                violations.append(
+                    FuzzViolation(
+                        witness_digest=h.hexdigest(),
+                        t=float(t_k[i]),
+                        s=float(s_k[i]),
+                        probs=tuple(float(x) for x in probs[i]),
+                        violated=tags,
+                    )
                 )
-            )
-        cells = [_cell(t_k, s_k)]
-        if n == 3:
-            near_zero_t = t_k < GRID_STEP
-            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
-        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+            cells = [_cell(t_k, s_k)]
+            if n == 3:
+                near_zero_t = t_k < GRID_STEP
+                cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
+            counts += np.bincount(np.concatenate(cells), minlength=counts.size)
     return FuzzReport(samples, tuple(violations), counts.reshape(2, NBINS, NBINS), discarded)
 
 
@@ -253,17 +266,21 @@ def run_campaign(
 
     Each chunk owns its own counter-based stream derived from (seed, index),
     so the result is identical regardless of worker count.  Chunks run on a
-    thread pool of max_workers threads (None: the executor's default).  seed
-    is an integer >= 0.
+    thread pool of max_workers threads; None means one per usable CPU
+    (os.sched_getaffinity, else os.cpu_count) and at most one per chunk, since
+    every running chunk holds a batch in memory.  seed is an integer >= 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     d, n = _shape(d, n)
     samples, chunk = _count(samples, "samples", 1), _count(chunk, "chunk", 1)
     seed = _count(seed, "seed", 0)
-    if max_workers is not None:
-        max_workers = _count(max_workers, "max_workers", 1)
     n_chunks = max(1, -(-samples // chunk))
+    if max_workers is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        max_workers = min(cpus or 1, n_chunks)
+    else:
+        max_workers = _count(max_workers, "max_workers", 1)
     sizes = [chunk] * (n_chunks - 1) + [samples - chunk * (n_chunks - 1)]
     streams = [
         np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i])))

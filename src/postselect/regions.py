@@ -3,11 +3,11 @@
 Grids use cell centers over half-open axis ranges, emitted in row-major
 order (first axis slowest).  A grid stores its axes, per-cell tags and
 polylines, and derives its cell centers (`coords`) from the axes.  Emitters
-evaluate the slack kernels on blocks of ROW_BLOCK first-axis rows, the
-block's centers shaped (B, 1) against the second axis's (1, r1), so work
-that depends on one axis is done once per axis value and the working set
-stays a few blocks wide at any resolution; each block's bits are ORed into
-one preallocated bitmask.  CSV is the normative artifact: each bitmask has
+evaluate the slack kernels on blocks of CELLS // r1 first-axis rows (at
+least one), the block's centers shaped (B, 1) against the second axis's
+(1, r1), so work that depends on one axis is done once per axis value and the
+working set stays about CELLS cells at any resolution; each block's bits are
+ORed into one preallocated bitmask.  CSV is the normative artifact: each bitmask has
 one list of its cells' texts (column center, then suffix), built once per
 grid, and each first-axis row is joined from slices of those lists over
 the row's runs of equal masks and written in one call.  The SVG holds one
@@ -28,8 +28,8 @@ from .core import EPS_FEAS, _count, _probability
 from . import feasibility
 from .feasibility import MAX_OUTCOME_POLYGON, OUTSIDE_SIMPLEX, S_BOUND
 
-# First-axis rows whose slacks are evaluated together; bounds the emitters' working memory.
-ROW_BLOCK = 32
+# Cells per slack block, in whole first-axis rows; bounds the emitters' working memory.
+CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,11 @@ def _violations(
     """
     c0, c1 = (ax.centers() for ax in axes)
     violated = np.zeros((len(c0), len(c1)), dtype=np.uint8)
-    for r in range(0, len(c0), ROW_BLOCK):
-        named = slacks(c0[r : r + ROW_BLOCK, None], c1[None, :])
+    rows = max(1, CELLS // len(c1))
+    for r in range(0, len(c0), rows):
+        named = slacks(c0[r : r + rows, None], c1[None, :])
         for k, arr in enumerate(named.values()):
-            violated[r : r + ROW_BLOCK] |= (~(arr >= -EPS_FEAS)).view(np.uint8) << np.uint8(k)
+            violated[r : r + rows] |= (~(arr >= -EPS_FEAS)).view(np.uint8) << np.uint8(k)
     return tuple(named), violated.reshape(-1)
 
 

@@ -164,6 +164,15 @@ def test_bool_and_str_probabilities_refused(build, args):
 
 
 
+@pytest.mark.parametrize(
+    "dist", [[0.5, 0.5], (0.5, 0.5), None, {0: 0.5, 1: 0.5}], ids=["list", "tuple", "None", "dict"]
+)
+def test_scenario_refuses_a_dist_that_is_not_a_distribution(dist):
+    # Accepted, it raised AttributeError only later, in the checkers and builders.
+    with pytest.raises(ValueError, match=f"OutcomeDistribution, got {type(dist).__name__}"):
+        ScenarioTriple(0.5, 0.5, dist)
+
+
 def test_numeric_probability_types_accepted():
     dist = OutcomeDistribution(np.array([1, 0]))
     assert dist.probs == (1.0, 0.0) and type(dist.probs[0]) is float

@@ -1,6 +1,9 @@
 import ast
+import concurrent.futures
 import dataclasses
 import hashlib
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from postselect.oracle import (
     _grid,
     _group,
     _random_labels,
+    _unit_rows,
     merge_reports,
 )
 from samplers import _complex_normal, _haar, sample_projective, sample_state, sample_unitary
@@ -202,6 +206,19 @@ class TestPartitions:
         assert (labels[:, 0] == 0).all() and (labels[:, -1] == n - 1).all()
         assert np.isin(np.diff(labels, axis=1), (0, 1)).all()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tied_draws_cut_n_minus_one_gaps(self, n):
+        # A tie at the (n - 1)-th smallest draw: comparing each draw against that
+        # value would cut every tied gap, giving a row more than n - 1 cuts.
+        class TiedDraws:
+            def random(self, shape):
+                rows = [[0.5] * 5, [0.2, 0.1, 0.2, 0.2, 0.9], [0.1, 0.1, 0.1, 0.5, 0.5], [0.0] * 5]
+                return np.array(rows * (shape[0] // 4))
+
+        labels = _random_labels(8, 6, n, TiedDraws())
+        assert (labels[:, 0] == 0).all() and (labels[:, -1] == n - 1).all()
+        assert np.isin(np.diff(labels, axis=1), (0, 1)).all()
+
     @pytest.mark.parametrize("d, n", [(3, 1), (3, 3)])
     def test_fixed_compositions_draw_nothing(self, d, n):
         rng = default_rng(3)
@@ -312,6 +329,27 @@ def flag_every_draw(monkeypatch) -> tuple[str, ...]:
     return tuple(real(np.array([0.5]), np.array([0.5]), np.array([[0.5, 0.5]])))
 
 
+def record_pool_sizes(monkeypatch) -> list:
+    """Replace the thread pool with a serial one; return the list its sizes go to."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    return sizes
+
+
 class TestViolations:
     def test_violation_records_its_draw(self, monkeypatch):
         tags = flag_every_draw(monkeypatch)
@@ -370,6 +408,49 @@ class TestBatchLoop:
         assert len(violations) == 1_600 - discarded
         # The raised threshold discards draws (S = 1 at d = 1), so the masked copies run.
         assert (discarded > 0) == (s_discard > S_DISCARD and d > 1)
+
+
+class TestRowBlocks(TestBatchLoop):
+    """TestBatchLoop's shapes with 500-entry row blocks.
+
+    Every 700-draw batch then takes several blocks and a partial one, at every d
+    (500 // d rows: 500, 250, 166, 125, 83 and 55), and the last batch of 200
+    draws ends in a partial block.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", 500)
+
+
+class TestBlockedBatch:
+    @pytest.mark.parametrize("d, n", [(3, 3), (16, 16)])
+    def test_working_set_is_bounded(self, d, n):
+        # One full batch.  Beyond its normals, 2**15-entry blocks peaked at 4.1 and
+        # 3.3 MiB here; whole-batch arrays took 7.8 and 22.7 MiB.
+        fuzz_projective(d, n, 100, default_rng(0))
+        tracemalloc.start()
+        try:
+            fuzz_projective(d, n, BATCH_SIZE, default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        normals = 4 * BATCH_SIZE * d * 8  # bytes of the batch's float normals
+        assert peak - normals < 6 * 2**20
+
+    def test_multi_block_digest_is_pinned(self):
+        # One 200,000-draw chunk: four batches, each in 5,461-row blocks and a
+        # partial one.  Recorded before batches were evaluated in blocks.
+        digest = "2bf4200a94fc113742bc2a97ebecb93092a05c0e651a4ad747e137dc0a6e0243"
+        assert run_campaign(6, 3, 200_000, 42).digest() == digest
+
+    @pytest.mark.parametrize("width", [*range(1, 10), 16, 64])
+    def test_unit_rows_multiply_equals_division(self, width):
+        re, im = default_rng(width).standard_normal((2, 5_000, width))
+        z = np.empty((5_000, width), dtype=complex)
+        z.real, z.imag = re, im
+        z /= np.sqrt((z.conj() * z).real.sum(axis=1))[:, None]
+        assert np.array_equal(_unit_rows(re, im).view(np.uint64), z.view(np.uint64))
 
 
 class TestDiscarded:
@@ -435,6 +516,28 @@ class TestCampaign:
     def test_rejects_unusable_worker_counts(self, workers):
         with pytest.raises(ValueError, match="max_workers"):
             run_campaign(2, 2, 100, 0, max_workers=workers)
+
+    @pytest.mark.parametrize("cpus, samples, workers", [(3, 5_000, 3), (8, 2_000, 2)])
+    def test_default_workers_are_usable_cpus_and_chunks(self, monkeypatch, cpus, samples, workers):
+        pools = record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        run_campaign(2, 2, samples, 0, chunk=1_000)
+        assert pools == [workers]
+
+    @pytest.mark.parametrize("count, workers", [(4, 4), (None, 1)])
+    def test_default_workers_without_affinity(self, monkeypatch, count, workers):
+        pools = record_pool_sizes(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        run_campaign(2, 2, 5_000, 0, chunk=1_000)
+        assert pools == [workers]
+
+    def test_explicit_workers_are_kept(self, monkeypatch):
+        pools = record_pool_sizes(monkeypatch)
+        run_campaign(2, 2, 2_000, 0, max_workers=7, chunk=1_000)
+        monkeypatch.setenv("POSTSELECT_THREADS", "5")
+        assert main(["fuzz", "--dim", "2", "--outcomes", "2", "--samples", "50"]) == 0
+        assert pools == [7, 5]
 
     def test_seed_changes_digest(self):
         a = run_campaign(2, 2, 5000, 0, max_workers=1)

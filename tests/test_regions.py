@@ -19,7 +19,7 @@ from postselect import (
     emit_ternary,
     emit_ts_region,
 )
-from postselect import feasibility
+from postselect import feasibility, regions
 from postselect.feasibility import (
     MAX_OUTCOME_POLYGON,
     OUTSIDE_SIMPLEX,
@@ -29,8 +29,8 @@ from postselect.feasibility import (
     ts_region_slacks,
 )
 from postselect.regions import (
+    CELLS,
     INSCRIBED_DISK_FRACTION,
-    ROW_BLOCK,
     Axis,
     RegionGrid,
     ternary_disk_area_fraction,
@@ -221,7 +221,7 @@ class TestBitmask:
 
 
 class TestRowBlocks:
-    """Emitters evaluate their slacks on blocks of ROW_BLOCK first-axis rows."""
+    """Emitters evaluate their slacks on blocks of CELLS // r1 first-axis rows, at least one."""
 
     EMITTERS = [
         pytest.param(emit_ternary, (), "ternary_disk_slack", id="ternary"),
@@ -232,13 +232,34 @@ class TestRowBlocks:
         pytest.param(emit_ts_region, (3,), "ts_region_slacks", id="ts"),
     ]
 
-    @pytest.mark.parametrize(
-        "resolution", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 401]
-    )
+    @pytest.mark.parametrize("resolution", [31, 32, 33, 65, 401])
     @pytest.mark.parametrize("emit, args, kernel", EMITTERS)
     def test_blocks_match_the_full_grid(self, monkeypatch, emit, args, kernel, resolution):
-        # The last first-axis row lies in the last block, a partial one unless
-        # ROW_BLOCK divides the resolution; its kernel slacks are all NaN.
+        # 1,024-cell blocks: 31 and 32 fit one block (of 33 and 32 rows); 33, 65 and
+        # 401 take blocks of 31, 15 and 2 rows and end in a partial one.
+        monkeypatch.setattr(regions, "CELLS", 1024)
+        self.check_blocks(monkeypatch, emit, args, kernel, resolution)
+
+    @pytest.mark.parametrize(
+        "cells, resolution",
+        [(CELLS, math.isqrt(CELLS)), (CELLS, math.isqrt(CELLS) + 1), (CELLS, 401), (16, 33)],
+        ids=["one-block", "partial-last", "401", "one-row-floor"],
+    )
+    @pytest.mark.parametrize("emit, args, kernel", EMITTERS)
+    def test_cell_sized_blocks(self, monkeypatch, emit, args, kernel, cells, resolution):
+        # At the default CELLS = 2**14, a 128 x 128 grid is one block, 129 rows split
+        # 127 + 2 and 401 rows take 40-row blocks, the last of 1; 16 cells at 33
+        # columns take one row per block.
+        monkeypatch.setattr(regions, "CELLS", cells)
+        self.check_blocks(monkeypatch, emit, args, kernel, resolution)
+
+    @staticmethod
+    def check_blocks(monkeypatch, emit, args, kernel, resolution):
+        """The blocked grid equals the full-grid pass, with the last row's slacks all NaN.
+
+        The last first-axis row lies in the last block, a partial one unless the
+        block's rows divide the resolution.
+        """
         x0 = Axis("x", 0.0, 1.0, resolution).centers()[-1]
         monkeypatch.setattr(feasibility, kernel, nan_on_row(getattr(feasibility, kernel), x0))
         grid = emit(*args, resolution)
@@ -251,8 +272,8 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("emit, args, kernel", EMITTERS)
     def test_working_set_is_bounded_at_resolution_1000(self, emit, args, kernel):
-        # Blocks of 32 rows peak at 2-3.5 MiB here; slacks on the full grid
-        # peaked at 20-61 MiB.
+        # Blocks of CELLS // 1000 = 16 rows peak at 1.9-2.2 MiB here (32 rows: 2-3.5
+        # MiB); slacks on the full grid peaked at 20-61 MiB.
         tracemalloc.start()
         try:
             emit(*args, 1000)
