@@ -7,8 +7,9 @@ witness stores the labels, not an (n, n, n) projector stack).  The builder
 passes its own floats straight to the cores _close and _factor, which the
 public close_polygon and factor_amplitudes call once they have read their input.
 The generalized case is closed form on float lists: psi_k = sqrt(P(k)), phi and
-phi' one scalar step and one axpy each, and V_k = |phi'><e_k|, so every outcome
-leaves the same state phi', which decouples the measurement from the postselection.
+phi' one scalar step and one axpy each, and V_k = |phi'><e_k| for every k, P(k) = 0
+too, so every outcome leaves the same state phi', which decouples the measurement
+from the postselection.
 """
 
 from __future__ import annotations
@@ -216,10 +217,11 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     With psi_k = sqrt(P(k)) on basis vector e_k, outcome k gets
     V_k = |phi'><e_k|, so every outcome leaves the same post-measurement
     state phi' and measurement statistics and postselection are independent.
-    Outcomes with P(k) = 0 get |e_k><e_k| instead of 0 to preserve
-    completeness; they are listed in the witness's `repaired` field.  For
-    n = 1 (a qubit) V_0's second column is a unit vector orthogonal to phi',
-    which makes V_0 unitary.
+    Completeness needs no case for P(k) = 0: sum_k V_k^dag V_k =
+    sum_k |e_k><phi'|phi'><e_k| = 1, and such an outcome's amplitude is 0
+    since psi_k = 0.
+    For n = 1 (a qubit) V_0's second column is a unit vector orthogonal to
+    phi', which makes V_0 unitary.
     Raises DegeneratePostselection for S <= EPS_PROB, as evaluate_witness does.
     """
     if sc.s <= EPS_PROB:
@@ -229,15 +231,11 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     psi = [*map(math.sqrt, sc.dist.probs)] + [0.0] * (d - n)
     phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
     phi_post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps |e_k><e_k|
-    # so the V_k^dag V_k still sum to the identity.  Every other entry is +0.0.
-    live = [k for k in range(n) if psi[k] > 0.0]  # sqrt(p) > 0 exactly when p > 0
-    repaired = [k for k in range(n) if not psi[k] > 0.0]
+    # Column k of V_k is phi_post; every other entry is +0.0.
     kraus = np.zeros((n, d, d))
-    kraus[live, :, live] = phi_post
-    if repaired:
-        kraus[repaired, repaired, repaired] = 1.0
+    k = np.arange(n)
+    kraus[k, :, k] = phi_post
     if n == 1:
         # One outcome on a qubit: complete V_0 to a unitary.
         kraus[0, :, 1] = _rotate(phi_post, 0.0, 1.0)
-    return GeneralizedWitness(np.array(psi), np.array(phi), kraus, repaired)
+    return GeneralizedWitness(np.array(psi), np.array(phi), kraus)

@@ -376,26 +376,10 @@ class ProjectiveWitness(_Witness):
 
 @dataclass(frozen=True, eq=False, init=False)
 class GeneralizedWitness(_Witness):
-    """States psi, phi plus Kraus operators satisfying completeness.
-
-    repaired lists outcome indices, each an int in range(n), whose
-    zero-probability Kraus operator was replaced by the corresponding
-    projector to preserve completeness.
-    """
+    """States psi, phi plus Kraus operators satisfying completeness."""
 
     kind = "generalized"
     _validate = staticmethod(_validate_kraus)
-    repaired: tuple[int, ...] = ()
-
-    def __init__(self, psi, phi, kraus, repaired=()):
-        super().__init__(psi, phi, kraus)
-        try:
-            repaired = tuple(_count(k, "repaired index") for k in repaired)
-        except (TypeError, ValueError) as exc:  # TypeError: repaired is not iterable
-            raise InvalidWitness(f"repaired is not a list of outcome indices: {exc}") from exc
-        if not all(0 <= k < self.n_outcomes for k in repaired):
-            raise InvalidWitness(f"repaired {repaired} has an index outside range(n)")
-        self.__dict__["repaired"] = repaired
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
@@ -407,9 +391,7 @@ class GeneralizedWitness(_Witness):
         Needs sum_k V_k V_k^dag = 1, as for projectors times one unitary (not
         most built witnesses); else raises InvalidWitness("... not complete").
         """
-        return GeneralizedWitness(
-            self.phi, self.psi, self.operators.conj().transpose(0, 2, 1), self.repaired
-        )
+        return GeneralizedWitness(self.phi, self.psi, self.operators.conj().transpose(0, 2, 1))
 
 
 def sqrt_probs(dist: OutcomeDistribution) -> list[float]:

@@ -112,14 +112,12 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def projective_raw_slack_arrays(t: np.ndarray, s: np.ndarray, probs: np.ndarray):
     """Row-wise chain slacks for t, s of shape (B,) and probs of shape (B, n).
 
-    For n < 8 the per-row sum and maximum of sqrt(P) run over the n columns
-    (`_row_sum`, np.maximum), not along the short last axis; wider rows keep the
-    axis reductions.  Either way they equal sq.sum(axis=1) and sq.max(axis=1)
-    bit for bit.
+    The per-row maximum of sqrt(P) runs over the n columns (np.maximum) at every
+    width: a maximum is exact, so it equals sq.max(axis=1) bit for bit.  The row
+    sum is `_row_sum`'s, which equals sq.sum(axis=1).
     """
     sq = np.sqrt(probs)
-    top = reduce(np.maximum, sq.T) if sq.shape[1] < 8 else sq.max(axis=1)
-    return chain_slacks(np.sqrt(t / s), _row_sum(sq), top, np.sqrt(s))
+    return chain_slacks(np.sqrt(t / s), _row_sum(sq), reduce(np.maximum, sq.T), np.sqrt(s))
 
 
 def check_generalized(sc: ScenarioTriple) -> FeasibilityVerdict:

@@ -192,7 +192,8 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     row by row, so the blocks, like `_unit_rows`' multiply by 1 / norm, change no bit.
 
     Rows of fewer than 8 scalars are summed by whole columns
-    (`feasibility._row_sum`), equal to NumPy's axis reductions bit for bit.
+    (`feasibility._row_sum`), and the slack kernel takes every row maximum by
+    columns; both equal NumPy's axis reductions bit for bit.
     Nothing is grouped at n = d.  At n = 1, S is still grouped: `_group` adds
     in index order and NumPy sums 4 or more complex entries pairwise, so S may
     differ from T in the last bit.
@@ -311,7 +312,7 @@ def _search_extremal_s(
     S <= S_DISCARD, scores -inf, so any valid proposal replaces it.  trials
     counts proposals over all walkers, rounded up to whole steps.
     """
-    _probability(t, "transition probability")
+    t = _probability(t, "transition probability")
     d, n = _shape(d, n)
     trials = _count(trials, "trials", 1)
     # Fixed rank partition: rank-1 outcomes plus a remainder block.

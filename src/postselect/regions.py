@@ -138,7 +138,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
     and sqrt(p) + sqrt(1-p) <= 1/sqrt(S); the last condition produces the
     vertical cuts for s > 1/2.
     """
-    _probability(s, "s", positive=True)
+    s = _probability(s, "s", positive=True)
     resolution = _count(resolution, "resolution", 2)
     axes = (Axis("p", 0.0, 1.0, resolution), Axis("t", 0.0, 1.0, resolution))
     tags, violated = _violations(axes, lambda p, t: feasibility.dichotomic_slacks(p, t, s))
@@ -152,7 +152,7 @@ def emit_pt_sections(s: float, resolution: int) -> RegionGrid:
 
 def emit_ts_region(n: int, resolution: int) -> RegionGrid:
     """(T, S) region for n outcomes: T/n <= S <= (T+1)/2."""
-    _count(n, "n", 1)
+    n = _count(n, "n", 1)
     resolution = _count(resolution, "resolution", 2)
     axes = (Axis("t", 0.0, 1.0, resolution), Axis("s", 0.0, 1.0, resolution))
     tags, violated = _violations(axes, lambda t, s: feasibility.ts_region_slacks(t, s, n))

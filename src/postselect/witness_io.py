@@ -2,10 +2,12 @@
 
 Schema: kind ("projective" | "generalized"), dimension (an integer d >= 1),
 psi/phi as d [re, im] pairs, operators as n row-major d x d matrices of
-[re, im] pairs, plus a free-form metadata map (target scenario, seeds, and a
-generalized witness's ``repaired`` list of outcome indices).  Decoding reads
-every array with core._array, as the witness classes do, so a file holds the
-numbers they accept: real numbers of the declared shape, no bools or strings.
+[re, im] pairs, plus a free-form metadata map (target scenario, seeds; any
+other key is ignored, such as the list of zero-probability outcomes that
+older generalized files carry).  Every kind decodes as cls(psi, phi,
+operators), each array read with core._array, as the witness classes do, so
+a file holds the numbers they accept: real numbers of the declared shape, no
+bools or strings.
 A target needs finite numbers t and s, and one finite p per outcome.
 
 The file always holds the dense operator stack: encoding a labelled
@@ -40,16 +42,13 @@ def _complex(value, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
 
 
 def witness_to_dict(w: _Witness, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
-    meta = dict(metadata or {})
-    if w.kind == "generalized" and w.repaired:
-        meta.setdefault("repaired", list(w.repaired))
     return {
         "kind": w.kind,
         "dimension": w.dimension,
         "psi": _to_pairs(w.psi),
         "phi": _to_pairs(w.phi),
         "operators": _to_pairs(w.operators),
-        "metadata": meta,
+        "metadata": dict(metadata or {}),
     }
 
 
@@ -79,11 +78,8 @@ def witness_from_dict(data: dict[str, Any]) -> _Witness:
         raise InvalidWitness(f"unknown witness kind {kind!r}") from None
     if type(d) is not int or d < 1:
         raise InvalidWitness(f"dimension {d!r} is not a positive integer")
-    args = [_complex(psi, "psi", (d,)), _complex(phi, "phi", (d,))]
-    args.append(_complex(ops, "operators", (None, d, d)))
-    if kind == "generalized":
-        args.append(meta.get("repaired", []))
-    w = cls(*args)
+    psi, phi = _complex(psi, "psi", (d,)), _complex(phi, "phi", (d,))
+    w = cls(psi, phi, _complex(ops, "operators", (None, d, d)))
     if "target" in meta:
         _check_target(meta["target"], w.n_outcomes)
     return w

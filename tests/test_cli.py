@@ -17,8 +17,11 @@ from postselect import (
     check_projective_raw,
     construct_generalized,
     construct_projective,
+    evaluate_witness,
 )
+from postselect import cli
 from postselect.cli import main
+from postselect.errors import ClosureFailure
 from postselect.witness_io import (
     _write_witness,
     load_witness,
@@ -74,6 +77,22 @@ class TestCheck:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err
+
+    def test_empty_probability_list_exit_two(self, capsys):
+        # Refused by the parser itself, before OutcomeDistribution sees an empty list.
+        code, _, err = run(capsys, "check", "--t", "0", "--s", "0.5", "--p", ",")
+        assert code == 2
+        assert err == "error: empty probability list\n"
+
+    def test_other_domain_error_exit_one(self, capsys, monkeypatch):
+        # A PostselectError that no earlier clause names is a domain-negative result.
+        def fail(sc):
+            raise ClosureFailure("closure residual 1.0")
+
+        monkeypatch.setattr(cli, "construct_projective", fail)
+        argv = ("construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5", "--kind", "projective")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: closure residual 1.0\n")
 
 
 class TestConstructVerify:
@@ -200,6 +219,30 @@ class TestConstructVerify:
         assert code == 2
         assert "invalid witness" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("psi"), "malformed witness file: 'psi'"),
+            (lambda doc: doc.update(metadata=[]), "metadata is not a JSON object"),
+            (lambda doc: doc.update(kind="kraus"), "unknown witness kind 'kraus'"),
+            (lambda doc: doc.update(kind=["projective"]), "unknown witness kind ['projective']"),
+        ],
+        ids=["missing-psi", "metadata-list", "unknown-kind", "unhashable-kind"],
+    )
+    def test_verify_rejects_malformed_document(self, capsys, tmp_path, edit, message):
+        path = tmp_path / "w.json"
+        run(
+            capsys,
+            "construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
+            "--kind", "generalized", "--out", str(path),
+        )
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"invalid witness: {message}\n"
+
     @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "psi"])
     def test_verify_rejects_nan_entry(self, capsys, tmp_path, where):
         path = tmp_path / "w.json"
@@ -313,8 +356,6 @@ def reference_witness_to_dict(w, metadata=None):
         kind, ops = "projective", w.projectors
     else:
         kind, ops = "generalized", w.kraus
-        if w.repaired:
-            meta.setdefault("repaired", list(w.repaired))
     return {
         "kind": kind,
         "dimension": w.dimension,
@@ -345,7 +386,6 @@ class TestWitnessIO:
         save_witness(w, path, metadata={"note": "zero outcome"})
         w2 = load_witness(path)
         assert w2.kind == "generalized"
-        assert w2.repaired == w.repaired
         for a, b in zip(w2.kraus, w.kraus):
             assert np.array_equal(a, b)
 
@@ -370,17 +410,40 @@ class TestWitnessIO:
         u = sample_unitary(4, rng)
         cases += [
             (ProjectiveWitness(psi, phi, projs), {"seed": 7}),
-            (GeneralizedWitness(psi, phi, [q @ u for q in projs], (2,)), {"seed": 7}),
+            (GeneralizedWitness(psi, phi, [q @ u for q in projs]), {"seed": 7}),
         ]
         for w, meta in cases + [(w, None) for w, _ in cases]:
             text = json.dumps(witness_to_dict(w, meta))
             assert text == json.dumps(reference_witness_to_dict(w, meta))
             w2 = witness_from_dict(json.loads(text))
             assert type(w2) is type(w) and w2.kind == w.kind
-            assert getattr(w2, "repaired", ()) == getattr(w, "repaired", ())
             for a, b in ((w2.psi, w.psi), (w2.phi, w.phi), (w2.operators, w.operators)):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "t, s, p", [(0.4, 0.7, (0.9, 0.0, 0.1)), (0.05, 0.2, (0.0, 0.25, 0.0, 0.25, 0.5))]
+    )
+    def test_legacy_generalized_file_verifies(self, capsys, tmp_path, t, s, p):
+        # Older builders wrote |e_k><e_k| for each zero-probability outcome and
+        # listed those outcomes in metadata.repaired; such files still verify.
+        sc = ScenarioTriple(t, s, OutcomeDistribution(p))
+        w = construct_generalized(sc)
+        zero = [k for k, x in enumerate(p) if x == 0.0]
+        doc = witness_to_dict(w, {"target": {"t": t, "s": s, "p": list(p)}, "repaired": zero})
+        for k in zero:
+            doc["operators"][k] = [
+                [[1.0 if i == j == k else 0.0, 0.0] for j in range(w.dimension)]
+                for i in range(w.dimension)
+            ]
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0 and "verification passed" in out, (out, err)
+        legacy = load_witness(path)
+        assert not np.array_equal(legacy.operators, w.operators)
+        got, want = evaluate_witness(legacy), evaluate_witness(w)
+        bits = [np.array([sc.t, sc.s, *sc.dist.probs]).tobytes() for sc in (got, want)]
+        assert bits[0] == bits[1]
 
     def test_writer_joins_tokens_into_large_writes(self):
         # json.dump writes each token separately: 138,121 writes for this witness, each
@@ -565,9 +628,9 @@ class TestCliInvariants:
         path = tmp_path_factory.mktemp("verify") / "w.json"
         path.write_text(json.dumps(payload))
         # A finite target number is read as a target the witness misses; metadata
-        # repaired outcomes belong to generalized witnesses only.
+        # beyond the target is free-form for both kinds, a "repaired" key included.
         missed = where.startswith("target") and bad in (2.7, -7)
-        ignored = where == "none" or (where == "repaired" and base["kind"] == "projective")
+        ignored = where in ("none", "repaired")
         code, out, _ = self.assert_invariants(["verify", str(path)], not (missed or ignored))
         assert code == (1 if missed else 0 if ignored else 2)
         if ignored:

@@ -332,7 +332,7 @@ def test_numerically_zero_success_probability_refused(build):
 def gram_schmidt_generalized(sc):
     """The Gram-Schmidt form of construct_generalized, kept as its reference.
 
-    Returns (psi, phi, Kraus stack, repaired): each orthogonal direction is one
+    Returns (psi, phi, Kraus stack): each orthogonal direction is one
     Gram-Schmidt step against a basis vector, and every state is renormalized.
     """
 
@@ -351,30 +351,23 @@ def gram_schmidt_generalized(sc):
     phi /= np.linalg.norm(phi)
     post = math.sqrt(sc.s) * phi + math.sqrt(1.0 - sc.s) * orthogonal_unit(phi)
     post /= np.linalg.norm(post)
-    stack, repaired = np.zeros((n, d, d), dtype=complex), []
-    for k, p in enumerate(sc.dist.probs):
-        if p > 0.0:
-            stack[k, :, k] = post
-        else:
-            stack[k, k, k] = 1.0
-            repaired.append(k)
+    stack = np.zeros((n, d, d), dtype=complex)
+    for k in range(n):
+        stack[k, :, k] = post
     if n == 1:
         stack[0, :, 1] = orthogonal_unit(post)
-    return psi, phi, stack, tuple(repaired)
+    return psi, phi, stack
 
 
 def fancy_index_stack(sc):
-    """construct_generalized's Kraus stack as zeros plus two fancy-index writes, as a reference."""
+    """construct_generalized's Kraus stack as zeros plus one fancy-index write, as a reference."""
     n, d = sc.n, max(sc.n, 2)
     psi = np.zeros(d)
     psi[:n] = np.sqrt(sc.dist.probs)
     phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
     post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    positive = psi[:n] > 0.0
-    live, repaired = np.flatnonzero(positive), np.flatnonzero(~positive)
     kraus = np.zeros((n, d, d), dtype=complex)
-    kraus[live, :, live] = post
-    kraus[repaired, repaired, repaired] = 1.0
+    kraus[np.arange(n), :, np.arange(n)] = post
     if n == 1:
         kraus[0, :, 1] = _rotate(post, 0.0, 1.0)
     return kraus
@@ -416,8 +409,7 @@ class TestConstructGeneralized:
         assert sum(0.0 in sc.dist.probs for sc in scenarios) > 50
         for sc in scenarios:
             w = construct_generalized(sc)
-            psi, phi, stack, repaired = gram_schmidt_generalized(sc)
-            assert w.repaired == repaired
+            psi, phi, stack = gram_schmidt_generalized(sc)
             for got, want in ((w.psi, psi), (w.phi, phi), (w.operators, stack)):
                 assert np.abs(got - want).max() <= 1e-12, sc
             assert_reproduces(sc, w, tol=1e-9)
@@ -435,16 +427,22 @@ class TestConstructGeneralized:
         sc = ScenarioTriple(0.0, 0.5, OutcomeDistribution((0.9, 0.1)))
         assert_reproduces(sc, construct_generalized(sc), tol=1e-12)
 
-    def test_zero_probability_outcome_repaired(self):
+    def test_zero_probability_outcome_leaves_phi_post(self):
+        # A zero outcome needs no special operator: V_1 = |phi'><e_1| like the
+        # others, completeness holds, and the outcome's amplitude is exactly 0.
         sc = ScenarioTriple(0.2, 0.4, OutcomeDistribution((0.7, 0.0, 0.3)))
         w = construct_generalized(sc)
-        assert w.repaired == (1,)
+        phi_post = w.kraus[0][:, 0]
+        assert abs(np.linalg.norm(phi_post) - 1.0) <= 1e-12
+        assert abs(abs(np.vdot(w.phi, phi_post)) ** 2 - sc.s) <= 1e-12
+        assert np.array_equal(w.kraus[1], np.outer(phi_post, np.eye(3)[1]))
+        assert evaluate_witness(w).dist.probs[1] == 0.0
         assert_reproduces(sc, w, tol=1e-12)
 
     def test_post_measurement_collinearity(self, rng):
-        # All outcomes leave the system in the same pure state: a live V_k is
-        # |phi'><e_k| with one phi' for all k, a zero-probability V_k is
-        # |e_k><e_k|, and the one outcome of n = 1 is a unitary on a qubit.
+        # All outcomes leave the system in the same pure state: every V_k is
+        # |phi'><e_k| with one phi' for all k, zero-probability outcomes
+        # included, and the one outcome of n = 1 is a unitary on a qubit.
         scenarios = [random_scenario(rng, allow_zeros=True) for _ in range(100)]
         scenarios += [
             ScenarioTriple(t, s, OutcomeDistribution((1.0,)))
@@ -455,16 +453,14 @@ class TestConstructGeneralized:
             w = construct_generalized(sc)
             columns, states = [], []
             for k, v in enumerate(w.kraus):
-                if sc.dist[k] == 0.0:
-                    assert np.array_equal(v, np.diag(np.eye(w.dimension)[k]))
-                    continue
                 if sc.n == 1:
                     assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
                 else:
                     assert not np.delete(v, k, axis=1).any()
                 columns.append(v[:, k])
-                out = v @ np.asarray(w.psi)
-                states.append(out / np.linalg.norm(out))
+                if sc.dist[k] > 0.0:  # a zero outcome never occurs: V_k psi = 0
+                    out = v @ np.asarray(w.psi)
+                    states.append(out / np.linalg.norm(out))
             for column in columns[1:]:
                 assert np.array_equal(column, columns[0])
             for other in states[1:]:
@@ -555,16 +551,13 @@ def numpy_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     psi[:n] = np.sqrt(sc.dist.probs)
     phi = numpy_rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
     phi_post = numpy_rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    # V_k = |phi_post><e_k| for P(k) > 0; an outcome with P(k) = 0 keeps |e_k><e_k|
-    # so the V_k^dag V_k still sum to the identity.  Every other entry is +0.0.
-    positive = psi[:n] > 0.0  # sqrt(p) > 0 exactly when p > 0
-    repaired = np.flatnonzero(~positive)
+    # V_k = |phi_post><e_k| for every k; every other entry is +0.0.
     e = np.eye(n, d, dtype=bool)  # row k is e_k
-    kraus = np.where(e[:, None, :], np.where(positive[:, None], phi_post, e)[:, :, None], 0.0)
+    kraus = np.where(e[:, None, :], phi_post[:, None], 0.0)
     if n == 1:
         # One outcome on a qubit: complete V_0 to a unitary.
         kraus[0, :, 1] = numpy_rotate(phi_post, 0.0, 1.0)
-    return GeneralizedWitness(psi, phi, kraus, repaired.tolist())
+    return GeneralizedWitness(psi, phi, kraus)
 
 
 def test_generalized_matches_numpy_form_bytewise():
@@ -586,7 +579,6 @@ def test_generalized_matches_numpy_form_bytewise():
         got = construct_generalized(sc)
         for a, b in ((got.psi, want.psi), (got.phi, want.phi), (got.operators, want.operators)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), sc
-        assert got.repaired == want.repaired, sc
         built += 1
-        zeroed += bool(want.repaired)
+        zeroed += 0.0 in sc.dist.probs
     assert built > 1500 and refused > 300 and zeroed > 200, (built, refused, zeroed)

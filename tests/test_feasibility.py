@@ -131,6 +131,16 @@ class TestChainSlacks:
         with pytest.raises(ValueError):
             OutcomeDistribution(probs)
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [((0.5, 0.6), "probabilities sum to"), ((), "needs at least one outcome"),
+         ((0.5, 0.5 + 2e-12), "probabilities sum to")],
+        ids=["sum-1.1", "empty", "sum-off-by-2e-12"],
+    )
+    def test_distribution_refused(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            OutcomeDistribution(probs)
+
 
 ONE = OutcomeDistribution((1.0,))
 NON_NUMBER_PROBABILITIES = {
@@ -311,6 +321,11 @@ class TestConeDecomposition:
         dec = cone_decompose(OutcomeDistribution((1 / 3, 1 / 3, 1 / 3)))
         assert np.allclose(dec.lambdas, math.sqrt(1 / 3) / 2, atol=1e-12)
 
+    def test_n1_refused(self):
+        # One ray, and sqrt(P) = (1) breaks its polygon inequality.
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            cone_decompose(OutcomeDistribution((1.0,)))
+
     def test_n2_degenerate(self):
         with pytest.raises(SingularSystem):
             cone_decompose(OutcomeDistribution((0.5, 0.5)))
@@ -342,6 +357,12 @@ class TestWitnessDistribution:
     def test_reduction_case(self):
         dist = witness_distribution(0.6, 0.15, 4)
         assert check_projective_raw(scenario(0.6, 0.15, dist.probs)).feasible
+
+    def test_single_outcome(self):
+        # One outcome forces S = T; (0.3, 0.4) lies in the (T, S) region for n = 1 even so.
+        assert witness_distribution(0.3, 0.3, 1).probs == (1.0,)
+        with pytest.raises(RegionViolation, match="n = 1 requires S = T"):
+            witness_distribution(0.3, 0.4, 1)
 
     def test_outside_region(self):
         with pytest.raises(RegionViolation):

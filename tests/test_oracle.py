@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import os
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -391,7 +393,8 @@ class TestViolations:
 class TestBatchLoop:
     @pytest.mark.parametrize("s_discard", [S_DISCARD, 0.05], ids=["default", "raised"])
     @pytest.mark.parametrize(
-        "d, n", [(1, 1), (2, 1), (4, 1), (9, 1), (3, 3), (4, 2), (4, 4), (6, 3), (9, 4)]
+        "d, n",
+        [(1, 1), (2, 1), (4, 1), (9, 1), (3, 3), (4, 2), (4, 4), (6, 3), (9, 4), (16, 16), (12, 9)],
     )
     def test_matches_axis_reduction_reference(self, monkeypatch, d, n, s_discard):
         # Every draw is flagged on both sides, so each violation pins one draw's psi,
@@ -443,6 +446,19 @@ class TestBlockedBatch:
         # partial one.  Recorded before batches were evaluated in blocks.
         digest = "2bf4200a94fc113742bc2a97ebecb93092a05c0e651a4ad747e137dc0a6e0243"
         assert run_campaign(6, 3, 200_000, 42).digest() == digest
+
+    @pytest.mark.parametrize(
+        "d, n, samples, digest",
+        [
+            (16, 16, 100_000, "2e5b9656e772a8e89f46021b36ed8dbd1b7de2f98d28d0de3d4b2ba0ae4e644e"),
+            (64, 8, 20_000, "a159ff9911f79c88ba73577417c4b43960f24042c1f3f87408b433c247d47fbf"),
+        ],
+    )
+    def test_wide_digest_is_pinned(self, d, n, samples, digest):
+        # Rows of 8 or more outcomes, whose maxima were once taken along the row
+        # axis; recorded then, so the column-wise maximum moves no bit.
+        for workers in (1, 2):
+            assert run_campaign(d, n, samples, 42, max_workers=workers).digest() == digest
 
     @pytest.mark.parametrize("width", [*range(1, 10), 16, 64])
     def test_unit_rows_multiply_equals_division(self, width):
@@ -580,6 +596,12 @@ class TestExtremalSearch:
         # Without the checks, d = 2.0 raised TypeError in np.bincount and trials <= 0 ran one step.
         with pytest.raises(ValueError, match="not an integer|need 1 <= n <= d|trials"):
             search(0.5, n, d, trials, default_rng(0))
+
+    @pytest.mark.parametrize("search", [oracle_max_s, oracle_min_s])
+    @pytest.mark.parametrize("t", [Fraction(1, 2), Decimal("0.5")], ids=["Fraction", "Decimal"])
+    def test_t_is_read_as_a_float(self, search, t):
+        # The check accepts these numbers; the search then runs on the float it returned.
+        assert search(t, 2, 2, 50, default_rng(3)) == search(0.5, 2, 2, 50, default_rng(3))
 
     @pytest.mark.parametrize("search", [oracle_max_s, oracle_min_s])
     def test_budget_exhausted_without_orthogonal_part(self, search):

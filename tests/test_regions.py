@@ -3,6 +3,8 @@ import io
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -185,6 +187,21 @@ SVG_GRIDS = [
 ]
 
 
+def assert_same_grid(got, want):
+    """Equal axes, tags, bitmask, polylines and CSV bytes."""
+    assert (got.axes, got.tags) == (want.axes, want.tags)
+    assert np.array_equal(got.violated, want.violated)
+    assert [name for name, _ in got.polylines] == [name for name, _ in want.polylines]
+    for (_, a), (_, b) in zip(got.polylines, want.polylines):
+        assert a.tobytes() == b.tobytes()
+    texts = []
+    for grid in (got, want):
+        out = io.StringIO()
+        write_region_csv(grid, out)
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+
+
 class TestBitmask:
     @pytest.mark.parametrize(
         "emit, args", CSV_GRIDS + [pytest.param(emit_ternary, (1000,), id="ternary-1000")]
@@ -208,6 +225,16 @@ class TestBitmask:
         with pytest.raises(ValueError, match="uint8"):
             RegionGrid(axes, ("a", "b"), np.zeros(12, dtype=dtype))
         RegionGrid(axes, ("a", "b"), np.zeros(12, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "size, tags", [(11, ("a", "b")), (13, ("a", "b")), (12, tuple("abcdefghi"))],
+        ids=["short", "long", "nine-tags"],
+    )
+    def test_rejects_a_bitmask_of_the_wrong_length_or_too_many_tags(self, size, tags):
+        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="does not match cell count or tags"):
+            RegionGrid(axes, tags, np.zeros(size, dtype=np.uint8))
+        RegionGrid(axes, tags[:8], np.zeros(12, dtype=np.uint8))
 
     def test_rejects_a_bit_that_names_no_tag(self):
         # Bit 2 with two tags would index the next column of the CSV's table.
@@ -349,6 +376,11 @@ class TestPtSections:
         with pytest.raises(ValueError):
             emit_pt_sections(0.0, 20)
 
+    @pytest.mark.parametrize("s", [Fraction(11, 20), Decimal("0.55")], ids=["Fraction", "Decimal"])
+    def test_s_is_read_as_a_float(self, s):
+        # The check accepts these numbers; the grid is then drawn from the float it returned.
+        assert_same_grid(emit_pt_sections(s, 40), emit_pt_sections(0.55, 40))
+
 
 class TestTsRegion:
     def test_cells_match_pointwise(self):
@@ -364,6 +396,13 @@ class TestTsRegion:
         large = emit_ts_region(6, 40).feasible
         assert (large | ~small).all()
         assert large.sum() > small.sum()
+
+    def test_n_is_read_through_index(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        assert_same_grid(emit_ts_region(Three(), 40), emit_ts_region(3, 40))
 
     def test_diagonal_polyline_present(self):
         names = [name for name, _ in emit_ts_region(2, 10).polylines]

@@ -217,3 +217,16 @@ class TestDiversityProfile:
     def test_non_finite_rejected(self, values):
         with pytest.raises(ValueError, match="non-finite"):
             DiversityProfile(*values)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((2.0, 3.0, math.log(2.0), math.log(3.0)), "D_inf = 3.0 exceeds D_1/2 = 2.0"),
+            ((0.5, 0.5, math.log(0.5), math.log(0.5)), "must be >= 1"),
+            ((2.0, 0.5, math.log(2.0), math.log(0.5)), "must be >= 1"),
+        ],
+        ids=["d_inf-above-d_half", "both-below-1", "d_inf-below-1"],
+    )
+    def test_inconsistent_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            DiversityProfile(*values)

@@ -207,13 +207,6 @@ def test_only_core_reads_integers_with_operator_index():
     assert readers == {"core.py"}, readers
 
 
-@pytest.mark.parametrize("repaired", [(True,), (0, False)])
-def test_repaired_bool_index_rejected(repaired):
-    kraus = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    with pytest.raises(InvalidWitness, match="is a bool, not an outcome index"):
-        GeneralizedWitness([1, 0], [0, 1], kraus, repaired)
-
-
 def test_kraus_completeness_matches_sum():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -395,6 +388,31 @@ def test_malformed_witness_input_rejected(build):
 def test_as_state_rejects_malformed_states(value):
     with pytest.raises(InvalidWitness):
         core.as_state(value)
+
+
+def test_as_state_rejects_an_empty_state():
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        core.as_state([])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (partial(ProjectiveWitness, [1, 0], [0, 0, 1], E2[None]), "dimensions differ"),
+        (partial(GeneralizedWitness, [1, 0, 0], [0, 1], E2[None]), "dimensions differ"),
+        (partial(ProjectiveWitness, [1, 0], [0, 0, 1], labels=[0, 0], n_outcomes=1),
+         "dimensions differ"),
+        (partial(ProjectiveWitness, [1, 0], [0, 1], np.zeros((0, 2, 2))),
+         "empty projective operator set"),
+        (partial(GeneralizedWitness, [1, 0], [0, 1], np.zeros((0, 2, 2))),
+         "empty generalized operator set"),
+    ],
+    ids=["sizes-projective", "sizes-generalized", "sizes-labelled", "empty-projective",
+         "empty-generalized"],
+)
+def test_mismatched_or_empty_witness_rejected(build, message):
+    with pytest.raises(InvalidWitness, match=message):
+        build()
 
 
 def pairs(entries):
