@@ -46,8 +46,8 @@ def _parse_probs(text: str) -> OutcomeDistribution:
     if not values:
         raise ValueError("empty probability list")
     total = sum(values)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, more than 1e-9 away from 1")
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"probabilities {text!r} sum to {total!r}, more than 1e-9 away from 1")
     return OutcomeDistribution([v / total for v in values])
 
 
@@ -154,8 +154,8 @@ def cmd_fuzz(args) -> int:
     print(f"samples: {report.samples}")
     print(f"violations: {len(report.violations)}")
     print(f"coverage cells (T,S): {len(report.coverage_grid)}")
-    if report.ternary_grid:
-        print(f"coverage cells (ternary, T~0): {len(report.ternary_grid)}")
+    if report.counts[1].any():
+        print(f"coverage cells (ternary, T~0): {(report.counts[1] > 0).sum()}")
     print(f"digest: {report.digest()}")
     for v in report.violations[:20]:
         print(
@@ -168,9 +168,10 @@ def cmd_fuzz(args) -> int:
 def cmd_entropy(args) -> int:
     dist = _parse_probs(args.p)
     qs = [0.0, 0.5, 1.0, 2.0, math.inf] if args.q is None else [float(args.q)]
+    # Every row is computed before any is printed, so an input error leaves stdout empty.
+    rows = [(q, diversity(dist, q)) for q in qs]
     print("q D_q H_q")
-    for q in qs:
-        d = diversity(dist, q)
+    for q, d in rows:
         print(f"{_fmt(q)} {_fmt(d)} {_fmt(math.log(d))}")
     return 0
 

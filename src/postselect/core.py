@@ -46,7 +46,8 @@ EPS_UNIT = 1e-10
 EPS_FEAS = 1e-12
 # Types that NumPy or float() read as numbers, which no numeric input may hold.
 _NOT_NUMBERS = frozenset({bool, np.bool_, str, np.str_, bytes, np.bytes_})
-_NOT_NUMBERS_OR_ARRAYS = _NOT_NUMBERS | {np.ndarray}
+# Also judged by dtype kind: arrays, and the complex scalars float() reads as their real part.
+_NOT_NUMBERS_OR_ARRAYS = _NOT_NUMBERS | {np.ndarray, np.complex64, np.complex128, np.clongdouble}
 
 
 def _count(k, name: str, lo: float = -math.inf) -> int:
@@ -62,14 +63,23 @@ def _count(k, name: str, lo: float = -math.inf) -> int:
     return i
 
 
-def _probability(x, name: str, *, positive: bool = False) -> float:
-    """float(x) in [0, 1], or in (0, 1] when positive; ValueError otherwise (NaN, bool, str too).
+def _real(x, name: str) -> float:
+    """float(x); ValueError for a bool, a string, a complex number or anything float() refuses.
 
-    An ndarray is judged by its dtype kind, which must be integer or float (_holds_non_number).
+    An ndarray or NumPy scalar is judged by its dtype kind, which must be integer or
+    float (_holds_non_number), so a complex one is refused, not read as its real part.
     """
     if type(x) in _NOT_NUMBERS_OR_ARRAYS and _holds_non_number(x, 0):
-        raise ValueError(f"{name} = {x!r} is a {type(x).__name__}, not a number")
-    x = float(x)
+        raise ValueError(f"{name} = {x!r} is a {type(x).__name__}, not a real number")
+    try:
+        return float(x)
+    except TypeError as exc:
+        raise ValueError(f"{name} = {x!r} is not a real number: {exc}") from exc
+
+
+def _probability(x, name: str, *, positive: bool = False) -> float:
+    """_real(x) in [0, 1], or in (0, 1] when positive; ValueError otherwise (NaN too)."""
+    x = x if type(x) is float else _real(x, name)
     if not (x > 0.0 if positive else x >= 0.0) or not x <= 1.0:
         raise ValueError(f"{name} = {x!r} outside {'(0' if positive else '[0'}, 1]")
     return x
@@ -78,13 +88,13 @@ def _probability(x, name: str, *, positive: bool = False) -> float:
 def _holds_non_number(value, ndim: int, kinds: str = "iuf") -> bool:
     """Whether value, ndim levels of nested sequences, holds a bool or a string (see _NOT_NUMBERS).
 
-    An ndarray, the value or an entry, is judged by its dtype alone: it holds none when its
-    kind is in kinds.  _array runs it on every witness array, where NumPy reads a bool among
-    numbers, or a 0-d bool array, as a number.  Plain numbers take one scan of their types;
-    value is a sequence, not an iterator, since an array or non-number among them is looked
-    up again entry by entry.
+    An ndarray or NumPy scalar, the value or an entry, is judged by its dtype alone: it holds
+    none when its kind is in kinds.  _array runs it on every witness array, where NumPy reads
+    a bool among numbers, or a 0-d bool array, as a number.  Plain numbers take one scan of
+    their types; value is a sequence, not an iterator, since an array, a complex scalar or a
+    non-number among them is looked up again entry by entry.
     """
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.dtype.kind not in kinds
     flat = value if ndim else (value,)
     for _ in range(ndim - 1):
@@ -125,7 +135,10 @@ class OutcomeDistribution:
         entries = probs.tolist() if array else tuple(probs)  # one call, not one scalar at a time
         if _holds_non_number(probs if array else entries, 1):
             raise ValueError(f"probabilities must be numbers, not bools or strings: {entries!r}")
-        p = tuple(map(float, entries))
+        try:
+            p = tuple(map(float, entries))
+        except TypeError as exc:
+            raise ValueError(f"probabilities must be real numbers: {entries!r}: {exc}") from exc
         if len(p) < 1:
             raise ValueError("distribution needs at least one outcome")
         if any(map(0.0.__gt__, p)):

@@ -96,25 +96,20 @@ def check_projective_chain(sc: ScenarioTriple) -> FeasibilityVerdict:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) of a 2-D float or complex array, bit for bit, as a new array.
+    """Row sums of a 2-D float or complex array as a new array: whole columns added in index order.
 
-    NumPy reduces each row on its own, which is slow when rows are short.  Its pairwise
-    sum adds a row of fewer than 8 scalars (8 real or 4 complex entries) in index
-    order, starting from 0.0, so such rows are summed here by adding whole columns in
-    that order.  Longer rows keep NumPy's own reduction.  The in-order layout is
-    NumPy's, not a documented contract; it was checked on NumPy 2.4.6.
+    Each row is summed from 0.0 (so a row of -0.0 sums to +0.0) by elementwise adds,
+    exact IEEE operations at every SIMD width, unlike a.sum(axis=1), whose pairwise
+    layout from 8 scalars up is NumPy's own.
     """
-    if a.shape[1] * (2 if a.dtype.kind == "c" else 1) >= 8:
-        return a.sum(axis=1)
     return reduce(np.add, a.T, 0.0)
 
 
 def projective_raw_slack_arrays(t: np.ndarray, s: np.ndarray, probs: np.ndarray):
     """Row-wise chain slacks for t, s of shape (B,) and probs of shape (B, n).
 
-    The per-row maximum of sqrt(P) runs over the n columns (np.maximum) at every
-    width: a maximum is exact, so it equals sq.max(axis=1) bit for bit.  The row
-    sum is `_row_sum`'s, which equals sq.sum(axis=1).
+    Row sums of sqrt(P) are `_row_sum`'s; row maxima run over the n columns
+    (np.maximum), exact, so they equal sq.max(axis=1) bit for bit.
     """
     sq = np.sqrt(probs)
     return chain_slacks(np.sqrt(t / s), _row_sum(sq), reduce(np.maximum, sq.T), np.sqrt(s))
@@ -197,30 +192,37 @@ def cone_decompose(p: OutcomeDistribution) -> ConeDecomposition:
 def witness_distribution(t: float, s: float, n: int) -> OutcomeDistribution:
     """A distribution making (t, s) projectively feasible with n declared outcomes.
 
-    For T <= S, a two-outcome distribution: when S >= 1/2 the one saturating
-    1 + 2 sqrt(p(1-p)) = 1/S, otherwise the fair coin.  For S < T, the
-    distribution (b, a, ..., a) on k = ceil(T/S) outcomes with D_1/2 = T/S:
-    with sqrt(b) = cos(theta), sqrt(D_1/2) = sqrt(b) + sqrt((k-1)(1-b)) =
-    sqrt(k) cos(theta - alpha), tan(alpha) = sqrt(k-1), which falls from
-    sqrt(k) to 1 as theta runs from alpha to 0 (b from 1/k to 1).  Padded
-    with zeros to length n.
+    The result passes check_projective_raw at every (t, s) of the region.  At
+    n = 1 the only distribution is (1,), returned exactly when the checker
+    accepts it (S = T within EPS_FEAS); otherwise RegionViolation.  For T <= S,
+    a two-outcome distribution: when S >= 1/2 the one saturating
+    1 + 2 sqrt(p(1-p)) = 1/S, with q = sqrt(p(1-p)), r = sqrt(1 - 4 q^2),
+    p = (1 + r)/2 and 1 - p = 2 q^2 / (1 + r) (no cancellation when r ~ 1);
+    otherwise the fair coin.  For S < T, the distribution (b, a, ..., a) on
+    k = ceil(T/S) outcomes with D_1/2 = T/S: with sqrt(b) = cos(theta),
+    sqrt(D_1/2) = sqrt(b) + sqrt((k-1)(1-b)) = sqrt(k) cos(theta - alpha),
+    tan(alpha) = sqrt(k-1), which falls from sqrt(k) to 1 as theta runs from
+    alpha to 0 (b from 1/k to 1); b = cos^2(theta) and a = sin^2(theta)/(k-1),
+    so the small outcomes do not cancel as b nears 1.  Padded with zeros to
+    length n.
     """
     verdict = check_ts_region(t, s, n)
     if not verdict.feasible:
         raise RegionViolation(f"(t={t}, s={s}, n={n}) violates {verdict.violated}")
     if n == 1:
         # Single declared outcome forces S = T (identity measurement).
-        if abs(t - s) > 1e-9:
+        one = OutcomeDistribution((1.0,))
+        if not check_projective_raw(ScenarioTriple(t, s, one)).feasible:
             raise RegionViolation(f"n = 1 requires S = T, got t={t}, s={s}")
-        return OutcomeDistribution((1.0,))
+        return one
     if t <= s:
         if s >= 0.5:
             q = (1.0 / s - 1.0) / 2.0  # target sqrt(p(1-p))
-            p = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * q * q)))
+            r = math.sqrt(max(0.0, 1.0 - 4.0 * q * q))
+            pair = [0.5 * (1.0 + r), 2.0 * q * q / (1.0 + r)]
         else:
-            p = 0.5
-        probs = [p, 1.0 - p] + [0.0] * (n - 2)
-        return OutcomeDistribution(probs)
+            pair = [0.5, 0.5]
+        return OutcomeDistribution(pair + [0.0] * (n - 2))
     # S < T: hit D_1/2 = T/S exactly.
     target = math.sqrt(t / s)  # sqrt of the target diversity
     if target <= 1.0 + 1e-12:
@@ -229,9 +231,8 @@ def witness_distribution(t: float, s: float, n: int) -> OutcomeDistribution:
     # Boundary guard: T/S may exceed n by the region tolerance.
     target = min(target, math.sqrt(k))
 
-    alpha = math.atan(math.sqrt(k - 1))
-    b = math.cos(alpha - math.acos(target / math.sqrt(k))) ** 2
-    a = (1.0 - b) / (k - 1)
+    theta = math.atan(math.sqrt(k - 1)) - math.acos(target / math.sqrt(k))
+    b, a = math.cos(theta) ** 2, math.sin(theta) ** 2 / (k - 1)
     probs = [b] + [a] * (k - 1) + [0.0] * (n - k)
     total = sum(probs)
     probs = [x / total for x in probs]

@@ -33,9 +33,8 @@ FUZZ_EPS = 1e-9
 # Coverage grids split [0, 1]^2 into NBINS^2 cells of side GRID_STEP.
 GRID_STEP = 0.01
 NBINS = round(1 / GRID_STEP)
-# Draws per batch; it lays out the stream (per batch: normals, then labels), so digests pin it.
-BATCH_SIZE = 50_000
-# Entries per row block of a batch (BLOCK_CELLS // d rows, at least one); bounds working memory.
+# Entries per row block (BLOCK_CELLS // d rows, at least one); bounds working memory.  Each
+# block draws its normals, then its labels, so it lays out the stream and digests pin it.
 BLOCK_CELLS = 2**15
 # Walkers advanced together by the extremal-S searches.
 RESTARTS = 4
@@ -46,17 +45,15 @@ def default_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """(b, d) complex rows re + i im scaled to unit norm; uniform on the sphere for normal draws.
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """(b, d) complex rows z scaled to unit norm in place; uniform on the sphere for normal draws.
 
-    Each row is multiplied by 1 / norm, which gives the bits of dividing by the
-    norm: NumPy divides a complex number by a real one r with Smith's algorithm,
-    which computes (a + b*0) * (1/r) and (b - a*0) * (1/r).
+    The squared norm is `_row_sum` of re^2 + im^2, exact IEEE operations (NumPy's
+    z.conj() * z fuses them where the CPU has FMA).  Multiplying by 1 / norm gives the
+    bits of dividing by it: NumPy divides a complex number by a real r with Smith's
+    algorithm, which computes (a + b*0) * (1/r) and (b - a*0) * (1/r).
     """
-    z = np.empty(re.shape, dtype=complex)
-    z.real = re
-    z.imag = im
-    z *= (1.0 / np.sqrt(_row_sum((z.conj() * z).real)))[:, None]
+    z *= (1.0 / np.sqrt(_row_sum(z.real**2 + z.imag**2)))[:, None]
     return z
 
 
@@ -113,7 +110,8 @@ class FuzzReport:
     counts is a read-only int64 copy of shape (2, NBINS, NBINS): counts[0][i, j]
     draws fell in (T, S) cell (i, j), counts[1][i, j] in the ternary slice's
     (P_0, P_1) cell (i, j), axes as in `emit_ts_region` / `emit_ternary` at
-    resolution NBINS.  No `==`: compare reports by `digest()`.
+    resolution NBINS.  `digest()` hashes samples, violations and the
+    little-endian bytes of counts.  No `==`: compare reports by `digest()`.
     """
 
     samples: int
@@ -130,18 +128,11 @@ class FuzzReport:
     def coverage_grid(self) -> dict[tuple[int, int], int]:
         return _grid(self.counts[0])
 
-    @property
-    def ternary_grid(self) -> dict[tuple[int, int], int]:
-        return _grid(self.counts[1])
-
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(repr(self.samples).encode())
         h.update(repr(self.violations).encode())
-        h.update(repr(sorted(self.coverage_grid.items())).encode())
-        h.update(repr(sorted(self.ternary_grid.items())).encode())
-        # Every report bins on GRID_STEP; it stays hashed so digests keep their values.
-        h.update(repr(GRID_STEP).encode())
+        h.update(self.counts.astype("<i8").tobytes())
         return h.hexdigest()
 
 
@@ -176,7 +167,7 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     S <= S_DISCARD are counted as samples and as `discarded`, and are neither
     checked nor binned.  The rest are counted into the report's `counts`
     array, (T, S) cells for every draw and (P_0, P_1) cells for n = 3 draws
-    with T < GRID_STEP; `coverage_grid` / `ternary_grid` are derived from it.
+    with T < GRID_STEP.
 
     Outcome k projects onto the basis vectors e_j labelled k, so its amplitude
     is the sum of conj(phi_j) psi_j over them.  A Haar basis U per draw would
@@ -186,17 +177,13 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     averaged over U, (T, S, P) has its law at U = I.  A violation's
     witness_digest is the SHA-256 of its psi, phi and labels bytes.
 
-    A batch of BATCH_SIZE draws takes its normals in one (4, b, d) call (psi's real
-    and imaginary parts, then phi's), then its labels; only these are batch-sized.
-    Its rows are evaluated in blocks of BLOCK_CELLS // d, and every value is computed
-    row by row, so the blocks, like `_unit_rows`' multiply by 1 / norm, change no bit.
-
-    Rows of fewer than 8 scalars are summed by whole columns
-    (`feasibility._row_sum`), and the slack kernel takes every row maximum by
-    columns; both equal NumPy's axis reductions bit for bit.
-    Nothing is grouped at n = d.  At n = 1, S is still grouped: `_group` adds
-    in index order and NumPy sums 4 or more complex entries pairwise, so S may
-    differ from T in the last bit.
+    Draws run in blocks of max(1, BLOCK_CELLS // d) rows.  Each block draws psi
+    and phi as the complex view of one (2, b, 2d) normal draw, then its labels.
+    Every row sum (norms, the total behind T, S and the slack kernel's sum of
+    sqrt(P)) adds whole columns in index order (`feasibility._row_sum`), and
+    every row maximum compares whole columns, so no value depends on how NumPy
+    lays out a reduction.  Nothing is grouped at n = d.  At n = 1, S is still
+    grouped: `_group`'s `np.bincount` adds each row in index order too.
     """
     samples = _count(samples, "samples", 1)
     d, n = _shape(d, n)
@@ -204,53 +191,48 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     # (T, S) coverage cells, then the ternary slice's (P_0, P_1) cells.
     counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
     rows = max(1, BLOCK_CELLS // d)
-    done = discarded = 0
-    while done < samples:
-        b = min(BATCH_SIZE, samples - done)
-        done += b
-        # psi's real and imaginary parts, then phi's: the order of four (b, d) draws.
-        normals = rng.standard_normal((4, b, d))
+    discarded = 0
+    for start in range(0, samples, rows):
+        b = min(rows, samples - start)
+        psi, phi = (_unit_rows(z) for z in rng.standard_normal((2, b, 2 * d)).view(complex))
         labels = _random_labels(b, d, n, rng)
-        for r in range(0, b, rows):
-            psi = _unit_rows(*normals[:2, r : r + rows])
-            phi = _unit_rows(*normals[2:, r : r + rows])
-            # Per-column amplitude contributions <phi|e_j><e_j|psi>.
-            contrib = phi.conj() * psi
-            t = np.abs(_row_sum(contrib)) ** 2
-            # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
-            amps = contrib if n == d else _group(contrib, _flat_index(labels[r : r + rows], n), n)
-            weights = np.abs(amps) ** 2
-            s = _row_sum(weights)
-            keep = s > S_DISCARD
-            kept = int(np.count_nonzero(keep))
-            discarded += len(keep) - kept
-            if kept < len(keep):
-                t, s, weights = t[keep], s[keep], weights[keep]
-            probs = weights / s[:, None]
-            t_k, s_k = np.minimum(t, 1.0), np.minimum(s, 1.0)
-            slacks = projective_raw_slack_arrays(t_k, s_k, probs)
-            min_slack = reduce(np.minimum, slacks.values())
-            flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
-            origins = flagged if kept == len(keep) else np.flatnonzero(keep)[flagged]
-            for i, orig in zip(flagged, origins):
-                h = hashlib.sha256()
-                for arr in (psi[orig], phi[orig], labels[r + orig]):
-                    h.update(np.ascontiguousarray(arr).tobytes())
-                tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
-                violations.append(
-                    FuzzViolation(
-                        witness_digest=h.hexdigest(),
-                        t=float(t_k[i]),
-                        s=float(s_k[i]),
-                        probs=tuple(float(x) for x in probs[i]),
-                        violated=tags,
-                    )
+        # Per-column amplitude contributions <phi|e_j><e_j|psi>.
+        contrib = phi.conj() * psi
+        t = np.abs(_row_sum(contrib)) ** 2
+        # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
+        amps = contrib if n == d else _group(contrib, _flat_index(labels, n), n)
+        weights = np.abs(amps) ** 2
+        s = _row_sum(weights)
+        keep = s > S_DISCARD
+        kept = int(np.count_nonzero(keep))
+        discarded += b - kept
+        if kept < b:
+            t, s, weights = t[keep], s[keep], weights[keep]
+        probs = weights / s[:, None]
+        t_k, s_k = np.minimum(t, 1.0), np.minimum(s, 1.0)
+        slacks = projective_raw_slack_arrays(t_k, s_k, probs)
+        min_slack = reduce(np.minimum, slacks.values())
+        flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
+        origins = flagged if kept == b else np.flatnonzero(keep)[flagged]
+        for i, orig in zip(flagged, origins):
+            h = hashlib.sha256()
+            for arr in (psi[orig], phi[orig], labels[orig]):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
+            violations.append(
+                FuzzViolation(
+                    witness_digest=h.hexdigest(),
+                    t=float(t_k[i]),
+                    s=float(s_k[i]),
+                    probs=tuple(float(x) for x in probs[i]),
+                    violated=tags,
                 )
-            cells = [_cell(t_k, s_k)]
-            if n == 3:
-                near_zero_t = t_k < GRID_STEP
-                cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
-            counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+            )
+        cells = [_cell(t_k, s_k)]
+        if n == 3:
+            near_zero_t = t_k < GRID_STEP
+            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
+        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
     return FuzzReport(samples, tuple(violations), counts.reshape(2, NBINS, NBINS), discarded)
 
 
@@ -269,7 +251,7 @@ def run_campaign(
     so the result is identical regardless of worker count.  Chunks run on a
     thread pool of max_workers threads; None means one per usable CPU
     (os.sched_getaffinity, else os.cpu_count) and at most one per chunk, since
-    every running chunk holds a batch in memory.  seed is an integer >= 0.
+    every running chunk holds a row block in memory.  seed is an integer >= 0.
     """
     from concurrent.futures import ThreadPoolExecutor
 

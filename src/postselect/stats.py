@@ -17,7 +17,7 @@ from .core import (
     OutcomeDistribution,
     ProjectiveWitness,
     ScenarioTriple,
-    _NOT_NUMBERS,
+    _real,
 )
 from .errors import DegeneratePostselection
 
@@ -67,8 +67,9 @@ def diversity(dist: OutcomeDistribution, q: float) -> float:
     q = 1 the power sum is expanded as 1 + sum_k P(k) expm1((q - 1) log P(k)),
     so neither its rounding nor the exponent 1/(1 - q) can blow up.
     """
-    if type(q) in _NOT_NUMBERS or not q >= 0:
-        raise ValueError(f"order q = {q!r} must be >= 0 and a number, not a bool or string")
+    q = _real(q, "order q")
+    if not q >= 0:
+        raise ValueError(f"order q = {q!r} must be >= 0")
     support = [p for p in dist.probs if p > 0]
     if q == 0:
         return float(len(support))

@@ -20,6 +20,26 @@ def rng():
     return default_rng(20260823)
 
 
+# Values float() reads as their real part (NumPy complex scalars, with a ComplexWarning) or
+# refuses with TypeError; every real-number input refuses each with ValueError.
+NON_REAL = {
+    "complex128": np.complex128(0.5 + 0.3j),
+    "complex64": np.complex64(0.5),
+    "complex": 0.5j,
+    "None": None,
+    "object": object(),
+}
+NON_REAL_PARAMS = [pytest.param(v, id=k) for k, v in NON_REAL.items()]
+
+
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array by an explicit loop over its columns, in index order from 0.0."""
+    total = np.zeros(a.shape[0], dtype=a.dtype)
+    for j in range(a.shape[1]):
+        total = total + a[:, j]
+    return total
+
+
 def random_distribution(rng, n=None, allow_zeros=False):
     """Random outcome distribution, Dirichlet-flat over the simplex."""
     if n is None:

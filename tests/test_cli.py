@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import math
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,27 @@ from postselect.witness_io import (
     witness_to_dict,
 )
 from samplers import sample_projective, sample_state, sample_unitary
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check", "--t", "0", "--s", "0.5", "--p", "0.5,0.5"], 0),
+            (["check", "--t", "0", "--s", "0.6", "--p", "0.5,0.5"], 1),
+            (["check", "--t", "0", "--s", "0.5", "--p", "abc"], 2),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:'postselect.cli' found in sys.modules:RuntimeWarning")
+    def test_console_script_and_module_exit_with_main_code(self, monkeypatch, capsys, argv, code):
+        # `postselect` runs cli.entry(); `python -m postselect.cli` runs the module as __main__.
+        monkeypatch.setattr(sys, "argv", ["postselect", *argv])
+        with pytest.raises(SystemExit) as script:
+            cli.entry()
+        with pytest.raises(SystemExit) as module:
+            runpy.run_module("postselect.cli", run_name="__main__")
+        assert script.value.code == module.value.code == code
+        assert capsys.readouterr().out.count("scenario: T=0") == (2 if code < 2 else 0)
 
 
 def run(capsys, *argv):
@@ -77,6 +100,15 @@ class TestCheck:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["check", "entropy"])
+    @pytest.mark.parametrize("p", ["nan,0.5", "inf,-inf"])
+    def test_nan_total_names_the_input(self, capsys, command, p):
+        # A NaN total passed the parser's sum check, and the error named a tuple of NaNs.
+        argv = [command, f"--p={p}"] + (["--t", "0", "--s", "0.5"] if command == "check" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: probabilities {p!r} sum to nan, more than 1e-9 away from 1\n"
 
     def test_empty_probability_list_exit_two(self, capsys):
         # Refused by the parser itself, before OutcomeDistribution sees an empty list.
@@ -341,6 +373,13 @@ class TestEntropy:
         assert code == 0
         assert out.strip().split("\n")[1].startswith("inf 2 ")
 
+    @pytest.mark.parametrize("q", ["nan", "-1", "abc"])
+    def test_input_error_leaves_stdout_empty(self, capsys, q):
+        # The header was printed before the order was refused.
+        code, out, err = run(capsys, "entropy", "--p", "0.5,0.5", "--q", q)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 def reference_witness_to_dict(w, metadata=None):
     """The per-entry encoder the whole-stack codec replaced, kept as its byte reference."""
@@ -529,7 +568,8 @@ class TestCliInvariants:
     def test_entropy(self, p, q):
         argv = ["entropy", f"--p={_joined(p)}"] + ([] if q is None else [f"--q={q!r}"])
         bad_q = q is not None and (math.isnan(q) or q == -math.inf)
-        self.assert_invariants(argv, bad_q or not all(math.isfinite(x) for x in p))
+        code, out, _ = self.assert_invariants(argv, bad_q or not all(math.isfinite(x) for x in p))
+        assert code != 2 or out == ""
 
     @given(st.integers(-1, 5), st.integers(-1, 5), st.integers(-2, 3000), st.integers(-2, 2**64))
     @settings(max_examples=150, deadline=None)

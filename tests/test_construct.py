@@ -479,6 +479,11 @@ class TestBuilderChecks:
         with pytest.raises(ClosureFailure, match="closure residual"):
             construct_projective(self.SC)
 
+    def test_group_sums_without_a_triangle_refused(self, monkeypatch):
+        monkeypatch.setattr(construct, "_triangle_dirs", lambda sums: None)
+        with pytest.raises(ClosureFailure, match="form no triangle"):
+            construct_projective(self.SC)
+
     def test_factorization_residual_refused(self, monkeypatch):
         exact = construct._factor_real
 

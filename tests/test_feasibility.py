@@ -26,7 +26,7 @@ from postselect.feasibility import (
     dichotomic_slacks,
     projective_raw_slack_arrays,
 )
-from conftest import random_distribution, random_scenario
+from conftest import NON_REAL, column_sums, random_distribution, random_scenario
 
 
 def scenario(t, s, probs):
@@ -91,35 +91,33 @@ class TestChainSlacks:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_row_kernel_equals_axis_reductions_bit_for_bit(self, n):
+        # Sums in index order from 0.0, as `_row_sum` adds; maxima along the row axis.
         rng = np.random.default_rng(700 + n)
         t = rng.uniform(0.0, 1.0, 3000)
         s = rng.uniform(1e-3, 1.0, 3000)
         probs = rng.dirichlet(np.ones(n), 3000)
         probs[:300, rng.integers(n)] = 0.0  # zero entries, as zeroed outcomes give
         sq = np.sqrt(probs)
-        want = chain_slacks(np.sqrt(t / s), sq.sum(axis=1), sq.max(axis=1), np.sqrt(s))
+        want = chain_slacks(np.sqrt(t / s), column_sums(sq), sq.max(axis=1), np.sqrt(s))
         got = projective_raw_slack_arrays(t, s, probs)
         assert list(got) == list(want)
         for tag in want:
             assert got[tag].tobytes() == want[tag].tobytes(), tag
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_row_sum_equals_numpy_sum_bit_for_bit(self, dtype):
-        # Rows of fewer than 8 scalars are summed by column, wider ones by NumPy.
-        # The test fails if a NumPy build stops adding short rows in index order
-        # from 0.0, which is a layout of its pairwise sum, not a documented contract.
+    def test_row_sum_adds_columns_in_order(self, dtype):
+        # At every width, NumPy's pairwise axis sum included (8 scalars and up).
         rng = np.random.default_rng(1901)
-        for k in range(1, 10):
+        for k in [*range(1, 10), 16, 64]:
             a = np.zeros((200, k), dtype=dtype)
             a.real = rng.standard_normal((200, k)) * np.exp(8 * rng.standard_normal((200, k)))
             if dtype is complex:
                 a.imag = rng.standard_normal((200, k)) * np.exp(8 * rng.standard_normal((200, k)))
             got = _row_sum(a)
             assert got.shape == (200,) and not np.shares_memory(got, a)
-            layout = "NumPy no longer sums rows of fewer than 8 scalars in index order"
-            assert got.tobytes() == a.sum(axis=1).tobytes(), f"width {k}: {layout}"
+            assert got.tobytes() == column_sums(a).tobytes(), f"width {k}"
         zeros = np.full((3, 2), -0.0, dtype=dtype)
-        assert _row_sum(zeros).tobytes() == zeros.sum(axis=1).tobytes()
+        assert _row_sum(zeros).tobytes() == np.zeros(3, dtype=dtype).tobytes()
 
     def test_nan_slack_is_violated(self):
         v = _verdict({LOWER_CHAIN: float("nan"), S_BOUND: 0.0})
@@ -141,6 +139,9 @@ class TestChainSlacks:
         with pytest.raises(ValueError, match=message):
             OutcomeDistribution(probs)
 
+    def test_distribution_length_is_its_outcome_count(self):
+        assert len(OutcomeDistribution((0.5, 0.25, 0.25, 0.0))) == 4
+
 
 ONE = OutcomeDistribution((1.0,))
 NON_NUMBER_PROBABILITIES = {
@@ -161,6 +162,8 @@ NON_NUMBER_PROBABILITIES = {
     "dichotomic-s-numpy-bool": (check_dichotomic, (0.5, 0.5, np.bool_(True))),
     "ts-region-t-str": (check_ts_region, ("0.5", 0.5, 2)),
     "ts-region-s-bool": (check_ts_region, (0.5, True, 2)),
+    **{f"t-{k}": (ScenarioTriple, (v, 0.5, ONE)) for k, v in NON_REAL.items()},
+    **{f"p-{k}": (OutcomeDistribution, ([v, 0.5],)) for k, v in NON_REAL.items()},
 }
 
 
@@ -168,7 +171,9 @@ NON_NUMBER_PROBABILITIES = {
     "build, args", NON_NUMBER_PROBABILITIES.values(), ids=NON_NUMBER_PROBABILITIES.keys()
 )
 def test_bool_and_str_probabilities_refused(build, args):
-    # float() reads each of these as a number; a probability given as one is an input error.
+    # float() reads each of these as a number (a complex scalar as its real part, with a
+    # ComplexWarning, which the test run turns into an error) or raises TypeError for it;
+    # a probability given as one is an input error.
     with pytest.raises(ValueError):
         build(*args)
 
@@ -361,14 +366,48 @@ class TestWitnessDistribution:
     def test_single_outcome(self):
         # One outcome forces S = T; (0.3, 0.4) lies in the (T, S) region for n = 1 even so.
         assert witness_distribution(0.3, 0.3, 1).probs == (1.0,)
-        with pytest.raises(RegionViolation, match="n = 1 requires S = T"):
-            witness_distribution(0.3, 0.4, 1)
+        for t, s in ((0.3, 0.4), (0.5, 0.5 + 5e-10)):  # the second: within 1e-9, not EPS_FEAS
+            with pytest.raises(RegionViolation, match="n = 1 requires S = T"):
+                witness_distribution(t, s, 1)
 
     def test_outside_region(self):
         with pytest.raises(RegionViolation):
             witness_distribution(0.0, 0.6, 2)
         with pytest.raises(RegionViolation):
             witness_distribution(0.9, 0.2, 4)
+
+    def test_boundary_sweep_passes_the_checker(self):
+        # S at T(1 - delta), T(1 + delta), (T + 1)/2 (1 - delta), 1/2 (1 +- delta) and T/n
+        # for n = 1..7, delta log-uniform in [1e-15, 1e-3].  With b = cos^2(alpha - acos(.))
+        # and a = (1 - b)/(k - 1), 1 - p taken as 1.0 - p and n = 1 accepted at |T - S| <= 1e-9,
+        # 931 of the 9,555 distributions returned failed the checker.
+        rng = np.random.default_rng(2301)
+        returned = unit = 0
+        for n in range(1, 8):
+            for _ in range(300):
+                t, delta = rng.uniform(1e-6, 1.0), 10.0 ** rng.uniform(-15, -3)
+                half = 0.5 * (1.0 + delta * rng.choice([-1.0, 1.0]))
+                upper = (t + 1) / 2 * (1 - delta)
+                for s in (t * (1 - delta), min(1.0, t * (1 + delta)), upper, half, t / n):
+                    try:
+                        dist = witness_distribution(t, s, n)
+                    except RegionViolation:
+                        continue
+                    returned += 1
+                    verdict = check_projective_raw(ScenarioTriple(t, s, dist))
+                    assert verdict.feasible, (t, s, n, dist.probs, verdict.slack)
+                    # The target <= 1 + 1e-12 branch: S < T and P = (1, 0, ..., 0).
+                    unit += s < t and dist.probs == (1.0,) + (0.0,) * (n - 1)
+        assert (returned, unit) == (9472, 581)
+
+    @pytest.mark.parametrize(
+        "t, s", [(0.9999883686853374, 0.9999941638810815), (0.9999284307288342, 0.999964215234575)]
+    )
+    def test_small_outcome_kept_near_the_upper_line(self, t, s):
+        # S just below (T + 1)/2 near T = 1, found by a seeded search: with 1 - p taken
+        # as 1.0 - p, the small outcome lost its last bits and the polygon check failed.
+        dist = witness_distribution(t, s, 2)
+        assert check_projective_raw(ScenarioTriple(t, s, dist)).feasible
 
     def test_region_nonempty_everywhere(self, rng):
         # Every point of the (T, S) region is realized by some distribution.

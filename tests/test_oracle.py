@@ -24,7 +24,6 @@ from postselect.cli import main
 from postselect.errors import SearchBudgetExhausted
 from postselect.feasibility import S_HALF_PLUS_T, T_OVER_N, chain_slacks, ts_region_slacks
 from postselect.oracle import (
-    BATCH_SIZE,
     FUZZ_EPS,
     FuzzViolation,
     GRID_STEP,
@@ -38,6 +37,7 @@ from postselect.oracle import (
     _unit_rows,
     merge_reports,
 )
+from conftest import NON_REAL_PARAMS, column_sums
 from samplers import _complex_normal, _haar, sample_projective, sample_state, sample_unitary
 
 
@@ -45,12 +45,12 @@ def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:
     """Reference sampler: the fuzz's batch code with a Haar basis u per draw.
 
     Returns the flat cell counts fuzz_projective bins: (T, S) cells, then the
-    ternary slice's (P_0, P_1) cells.
+    ternary slice's (P_0, P_1) cells.  Draws in batches of its own size.
     """
     counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
     done = 0
     while done < samples:
-        b = min(BATCH_SIZE, samples - done)
+        b = min(50_000, samples - done)
         done += b
         psi = _complex_normal(rng, (b, d))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
@@ -74,35 +74,42 @@ def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:
     return counts
 
 
-def axis_reduction_fuzz(d: int, n: int, samples: int, rng, shift: float = 0.0):
-    """Reference: the fuzz's batch loop before its row reductions went column-wise.
+def in_order_unit_rows(x: np.ndarray) -> np.ndarray:
+    """(b, 2d) normals read as (re, im) pairs, divided by their in-order column-sum norms."""
+    z = x[:, 0::2] + 1j * x[:, 1::2]
+    return z / np.sqrt(column_sums(z.real * z.real + z.imag * z.imag))[:, None]
 
-    Norms by np.linalg.norm, sums and maxima along axis 1 (its own slack kernel,
-    every slack lowered by shift) and _group for every n.  Reads BATCH_SIZE and
-    S_DISCARD from the oracle module when called, as fuzz_projective does.
-    Returns (counts, discarded, violations).
+
+def axis_reduction_fuzz(d: int, n: int, samples: int, rng, shift: float = 0.0):
+    """Reference: the fuzz's block loop written out apart from the package's row kernels.
+
+    Per block of max(1, BLOCK_CELLS // d) rows: psi and phi from one (2, b, 2d)
+    normal draw, read as interleaved (re, im) pairs, then the labels.  Norms, T,
+    S and the sum of sqrt(P) by an explicit loop over columns (`column_sums`),
+    maxima along axis 1, its own slack kernel (every slack lowered by shift)
+    and _group for every n.  Reads BLOCK_CELLS and S_DISCARD from the oracle
+    module when called, as fuzz_projective does.  Returns (counts, discarded,
+    violations).
     """
     violations = []
     counts = np.zeros(2 * NBINS * NBINS, dtype=np.int64)
     done = discarded = 0
     while done < samples:
-        b = min(oracle.BATCH_SIZE, samples - done)
+        b = min(max(1, oracle.BLOCK_CELLS // d), samples - done)
         done += b
-        psi = _complex_normal(rng, (b, d))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        phi = _complex_normal(rng, (b, d))
-        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        normals = rng.standard_normal((2, b, 2 * d))
+        psi, phi = in_order_unit_rows(normals[0]), in_order_unit_rows(normals[1])
         contrib = phi.conj() * psi
         labels = _random_labels(b, d, n, rng)
-        t = np.abs(contrib.sum(axis=1)) ** 2
+        t = np.abs(column_sums(contrib)) ** 2
         weights = np.abs(_group(contrib, _flat_index(labels, n), n)) ** 2
-        s = weights.sum(axis=1)
+        s = column_sums(weights)
         keep = s > oracle.S_DISCARD
         discarded += b - int(np.count_nonzero(keep))
         t_k, s_k = np.minimum(t[keep], 1.0), np.minimum(s[keep], 1.0)
         probs = weights[keep] / s[keep, None]
         sq = np.sqrt(probs)
-        slacks = chain_slacks(np.sqrt(t_k / s_k), sq.sum(axis=1), sq.max(axis=1), np.sqrt(s_k))
+        slacks = chain_slacks(np.sqrt(t_k / s_k), column_sums(sq), sq.max(axis=1), np.sqrt(s_k))
         slacks = {tag: arr - shift for tag, arr in slacks.items()}
         min_slack = np.minimum.reduce(list(slacks.values()))
         flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
@@ -260,8 +267,8 @@ class TestFuzz:
         assert _grid(counts) == {(0, 99): 2, (1, 50): 1, (50, 1): 1, (99, 0): 2}
 
     def test_ternary_slice_only_for_three_outcomes(self, rng):
-        assert fuzz_projective(3, 3, 3000, rng).ternary_grid
-        assert not fuzz_projective(3, 2, 3000, rng).ternary_grid
+        assert fuzz_projective(3, 3, 3000, rng).counts[1].any()
+        assert not fuzz_projective(3, 2, 3000, rng).counts[1].any()
 
     # Paper's factor-2 bound T/n <= S <= (T + 1)/2 over fuzz draws.  At 100k
     # draws per shape the tightest best corner had slack 0 (at (2, 1)); with
@@ -290,7 +297,6 @@ class TestFuzz:
         with pytest.raises(ValueError, match="read-only"):
             report.counts[0, 0, 0] += 1
         assert report.coverage_grid == _grid(report.counts[0])
-        assert report.ternary_grid == _grid(report.counts[1])
         empty = merge_reports([])
         assert empty.samples == 0 and not empty.counts.any()
 
@@ -358,12 +364,9 @@ class TestViolations:
         d, n, samples, seed = 4, 2, 300, 5
         report = fuzz_projective(d, n, samples, default_rng(seed))
         assert report.discarded == 0 and len(report.violations) == samples
-        # Re-draw the stream of the one batch: psi, phi, then the labels.
+        # Re-draw the stream of the one block: psi and phi as (re, im) pairs, then the labels.
         rng = default_rng(seed)
-        states = []
-        for _ in range(2):
-            z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-            states.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+        states = [in_order_unit_rows(x) for x in rng.standard_normal((2, samples, 2 * d))]
         labels = _random_labels(samples, d, n, rng)
         for v, psi, phi, lab in zip(report.violations, *states, labels):
             weights = np.array([abs(np.vdot(phi[lab == k], psi[lab == k])) ** 2 for k in range(n)])
@@ -391,6 +394,14 @@ class TestViolations:
 
 
 class TestBatchLoop:
+    """Every draw against the reference, in 500-entry row blocks.
+
+    1,600 draws take several blocks and a partial last one at every d
+    (500 // d rows: 500, 250, 166, 125, 83, 55, 41 and 31).
+    """
+
+    BLOCK, SAMPLES = 500, 1_600
+
     @pytest.mark.parametrize("s_discard", [S_DISCARD, 0.05], ids=["default", "raised"])
     @pytest.mark.parametrize(
         "d, n",
@@ -398,75 +409,71 @@ class TestBatchLoop:
     )
     def test_matches_axis_reduction_reference(self, monkeypatch, d, n, s_discard):
         # Every draw is flagged on both sides, so each violation pins one draw's psi,
-        # phi, labels, T, S and P exactly; 700-draw batches make the last one partial.
+        # phi, labels, T, S and P exactly.
         flag_every_draw(monkeypatch)
-        monkeypatch.setattr(oracle, "BATCH_SIZE", 700)
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", self.BLOCK)
         monkeypatch.setattr(oracle, "S_DISCARD", s_discard)
-        report = fuzz_projective(d, n, 1_600, default_rng(100 * d + n))
-        reference = axis_reduction_fuzz(d, n, 1_600, default_rng(100 * d + n), shift=10.0)
+        report = fuzz_projective(d, n, self.SAMPLES, default_rng(100 * d + n))
+        reference = axis_reduction_fuzz(d, n, self.SAMPLES, default_rng(100 * d + n), shift=10.0)
         counts, discarded, violations = reference
         assert np.array_equal(report.counts.ravel(), counts)
         assert report.discarded == discarded
         assert report.violations == violations
-        assert len(violations) == 1_600 - discarded
+        assert len(violations) == self.SAMPLES - discarded
         # The raised threshold discards draws (S = 1 at d = 1), so the masked copies run.
         assert (discarded > 0) == (s_discard > S_DISCARD and d > 1)
 
 
 class TestRowBlocks(TestBatchLoop):
-    """TestBatchLoop's shapes with 500-entry row blocks.
+    """TestBatchLoop's shapes in one-row blocks: BLOCK_CELLS = 1, below d wherever d > 1.
 
-    Every 700-draw batch then takes several blocks and a partial one, at every d
-    (500 // d rows: 500, 250, 166, 125, 83 and 55), and the last batch of 200
-    draws ends in a partial block.
+    800 draws, so the raised threshold discards some at every d > 1.
     """
 
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(oracle, "BLOCK_CELLS", 500)
+    BLOCK, SAMPLES = 1, 800
 
 
 class TestBlockedBatch:
-    @pytest.mark.parametrize("d, n", [(3, 3), (16, 16)])
-    def test_working_set_is_bounded(self, d, n):
-        # One full batch.  Beyond its normals, 2**15-entry blocks peaked at 4.1 and
-        # 3.3 MiB here; whole-batch arrays took 7.8 and 22.7 MiB.
+    @pytest.mark.parametrize(
+        "d, n, samples", [(3, 3, 50_000), (16, 16, 50_000), (64, 8, 20_000)], ids=["3-3", "16-16", "64-8"]
+    )
+    def test_working_set_is_bounded(self, d, n, samples):
+        # Every array is sized by the 2**15-entry row block: the whole call peaked at
+        # 3.8-4.6 MiB here.  With 50,000-draw batches of normals and labels it peaked
+        # at 8.7 MiB at (3, 3), 27.7 MiB at (16, 16) and 68.4 MiB at (64, 8).
         fuzz_projective(d, n, 100, default_rng(0))
         tracemalloc.start()
         try:
-            fuzz_projective(d, n, BATCH_SIZE, default_rng(1))
+            fuzz_projective(d, n, samples, default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        normals = 4 * BATCH_SIZE * d * 8  # bytes of the batch's float normals
-        assert peak - normals < 6 * 2**20
+        assert peak < 6 * 2**20
 
     def test_multi_block_digest_is_pinned(self):
-        # One 200,000-draw chunk: four batches, each in 5,461-row blocks and a
-        # partial one.  Recorded before batches were evaluated in blocks.
-        digest = "2bf4200a94fc113742bc2a97ebecb93092a05c0e651a4ad747e137dc0a6e0243"
-        assert run_campaign(6, 3, 200_000, 42).digest() == digest
+        # One 200,000-draw chunk: 36 blocks of 5,461 rows and a partial one.
+        digest = "168f90b20cd045e118cab530e025bf95309dfb5e6839823af809370885ba7413"
+        for workers in (1, 2):
+            assert run_campaign(6, 3, 200_000, 42, max_workers=workers).digest() == digest
 
     @pytest.mark.parametrize(
         "d, n, samples, digest",
         [
-            (16, 16, 100_000, "2e5b9656e772a8e89f46021b36ed8dbd1b7de2f98d28d0de3d4b2ba0ae4e644e"),
-            (64, 8, 20_000, "a159ff9911f79c88ba73577417c4b43960f24042c1f3f87408b433c247d47fbf"),
+            (16, 16, 100_000, "2c6de5e898b1c1b6b87eba5712a156cce650d4cfc3bb6c2a42f4f540889223e5"),
+            (64, 8, 20_000, "6051ff928a634203913a4eb00b65fe786ab773db92214247e2abc1719df12d76"),
         ],
+        ids=["16-16", "64-8"],
     )
     def test_wide_digest_is_pinned(self, d, n, samples, digest):
-        # Rows of 8 or more outcomes, whose maxima were once taken along the row
-        # axis; recorded then, so the column-wise maximum moves no bit.
+        # Rows of 8 or more outcomes, which NumPy's axis sum would add pairwise.
         for workers in (1, 2):
             assert run_campaign(d, n, samples, 42, max_workers=workers).digest() == digest
 
     @pytest.mark.parametrize("width", [*range(1, 10), 16, 64])
     def test_unit_rows_multiply_equals_division(self, width):
-        re, im = default_rng(width).standard_normal((2, 5_000, width))
-        z = np.empty((5_000, width), dtype=complex)
-        z.real, z.imag = re, im
-        z /= np.sqrt((z.conj() * z).real.sum(axis=1))[:, None]
-        assert np.array_equal(_unit_rows(re, im).view(np.uint64), z.view(np.uint64))
+        z = default_rng(width).standard_normal((5_000, 2 * width)).view(complex)
+        want = z / np.sqrt(column_sums(z.real * z.real + z.imag * z.imag))[:, None]
+        assert np.array_equal(_unit_rows(z.copy()).view(np.uint64), want.view(np.uint64))
 
 
 class TestDiscarded:
@@ -563,17 +570,14 @@ class TestCampaign:
     @pytest.mark.parametrize(
         "d, n, digest",
         [
-            (3, 3, "035662015ca6ca8e5cc303eb0db9bc92d9fe609697394052a2f7e942e9ba6b26"),
-            (4, 2, "31f8e4af7214944ddec3a4735809e7c94f89f8f8cca57f5910b3f9cd2584bfd6"),
-            (6, 3, "288d91cc9ca70bee353754ad269c651e34aaed56bb7d20a9900eabff68d6303e"),
-            (3, 1, "70d947d645773eaf1b0e1b076d6f14f33baf6fc3cb5b4cea1a2b5ebbbd512ade"),
+            (3, 3, "aca293b24f81d8449ca428e8553226a20188f9fecc1aee6d09d89110dc18b306"),
+            (4, 2, "b77e8e61895bf9a4f3dcc6f405e922c713af3692a24d32f28354374bb6e861b8"),
+            (6, 3, "ac2d072f282e67ac7a0e1147b34a2ef7d2e9591ac22b49d1e38f08bbc350ee9a"),
+            (3, 1, "2a046d930833c4593120904c959283e2dd5fd185094a9f23fc65e1ee49ec552b"),
         ],
+        ids=["3-3", "4-2", "6-3", "3-1"],
     )
     def test_digest_is_pinned(self, d, n, digest):
-        # (3, 3) and (4, 2) were recorded when reports still carried a grid_step
-        # field, which the digest hashed; it now hashes GRID_STEP in its place, so
-        # no digest moves.  (6, 3) and (3, 1) were recorded before the row sums
-        # went column-wise and the grouping was skipped at n = d.
         for workers in (1, 2):
             report = run_campaign(d, n, 20_000, 7, max_workers=workers, chunk=5_000)
             assert report.digest() == digest
@@ -581,7 +585,7 @@ class TestCampaign:
 
 class TestExtremalSearch:
     @pytest.mark.parametrize("search", [oracle_max_s, oracle_min_s])
-    @pytest.mark.parametrize("t", [1.5, -0.2, np.nan])
+    @pytest.mark.parametrize("t", [1.5, -0.2, np.nan, *NON_REAL_PARAMS])
     def test_rejects_t_outside_unit_interval(self, search, t):
         with pytest.raises(ValueError, match="transition probability"):
             search(t, 2, 2, 100, default_rng(0))

@@ -39,6 +39,7 @@ from postselect.regions import (
     write_region_csv,
     write_region_svg,
 )
+from conftest import NON_REAL_PARAMS
 
 
 def reference_region_csv(grid) -> str:
@@ -375,6 +376,11 @@ class TestPtSections:
     def test_s_validation(self):
         with pytest.raises(ValueError):
             emit_pt_sections(0.0, 20)
+
+    @pytest.mark.parametrize("s", NON_REAL_PARAMS)
+    def test_s_must_be_a_real_number(self, s):
+        with pytest.raises(ValueError, match="not a real number"):
+            emit_pt_sections(s, 20)
 
     @pytest.mark.parametrize("s", [Fraction(11, 20), Decimal("0.55")], ids=["Fraction", "Decimal"])
     def test_s_is_read_as_a_float(self, s):

@@ -18,6 +18,7 @@ from postselect import (
 )
 from postselect.errors import DegeneratePostselection, InvalidWitness
 from postselect.stats import transition_amplitudes
+from conftest import NON_REAL_PARAMS
 from samplers import sample_projective, sample_state
 
 ROOT_HALF = math.sqrt(0.5)
@@ -126,9 +127,10 @@ class TestDiversity:
             for q in (0.0, 0.5, 1.0, 2.0, 7.5, math.inf):
                 assert diversity(uniform, q) == pytest.approx(n, rel=1e-12)
 
-    @pytest.mark.parametrize("q", [True, False, "2", b"2", np.bool_(True)])
+    @pytest.mark.parametrize("q", [True, False, "2", b"2", np.bool_(True), *NON_REAL_PARAMS])
     def test_order_must_be_a_number(self, q):
-        with pytest.raises(ValueError, match="not a bool or string"):
+        # np.complex128(2 + 1j) was read as order 2 + 1j and gave 2.38, no order's D_q.
+        with pytest.raises(ValueError, match="not a real number"):
             diversity(OutcomeDistribution((0.5, 0.5)), q)
 
     def test_point_mass(self):

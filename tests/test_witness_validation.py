@@ -490,6 +490,7 @@ ACCEPTED_STATES = {
     "float32-array": np.array([0.0, 1.0], dtype=np.float32),
     "list-of-0-d-arrays": [np.array(1.0), np.array(0.0)],
     "list-of-0-d-complex-arrays": [np.array(1j), np.array(0j)],
+    "np-complex-entries": [np.complex128(1j), np.complex64(0)],
 }
 ACCEPTED_OPERATORS = {
     "int-list": [[[1, 0], [0, 1]]],
