@@ -8,6 +8,8 @@ triples, and maps the feasible regions numerically.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .core import (
     EPS_FEAS,
     EPS_PROB,
@@ -38,22 +40,27 @@ from .construct import (
     construct_projective,
     factor_amplitudes,
 )
-from .oracle import (
-    FuzzReport,
-    default_rng,
-    fuzz_projective,
-    oracle_max_s,
-    oracle_min_s,
-    run_campaign,
-)
-from .regions import (
-    RegionGrid,
-    emit_ps_region,
-    emit_pt_sections,
-    emit_ternary,
-    emit_ts_region,
-)
 from . import errors
+
+# Imported on first use (PEP 562), so commands that need neither pay for neither.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("oracle", "FuzzReport default_rng fuzz_projective oracle_max_s oracle_min_s run_campaign"),
+        ("regions", "RegionGrid emit_ps_region emit_pt_sections emit_ternary emit_ts_region"),
+    )
+    for name in (module, *names.split())
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "EPS_FEAS",

@@ -21,17 +21,10 @@ from .errors import (
     PostselectError,
 )
 from .feasibility import check_generalized, check_projective_raw
-from .oracle import run_campaign
-from .regions import (
-    emit_ps_region,
-    emit_pt_sections,
-    emit_ternary,
-    emit_ts_region,
-    write_region_csv,
-    write_region_svg,
-)
 from .stats import diversity, diversity_profile, evaluate_witness
-from .witness_io import _write_witness, load_witness_with_metadata, save_witness
+
+# oracle, regions and witness_io are imported by the commands that run them, so the
+# other commands do not pay for them.
 
 
 def _fmt(x: float) -> str:
@@ -73,6 +66,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .witness_io import _write_witness, save_witness
+
     sc = _parse_scenario(args)
     if args.kind == "projective":
         witness = construct_projective(sc)
@@ -87,6 +82,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .witness_io import load_witness_with_metadata
+
     witness, metadata = load_witness_with_metadata(args.witness)
     sc = evaluate_witness(witness)
     print(f"kind: {witness.kind}")
@@ -111,6 +108,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from .regions import emit_ps_region, emit_pt_sections, emit_ternary, emit_ts_region
+    from .regions import write_region_csv, write_region_svg
+
     if args.which == "ternary":
         grid = emit_ternary(args.resolution)
     elif args.which == "ps":
@@ -142,6 +142,8 @@ def _thread_count(text: str) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .oracle import run_campaign
+
     if args.outcomes > args.dim:
         raise ValueError(
             f"--outcomes {args.outcomes} exceeds --dim {args.dim} for projective fuzz"

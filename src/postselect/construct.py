@@ -6,10 +6,10 @@ into a pair of unit vectors, label basis vector k with outcome k (the
 witness stores the labels, not an (n, n, n) projector stack).  The builder
 passes its own floats straight to the cores _close and _factor, which the
 public close_polygon and factor_amplitudes call once they have read their input.
-The generalized case is closed form on float lists: psi_k = sqrt(P(k)), phi and
-phi' one scalar step and one axpy each, and V_k = |phi'><e_k| for every k, P(k) = 0
-too, so every outcome leaves the same state phi', which decouples the measurement
-from the postselection.
+The generalized case is a qubit for every n, closed form on float lists: psi = e_0,
+phi = sqrt(T) e_0 + sqrt(1 - T) e_1, phi' one axpy from phi, and V_k = |phi'><a_k| for
+every k, P(k) = 0 too, so every outcome leaves the same state phi', which decouples
+the measurement from the postselection.
 """
 
 from __future__ import annotations
@@ -108,13 +108,17 @@ def close_polygon(xs) -> ClosedPolygon:
     nothing is sorted.  ClosureFailure therefore signals a bug or a roundoff
     blow-up, never an unlucky split.  Roundoff grows with the magnitudes, so
     the residual bound EPS_CLOSE scales by max(1, total) like the pre-check.
-    Negative magnitudes, a bool or a string among them, or magnitudes whose
-    sum is not finite (a NaN or an inf, or an overflow) raise ValueError.
+    Negative magnitudes, a bool, a string, a complex number, None or another
+    non-number among them, or magnitudes whose sum is not finite (a NaN or
+    an inf, or an overflow) raise ValueError.
     """
     entries = list(xs)
-    xs = list(map(float, entries))
+    try:  # the scan runs first: float() reads a NumPy complex number as its real part
+        xs = [math.nan] if _holds_non_number(entries, 1) else list(map(float, entries))
+    except TypeError:  # None, a Python complex or another object float() refuses
+        xs = [math.nan]
     total = sum(xs)
-    if _holds_non_number(entries, 1) or not (math.isfinite(total) and min(xs, default=0.0) >= 0.0):
+    if not (math.isfinite(total) and min(xs, default=0.0) >= 0.0):
         raise ValueError(f"magnitudes must be non-negative numbers with a finite sum: {entries}")
     if not xs:
         return ClosedPolygon(zs=())
@@ -164,12 +168,13 @@ def factor_amplitudes(zs) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors (psi, phi) with conj(psi_k) * phi_k = z_k.
 
     Exists iff sum_k |z_k| <= 1.  Phases of z are stripped before the real
-    construction and reattached onto phi.  Bools and strings raise ValueError.
+    construction and reattached onto phi.  Bools, strings, None and other
+    non-numbers raise ValueError.
     """
-    z = np.asarray(zs, dtype=complex)
-    if _holds_non_number(zs, z.ndim, "iufc"):  # the input's own dtype or entries, not z's
+    z = np.asarray(zs)  # no dtype: complex would read None as NaN and refuse an object with TypeError
+    if z.dtype.kind not in "iufc" or _holds_non_number(zs, z.ndim, "iufc"):
         raise ValueError(f"amplitudes must be numbers, not bools or strings: {zs!r}")
-    z = z.reshape(-1)
+    z = z.astype(complex, copy=False).reshape(-1)
     if z.size < 2:
         raise ValueError("amplitude factorization needs n >= 2")
     if not np.isfinite(z).all():
@@ -212,30 +217,28 @@ def _rotate(v: list[float], c: float, s: float) -> list[float]:
 
 
 def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
-    """Kraus witness reproducing any valid scenario (dimension max(n, 2)).
+    """Kraus witness on a qubit reproducing any valid scenario.
 
-    With psi_k = sqrt(P(k)) on basis vector e_k, outcome k gets
-    V_k = |phi'><e_k|, so every outcome leaves the same post-measurement
-    state phi' and measurement statistics and postselection are independent.
-    Completeness needs no case for P(k) = 0: sum_k V_k^dag V_k =
-    sum_k |e_k><phi'|phi'><e_k| = 1, and such an outcome's amplitude is 0
-    since psi_k = 0.
-    For n = 1 (a qubit) V_0's second column is a unit vector orthogonal to
-    phi', which makes V_0 unitary.
+    With psi = e_0 and phi = sqrt(T) e_0 + sqrt(1 - T) e_1, outcome k gets
+    V_k = |phi'><a_k|, a_k = sqrt(P(k)) e_0 + c_k e_1, where c is a real unit
+    vector orthogonal to sqrt(P), which exists for n >= 2.  Then
+    sum_k |a_k><a_k| = 1 gives completeness, <phi|V_k|psi> = <phi|phi'> sqrt(P(k)),
+    and every outcome leaves the same post-measurement state phi', so
+    measurement statistics and postselection are independent.  A P(k) = 0
+    outcome needs no case: its amplitude is 0.
+    For n = 1, V_0's second column is a unit vector orthogonal to phi',
+    which makes V_0 unitary.
     Raises DegeneratePostselection for S <= EPS_PROB, as evaluate_witness does.
     """
     if sc.s <= EPS_PROB:
         raise DegeneratePostselection(f"success probability {sc.s!r} is numerically zero")
-    n = sc.n
-    d = max(n, 2)
-    psi = [*map(math.sqrt, sc.dist.probs)] + [0.0] * (d - n)
-    phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
-    phi_post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    # Column k of V_k is phi_post; every other entry is +0.0.
-    kraus = np.zeros((n, d, d))
-    k = np.arange(n)
-    kraus[k, :, k] = phi_post
-    if n == 1:
-        # One outcome on a qubit: complete V_0 to a unitary.
-        kraus[0, :, 1] = _rotate(phi_post, 0.0, 1.0)
-    return GeneralizedWitness(np.array(psi), np.array(phi), kraus)
+    phi = [math.sqrt(sc.t), math.sqrt(1.0 - sc.t)]
+    post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
+    if sc.n == 1:
+        kraus = np.array([[*zip(post, _rotate(post, 0.0, 1.0))]])
+    else:
+        roots = [*map(math.sqrt, sc.dist.probs)]
+        # Row i of V_k is post[i] a_k; + 0.0 turns a -0.0 product into +0.0.
+        a = [*zip(roots, _rotate(roots, 0.0, 1.0))]
+        kraus = np.array([[[f * r + 0.0, f * c + 0.0] for f in post] for r, c in a])
+    return GeneralizedWitness(np.array([1.0, 0.0]), np.array(phi), kraus)

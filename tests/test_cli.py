@@ -3,8 +3,11 @@ import copy
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from postselect import (
     construct_projective,
     evaluate_witness,
 )
+import postselect
 from postselect import cli
 from postselect.cli import main
 from postselect.errors import ClosureFailure
@@ -463,10 +467,10 @@ class TestWitnessIO:
         "t, s, p", [(0.4, 0.7, (0.9, 0.0, 0.1)), (0.05, 0.2, (0.0, 0.25, 0.0, 0.25, 0.5))]
     )
     def test_legacy_generalized_file_verifies(self, capsys, tmp_path, t, s, p):
-        # Older builders wrote |e_k><e_k| for each zero-probability outcome and
-        # listed those outcomes in metadata.repaired; such files still verify.
+        # Older builders wrote (n, n, n) stacks, and before that |e_k><e_k| for each
+        # zero-probability outcome, listed in metadata.repaired; such files still verify.
         sc = ScenarioTriple(t, s, OutcomeDistribution(p))
-        w = construct_generalized(sc)
+        w = dense_generalized(sc)
         zero = [k for k, x in enumerate(p) if x == 0.0]
         doc = witness_to_dict(w, {"target": {"t": t, "s": s, "p": list(p)}, "repaired": zero})
         for k in zero:
@@ -478,6 +482,7 @@ class TestWitnessIO:
         path.write_text(json.dumps(doc, indent=1) + "\n")
         code, out, err = run(capsys, "verify", str(path))
         assert code == 0 and "verification passed" in out, (out, err)
+        assert f"dimension: {len(p)}" in out
         legacy = load_witness(path)
         assert not np.array_equal(legacy.operators, w.operators)
         got, want = evaluate_witness(legacy), evaluate_witness(w)
@@ -525,6 +530,97 @@ NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def dense_generalized(sc):
+    """The (n, n, n) Kraus witness that construct_generalized wrote for n >= 2 outcomes
+    before it moved to a qubit: psi_k = sqrt(P(k)), phi and phi' one rotation each, and
+    V_k = |phi'><e_k| for every k.  Kept here to write files in the older layout."""
+
+    def rotate(v, c, s):
+        k = min(range(len(v)), key=[abs(x) for x in v].__getitem__)
+        beta = s / math.sqrt(1.0 - v[k] * v[k])
+        out = [(c - beta * v[k]) * x for x in v]
+        out[k] += beta
+        return out
+
+    n = sc.n
+    psi = [math.sqrt(x) for x in sc.dist.probs]
+    phi = rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
+    phi_post = rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
+    kraus = np.zeros((n, n, n))
+    kraus[np.arange(n), :, np.arange(n)] = phi_post
+    return GeneralizedWitness(np.array(psi), np.array(phi), kraus)
+
+
+WIDE_N = 1000
+
+
+def test_wide_generalized_file_is_a_qubit(capsys, tmp_path):
+    # The (n, n, n) stack wrote 32 MB at n = 100 and would need about 16 GB at n = 1000.
+    path = tmp_path / "w.json"
+    p = ",".join([repr(1.0 / WIDE_N)] * WIDE_N)
+    argv = ["--t", "0.001", "--s", repr(0.5 / WIDE_N), "--p", p, "--kind", "generalized"]
+    code, out, err = run(capsys, "construct", *argv, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.stat().st_size < 300_000
+    doc = json.loads(path.read_text())
+    assert doc["dimension"] == 2 and len(doc["operators"]) == WIDE_N
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == "" and "verification passed" in out
+    assert f"dimension: 2  outcomes: {WIDE_N}" in out
+
+
+def test_no_built_generalized_file_holds_negative_zero():
+    # A -0.0 in a built witness would print as -0.0; every zero is written as +0.0.
+    rng = np.random.default_rng(2601)
+    files = negatives = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 8))
+        p = rng.dirichlet(np.ones(n))
+        if n > 1 and rng.random() < 0.5:
+            p[rng.random(n) < 0.5] = 0.0
+            p = p / p.sum() if p.sum() > 0.0 else np.eye(n)[0]
+        t = float(rng.choice([0.0, 1.0, rng.random()]))
+        s = float(rng.choice([1.0, rng.random()]))
+        stream = io.StringIO()
+        _write_witness(construct_generalized(ScenarioTriple(t, s, OutcomeDistribution(p))), stream)
+        numbers = []
+        json.loads(stream.getvalue(), parse_float=lambda x: numbers.append(float(x)) or 0.0)
+        assert not any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in numbers)
+        files += 1
+        negatives += any(x < 0.0 for x in numbers)
+    assert files == 600 and negatives > 100, negatives
+
+
+def test_import_leaves_oracle_and_regions_unimported():
+    # The package imports the oracle and the region maps on first use of their names.
+    code = (
+        "import sys, postselect\n"
+        "lazy = ('postselect.oracle', 'postselect.regions', 'postselect.witness_io')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "print(all(getattr(postselect, name) is not None for name in postselect.__all__))\n"
+        "print(postselect.oracle.__name__, postselect.regions.__name__)\n"
+    )
+    src = str(Path(postselect.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\nTrue\npostselect.oracle postselect.regions\n", result.stderr
+
+
+def test_every_public_name_resolves():
+    from postselect import oracle, regions
+
+    names = {name: getattr(postselect, name) for name in postselect.__all__}
+    assert names["run_campaign"] is oracle.run_campaign
+    assert names["emit_ternary"] is regions.emit_ternary
+    assert postselect.oracle is oracle and postselect.regions is regions
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        postselect.missing
+
+
 BUILT_WITNESSES = [
     witness_to_dict(build(ScenarioTriple(0.1, 0.3, OutcomeDistribution(p))), {
         "target": {"t": 0.1, "s": 0.3, "p": list(p)}

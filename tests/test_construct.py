@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from postselect import (
     factor_amplitudes,
 )
 from postselect import construct, core
-from postselect.construct import EPS_CLOSE, _factor_real, _rotate
+from postselect.construct import EPS_CLOSE, _factor_real
 from postselect.errors import (
     ClosureFailure,
     DegeneratePostselection,
@@ -27,7 +28,13 @@ from postselect.errors import (
     NormViolation,
     PolygonViolation,
 )
-from conftest import random_distribution, random_feasible_scenario, random_scenario
+from conftest import (
+    NON_REAL,
+    NON_REAL_PARAMS,
+    random_distribution,
+    random_feasible_scenario,
+    random_scenario,
+)
 
 
 def factor_real_recursive(rs):
@@ -137,6 +144,18 @@ class TestClosePolygon:
         with pytest.raises(ValueError, match="numbers with a finite sum"):
             close_polygon(xs)
 
+    @pytest.mark.parametrize("bad", NON_REAL_PARAMS)
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_rejects_non_real(self, bad, where):
+        # Scanned before float(), which reads a NumPy complex as its real part (with a
+        # ComplexWarning) and raises TypeError for None, a complex or an object.
+        xs = [0.5, 0.5]
+        xs[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="numbers with a finite sum"):
+                close_polygon(xs)
+
     def test_reads_arrays_and_iterables(self):
         want = close_polygon([0.5, 0.3, 0.4]).zs
         zero_d = [np.array(0.5), np.array(0.3), np.array(0.4)]
@@ -222,6 +241,18 @@ class TestFactorAmplitudes:
     def test_rejects_bools_and_strings(self, zs):
         with pytest.raises(ValueError, match="not bools or strings"):
             factor_amplitudes(zs)
+
+    @pytest.mark.parametrize("bad", ["None", "object"])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_rejects_non_numbers(self, bad, where):
+        # Judged before the complex conversion, which reads None as NaN and raises
+        # TypeError for an object; the message names the input, not its conversion.
+        zs = [0.5, 0.25]
+        zs[where] = NON_REAL[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"must be numbers.*(None|<object)"):
+                factor_amplitudes(zs)
 
     def test_reads_complex_arrays(self):
         z = np.array([0.25, 0.25j, -0.1])
@@ -319,6 +350,27 @@ class TestWideProjective:
         assert np.allclose(a.dist.probs, b.dist.probs, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [200, WIDE_N])
+def test_wide_generalized_is_a_qubit(n):
+    # The (n, n, n) Kraus stack peaked at 306 MiB at n = 200; the qubit form is O(n).
+    sc = ScenarioTriple(0.15, 0.5 / n, OutcomeDistribution(np.full(n, 1.0 / n)))
+    tracemalloc.start()
+    try:
+        w = construct_generalized(sc)
+        out = evaluate_witness(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert w.dimension == 2 and w.operators.shape == (n, 2, 2)
+    dev = max(
+        abs(out.t - sc.t),
+        abs(out.s - sc.s),
+        float(np.abs(np.subtract(out.dist.probs, sc.dist.probs)).max()),
+    )
+    assert dev <= 1e-9
+
+
 @pytest.mark.parametrize("build", [construct_projective, construct_generalized])
 def test_numerically_zero_success_probability_refused(build):
     # evaluate_witness rejects S <= EPS_PROB, so no builder may hand out such a witness.
@@ -332,8 +384,11 @@ def test_numerically_zero_success_probability_refused(build):
 def gram_schmidt_generalized(sc):
     """The Gram-Schmidt form of construct_generalized, kept as its reference.
 
-    Returns (psi, phi, Kraus stack): each orthogonal direction is one
+    Returns (psi, phi, Kraus stack) on a qubit: each orthogonal direction is one
     Gram-Schmidt step against a basis vector, and every state is renormalized.
+    For n >= 2, V_k = |phi'><a_k| with a_k = (sqrt(P(k)), c_k) and c the unit
+    vector orthogonal to sqrt(P); for n = 1, V_0 = |phi'><e_0| + |u><e_1| with u
+    orthogonal to phi'.
     """
 
     def orthogonal_unit(v):
@@ -343,33 +398,35 @@ def gram_schmidt_generalized(sc):
         w = e - np.vdot(v, e) * v
         return w / np.linalg.norm(w)
 
-    n, d = sc.n, max(sc.n, 2)
-    psi = np.zeros(d, dtype=complex)
-    psi[:n] = np.sqrt(sc.dist.probs)
-    psi /= np.linalg.norm(psi)
+    psi = np.array([1.0, 0.0], dtype=complex)
     phi = math.sqrt(sc.t) * psi + math.sqrt(1.0 - sc.t) * orthogonal_unit(psi)
     phi /= np.linalg.norm(phi)
     post = math.sqrt(sc.s) * phi + math.sqrt(1.0 - sc.s) * orthogonal_unit(phi)
     post /= np.linalg.norm(post)
-    stack = np.zeros((n, d, d), dtype=complex)
-    for k in range(n):
-        stack[k, :, k] = post
-    if n == 1:
-        stack[0, :, 1] = orthogonal_unit(post)
+    if sc.n == 1:
+        return psi, phi, np.stack([post, orthogonal_unit(post)], axis=1)[None]
+    roots = np.sqrt(np.array(sc.dist.probs, dtype=complex))
+    a = np.stack([roots, orthogonal_unit(roots)], axis=1)  # row k is a_k
+    stack = np.array([np.outer(post, a_k.conj()) for a_k in a])
     return psi, phi, stack
 
 
 def fancy_index_stack(sc):
-    """construct_generalized's Kraus stack as zeros plus one fancy-index write, as a reference."""
-    n, d = sc.n, max(sc.n, 2)
-    psi = np.zeros(d)
-    psi[:n] = np.sqrt(sc.dist.probs)
-    phi = _rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
-    post = _rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    kraus = np.zeros((n, d, d), dtype=complex)
-    kraus[np.arange(n), :, np.arange(n)] = post
-    if n == 1:
-        kraus[0, :, 1] = _rotate(post, 0.0, 1.0)
+    """construct_generalized's Kraus stack as zeros plus one fancy-index write of its
+    nonzero products, as a reference: every zero entry is +0.0."""
+    phi = np.array([math.sqrt(sc.t), math.sqrt(1.0 - sc.t)])
+    post = numpy_rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
+    if sc.n == 1:
+        a = np.eye(2)[:1]  # column 0 of V_0 is phi'; column 1 is written below
+    else:
+        roots = np.sqrt(sc.dist.probs)
+        a = np.stack([roots, numpy_rotate(roots, 0.0, 1.0)], axis=1)
+    products = post[None, :, None] * a[:, None, :]
+    nonzero = products != 0.0
+    kraus = np.zeros((sc.n, 2, 2), dtype=complex)
+    kraus[nonzero] = products[nonzero]
+    if sc.n == 1:
+        kraus[0, :, 1] = numpy_rotate(post, 0.0, 1.0)
     return kraus
 
 
@@ -382,14 +439,17 @@ class TestConstructGeneralized:
             n = int(rng.integers(1, 7))
             sc = random_scenario(rng, n=n, allow_zeros=n > 1)
             got, want = construct_generalized(sc).operators, fancy_index_stack(sc)
+            assert got.shape == (n, 2, 2)
             assert np.array_equal(got, want), sc
             for part in ("real", "imag"):
                 signs = np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
                 assert np.array_equal(*signs), sc
-            # A negative phi' entry is where a product with a 0/1 mask would write -0.0.
-            negative += bool((want.real < 0.0).any())
-            zeroed += 0.0 in sc.dist.probs
-        assert negative > 100 and zeroed > 100, (negative, zeroed)
+            # Column 0 of V_k is phi' sqrt(P(k)): a zero outcome times a negative phi'
+            # entry is where a plain product would write -0.0.
+            if 0.0 in sc.dist.probs:
+                zeroed += 1
+                negative += bool((got[:, :, 0].real < 0.0).any())
+        assert negative > 100 and zeroed > 200, (negative, zeroed)
 
     def test_matches_gram_schmidt_form(self):
         rng = np.random.default_rng(1601)
@@ -428,21 +488,28 @@ class TestConstructGeneralized:
         assert_reproduces(sc, construct_generalized(sc), tol=1e-12)
 
     def test_zero_probability_outcome_leaves_phi_post(self):
-        # A zero outcome needs no special operator: V_1 = |phi'><e_1| like the
+        # A zero outcome needs no special operator: V_1 = |phi'><a_1| like the
         # others, completeness holds, and the outcome's amplitude is exactly 0.
         sc = ScenarioTriple(0.2, 0.4, OutcomeDistribution((0.7, 0.0, 0.3)))
         w = construct_generalized(sc)
-        phi_post = w.kraus[0][:, 0]
+        psi = np.asarray(w.psi)
+        phi_post = w.kraus[0] @ psi / math.sqrt(0.7)
         assert abs(np.linalg.norm(phi_post) - 1.0) <= 1e-12
         assert abs(abs(np.vdot(w.phi, phi_post)) ** 2 - sc.s) <= 1e-12
-        assert np.array_equal(w.kraus[1], np.outer(phi_post, np.eye(3)[1]))
+        for k, v in enumerate(w.kraus):
+            # Rank one: V_k = phi' a_k^T, with a_k = phi'^dag V_k and a_k[0] = sqrt(P(k)).
+            a_k = phi_post.conj() @ v
+            assert np.max(np.abs(v - np.outer(phi_post, a_k))) <= 1e-12
+            assert abs(a_k[0] - math.sqrt(sc.dist[k])) <= 1e-12
+        assert not (w.kraus[1] @ psi).any()
         assert evaluate_witness(w).dist.probs[1] == 0.0
         assert_reproduces(sc, w, tol=1e-12)
 
     def test_post_measurement_collinearity(self, rng):
-        # All outcomes leave the system in the same pure state: every V_k is
-        # |phi'><e_k| with one phi' for all k, zero-probability outcomes
-        # included, and the one outcome of n = 1 is a unitary on a qubit.
+        # All outcomes leave the system in the same pure state: for n >= 2 every
+        # V_k is phi' times a row vector a_k^T (rank one) with one phi' for all k,
+        # zero-probability outcomes included, whose amplitude is exactly 0; the
+        # one outcome of n = 1 is a unitary on a qubit.
         scenarios = [random_scenario(rng, allow_zeros=True) for _ in range(100)]
         scenarios += [
             ScenarioTriple(t, s, OutcomeDistribution((1.0,)))
@@ -451,20 +518,22 @@ class TestConstructGeneralized:
         assert any(0.0 in sc.dist.probs for sc in scenarios)
         for sc in scenarios:
             w = construct_generalized(sc)
-            columns, states = [], []
+            psi = np.asarray(w.psi)
+            assert w.dimension == 2 and w.operators.shape == (sc.n, 2, 2)
+            if sc.n == 1:
+                v = w.kraus[0]
+                assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
+                continue
+            live = [k for k in range(sc.n) if sc.dist[k] > 0.0]
+            phi_post = w.kraus[live[0]] @ psi
+            phi_post /= np.linalg.norm(phi_post)
             for k, v in enumerate(w.kraus):
-                if sc.n == 1:
-                    assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
-                else:
-                    assert not np.delete(v, k, axis=1).any()
-                columns.append(v[:, k])
-                if sc.dist[k] > 0.0:  # a zero outcome never occurs: V_k psi = 0
-                    out = v @ np.asarray(w.psi)
-                    states.append(out / np.linalg.norm(out))
-            for column in columns[1:]:
-                assert np.array_equal(column, columns[0])
-            for other in states[1:]:
-                assert abs(abs(np.vdot(states[0], other)) - 1.0) <= 1e-10
+                assert np.max(np.abs(v - np.outer(phi_post, phi_post.conj() @ v))) <= 1e-12
+                out = v @ psi
+                if k in live:
+                    assert abs(abs(np.vdot(phi_post, out / np.linalg.norm(out))) - 1.0) <= 1e-10
+                else:  # a zero outcome never occurs
+                    assert not out.any()
 
 
 class TestBuilderChecks:
@@ -550,18 +619,17 @@ def numpy_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     """The NumPy form of construct_generalized, kept as a reference."""
     if sc.s <= EPS_PROB:
         raise DegeneratePostselection(f"success probability {sc.s!r} is numerically zero")
-    n = sc.n
-    d = max(n, 2)
-    psi = np.zeros(d)
-    psi[:n] = np.sqrt(sc.dist.probs)
+    psi = np.array([1.0, 0.0])
     phi = numpy_rotate(psi, math.sqrt(sc.t), math.sqrt(1.0 - sc.t))
     phi_post = numpy_rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    # V_k = |phi_post><e_k| for every k; every other entry is +0.0.
-    e = np.eye(n, d, dtype=bool)  # row k is e_k
-    kraus = np.where(e[:, None, :], phi_post[:, None], 0.0)
-    if n == 1:
-        # One outcome on a qubit: complete V_0 to a unitary.
-        kraus[0, :, 1] = numpy_rotate(phi_post, 0.0, 1.0)
+    if sc.n == 1:
+        # One outcome on a qubit: V_0 = |phi_post><e_0| + |u><e_1|, a unitary.
+        kraus = np.stack([phi_post, numpy_rotate(phi_post, 0.0, 1.0)], axis=1)[None]
+    else:
+        # V_k = |phi_post><a_k|, a_k = (sqrt(P(k)), c_k); + 0.0 writes +0.0 for -0.0.
+        roots = np.sqrt(sc.dist.probs)
+        a = np.stack([roots, numpy_rotate(roots, 0.0, 1.0)], axis=1)
+        kraus = phi_post[None, :, None] * a[:, None, :] + 0.0
     return GeneralizedWitness(psi, phi, kraus)
 
 

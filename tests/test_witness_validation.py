@@ -241,13 +241,14 @@ def test_operators_are_one_read_only_stack():
     qubit = construct_projective(ScenarioTriple(0.3, 0.3, OutcomeDistribution((1.0,))))
     assert np.array_equal(qubit.operators, _diagonal_projectors(np.zeros(2, dtype=np.intp), 1))
     assert not qubit.operators.flags.writeable
-    for stack, views in (
-        (built.operators, built.projectors),
-        (w.operators, w.projectors),
-        (g.operators, g.kraus),
-        (h.operators, h.kraus),
+    # A built Kraus witness is a qubit for every n.
+    for stack, views, shape in (
+        (built.operators, built.projectors, (3, 3, 3)),
+        (w.operators, w.projectors, (3, 3, 3)),
+        (g.operators, g.kraus, (3, 2, 2)),
+        (h.operators, h.kraus, (3, 3, 3)),
     ):
-        assert stack.shape == (3, 3, 3) and not stack.flags.writeable
+        assert stack.shape == shape and not stack.flags.writeable
         for k, v in enumerate(views):
             assert v.base is stack and not v.flags.writeable
             assert np.array_equal(v, stack[k])
