@@ -155,7 +155,7 @@ def cmd_fuzz(args) -> int:
     )
     print(f"samples: {report.samples}")
     print(f"violations: {len(report.violations)}")
-    print(f"coverage cells (T,S): {len(report.coverage_grid)}")
+    print(f"coverage cells (T,S): {(report.counts[0] > 0).sum()}")
     if report.counts[1].any():
         print(f"coverage cells (ternary, T~0): {(report.counts[1] > 0).sum()}")
     print(f"digest: {report.digest()}")

@@ -109,10 +109,13 @@ def projective_raw_slack_arrays(t: np.ndarray, s: np.ndarray, probs: np.ndarray)
     """Row-wise chain slacks for t, s of shape (B,) and probs of shape (B, n).
 
     Row sums of sqrt(P) are `_row_sum`'s; row maxima run over the n columns
-    (np.maximum), exact, so they equal sq.max(axis=1) bit for bit.
+    (np.maximum), exact, so they equal sq.max(axis=1) bit for bit.  sqrt(P) is
+    dropped once both are formed.
     """
     sq = np.sqrt(probs)
-    return chain_slacks(np.sqrt(t / s), _row_sum(sq), reduce(np.maximum, sq.T), np.sqrt(s))
+    root_sum, root_max = _row_sum(sq), reduce(np.maximum, sq.T)
+    del sq
+    return chain_slacks(np.sqrt(t / s), root_sum, root_max, np.sqrt(s))
 
 
 def check_generalized(sc: ScenarioTriple) -> FeasibilityVerdict:

@@ -48,12 +48,15 @@ def default_rng(seed: int) -> np.random.Generator:
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     """(b, d) complex rows z scaled to unit norm in place; uniform on the sphere for normal draws.
 
-    The squared norm is `_row_sum` of re^2 + im^2, exact IEEE operations (NumPy's
-    z.conj() * z fuses them where the CPU has FMA).  Multiplying by 1 / norm gives the
-    bits of dividing by it: NumPy divides a complex number by a real r with Smith's
-    algorithm, which computes (a + b*0) * (1/r) and (b - a*0) * (1/r).
+    The squared norm is `_row_sum` of re^2 + im^2, formed in one (b, d) array: re^2,
+    then im^2 added in place.  Those are the exact IEEE operations of re**2 + im**2
+    (NumPy's z.conj() * z fuses them where the CPU has FMA).  Multiplying by 1 / norm
+    gives the bits of dividing by it: NumPy divides a complex number by a real r with
+    Smith's algorithm, which computes (a + b*0) * (1/r) and (b - a*0) * (1/r).
     """
-    z *= (1.0 / np.sqrt(_row_sum(z.real**2 + z.imag**2)))[:, None]
+    norm2 = np.square(z.real)
+    norm2 += np.square(z.imag)
+    z *= (1.0 / np.sqrt(_row_sum(norm2)))[:, None]
     return z
 
 
@@ -87,11 +90,16 @@ def _flat_index(labels: np.ndarray, n: int) -> np.ndarray:
 
 
 def _group(contrib: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
-    """Sum (b, d) contributions into (b, n) amplitudes by `_flat_index`, in column order."""
+    """Sum (b, d) contributions into (b, n) amplitudes by `_flat_index`, in column order.
+
+    Each part's sums go straight into the complex result.  That is re + 1j * im bit for
+    bit, since `np.bincount` sums from +0.0 and so never returns -0.0.
+    """
     b = contrib.shape[0]
-    re = np.bincount(flat, weights=contrib.real.ravel(), minlength=b * n)
-    im = np.bincount(flat, weights=contrib.imag.ravel(), minlength=b * n)
-    return (re + 1j * im).reshape(b, n)
+    amps = np.empty((b, n), dtype=complex)
+    amps.real = np.bincount(flat, weights=contrib.real.ravel(), minlength=b * n).reshape(b, n)
+    amps.imag = np.bincount(flat, weights=contrib.imag.ravel(), minlength=b * n).reshape(b, n)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -193,47 +201,60 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     rows = max(1, BLOCK_CELLS // d)
     discarded = 0
     for start in range(0, samples, rows):
-        b = min(rows, samples - start)
-        psi, phi = (_unit_rows(z) for z in rng.standard_normal((2, b, 2 * d)).view(complex))
-        labels = _random_labels(b, d, n, rng)
-        # Per-column amplitude contributions <phi|e_j><e_j|psi>.
-        contrib = phi.conj() * psi
-        t = np.abs(_row_sum(contrib)) ** 2
-        # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
-        amps = contrib if n == d else _group(contrib, _flat_index(labels, n), n)
-        weights = np.abs(amps) ** 2
-        s = _row_sum(weights)
-        keep = s > S_DISCARD
-        kept = int(np.count_nonzero(keep))
-        discarded += b - kept
-        if kept < b:
-            t, s, weights = t[keep], s[keep], weights[keep]
-        probs = weights / s[:, None]
-        t_k, s_k = np.minimum(t, 1.0), np.minimum(s, 1.0)
-        slacks = projective_raw_slack_arrays(t_k, s_k, probs)
-        min_slack = reduce(np.minimum, slacks.values())
-        flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
-        origins = flagged if kept == b else np.flatnonzero(keep)[flagged]
-        for i, orig in zip(flagged, origins):
-            h = hashlib.sha256()
-            for arr in (psi[orig], phi[orig], labels[orig]):
-                h.update(np.ascontiguousarray(arr).tobytes())
-            tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
-            violations.append(
-                FuzzViolation(
-                    witness_digest=h.hexdigest(),
-                    t=float(t_k[i]),
-                    s=float(s_k[i]),
-                    probs=tuple(float(x) for x in probs[i]),
-                    violated=tags,
-                )
-            )
-        cells = [_cell(t_k, s_k)]
-        if n == 3:
-            near_zero_t = t_k < GRID_STEP
-            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
-        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+        discarded += _fuzz_block(min(rows, samples - start), d, n, rng, counts, violations)
     return FuzzReport(samples, tuple(violations), counts.reshape(2, NBINS, NBINS), discarded)
+
+
+def _fuzz_block(
+    b: int, d: int, n: int, rng: np.random.Generator, counts: np.ndarray, violations: list
+) -> int:
+    """Draw and check one block of b rows for `fuzz_projective`; return its discarded count.
+
+    Adds the block's cells to counts and appends its violations.  No array outlives
+    the block, and each is dropped, or overwritten in place, after its last use.
+    """
+    psi, phi = (_unit_rows(z) for z in rng.standard_normal((2, b, 2 * d)).view(complex))
+    labels = _random_labels(b, d, n, rng)
+    # Per-column amplitude contributions <phi|e_j><e_j|psi>.
+    contrib = phi.conj() * psi
+    t = np.abs(_row_sum(contrib)) ** 2
+    # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
+    amps = contrib if n == d else _group(contrib, _flat_index(labels, n), n)
+    del contrib
+    probs = np.abs(amps)
+    del amps
+    np.square(probs, out=probs)
+    s = _row_sum(probs)
+    keep = s > S_DISCARD
+    kept = int(np.count_nonzero(keep))
+    if kept < b:
+        t, s, probs = t[keep], s[keep], probs[keep]
+    probs /= s[:, None]
+    t, s = np.minimum(t, 1.0), np.minimum(s, 1.0)
+    slacks = projective_raw_slack_arrays(t, s, probs)
+    min_slack = reduce(np.minimum, slacks.values())
+    flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
+    origins = flagged if kept == b else np.flatnonzero(keep)[flagged]
+    for i, orig in zip(flagged, origins):
+        h = hashlib.sha256()
+        for arr in (psi[orig], phi[orig], labels[orig]):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        tags = tuple(tag for tag, arr in slacks.items() if not arr[i] >= -FUZZ_EPS)
+        violations.append(
+            FuzzViolation(
+                witness_digest=h.hexdigest(),
+                t=float(t[i]),
+                s=float(s[i]),
+                probs=tuple(float(x) for x in probs[i]),
+                violated=tags,
+            )
+        )
+    cells = [_cell(t, s)]
+    if n == 3:
+        near_zero_t = t < GRID_STEP
+        cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
+    counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+    return b - kept
 
 
 def run_campaign(
