@@ -16,7 +16,8 @@ n: outcome k's projector is the diagonal 0/1 matrix on the basis vectors
 labelled k, so the set is complete and orthogonal by construction.  It is
 given its labels (every built witness; validation is O(d)), or a stack that
 is an exact partition: nonzero only on the diagonal, where each column holds
-exactly one 1 (a decoded file of a built witness; the zero test is O(n d^2)).
+exactly one 1 (a built witness's file written before labels; the zero test
+is O(n d^2)).
 A given stack is kept; otherwise it is built, cached and made read-only the
 first time ``operators`` or ``projectors`` is read, and ``n_outcomes``,
 ``swapped`` and the statistics in ``stats`` never build it.  Any other stack

@@ -29,6 +29,7 @@ from postselect import cli
 from postselect.cli import main
 from postselect.errors import ClosureFailure
 from postselect.witness_io import (
+    _to_pairs,
     _write_witness,
     load_witness,
     save_witness,
@@ -129,6 +130,10 @@ class TestCheck:
         argv = ("construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5", "--kind", "projective")
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", "error: closure residual 1.0\n")
+
+
+# The three diagonal projectors of a qutrit: the stack form of labels [0, 1, 2].
+DIAGONAL_STACK = np.eye(3)[:, :, None] * np.eye(3)
 
 
 class TestConstructVerify:
@@ -237,11 +242,47 @@ class TestConstructVerify:
             "--kind", "projective", "--out", str(path),
         )
         payload = json.loads(path.read_text())
-        payload["operators"][0][0][0] = [0.5, 0.0]
+        assert "operators" not in payload and payload["labels"] == [0, 1]
+        payload["labels"][0] = 2
         path.write_text(json.dumps(payload))
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "invalid witness" in err
+
+    @pytest.mark.parametrize(
+        "edit, kind",
+        [
+            (lambda doc: doc["labels"].__setitem__(1, 3), "projective"),
+            (lambda doc: doc["labels"].__setitem__(0, -1), "projective"),
+            (lambda doc: doc["labels"].__setitem__(0, True), "projective"),
+            (lambda doc: doc["labels"].__setitem__(0, 0.0), "projective"),
+            (lambda doc: doc["labels"].pop(), "projective"),
+            (lambda doc: doc.update(n_outcomes=4), "projective"),
+            (lambda doc: doc.update(n_outcomes=10**400), "projective"),
+            (lambda doc: doc.update(n_outcomes=3.0), "projective"),
+            (lambda doc: doc.update(operators=stacked_pairs(DIAGONAL_STACK)), "projective"),
+            (lambda doc: [doc.pop("labels"), doc.pop("n_outcomes")], "projective"),
+            (lambda doc: doc.pop("n_outcomes"), "projective"),
+            (lambda doc: doc.update(labels=[0, 1], n_outcomes=2), "generalized"),
+            (lambda doc: doc.pop("operators"), "generalized"),
+        ],
+        ids=[
+            "label-out-of-range", "negative-label", "bool-label", "float-label", "short-labels",
+            "more-outcomes-than-dimension", "huge-n_outcomes", "float-n_outcomes", "both-forms",
+            "neither-form", "labels-without-n_outcomes", "labels-in-generalized",
+            "generalized-without-operators",
+        ],
+    )
+    def test_verify_rejects_malformed_measurement(self, capsys, tmp_path, edit, kind):
+        path = tmp_path / "w.json"
+        argv = ["construct", "--t", "0.1", "--s", "0.3", "--p", "0.5,0.3,0.2", "--kind", kind]
+        run(capsys, *argv, "--out", str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == "", (out, err)
+        assert err.startswith("invalid witness: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text",
@@ -279,7 +320,7 @@ class TestConstructVerify:
         assert code == 2 and out == ""
         assert err == f"invalid witness: {message}\n"
 
-    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "psi"])
+    @pytest.mark.parametrize("where", ["labels", "n_outcomes", "psi"])
     def test_verify_rejects_nan_entry(self, capsys, tmp_path, where):
         path = tmp_path / "w.json"
         run(
@@ -288,12 +329,12 @@ class TestConstructVerify:
             "--kind", "projective", "--out", str(path),
         )
         payload = json.loads(path.read_text())
-        entry = {
-            "diagonal": payload["operators"][1][1][1],
-            "off-diagonal": payload["operators"][0][0][1],
-            "psi": payload["psi"][0],
+        entry, key = {
+            "labels": (payload["labels"], 1),
+            "n_outcomes": (payload, "n_outcomes"),
+            "psi": (payload["psi"][0], 0),
         }[where]
-        entry[0] = float("nan")
+        entry[key] = float("nan")
         path.write_text(json.dumps(payload))
         code, out, err = run(capsys, "verify", str(path))
         assert code == 2
@@ -386,7 +427,8 @@ class TestEntropy:
 
 
 def reference_witness_to_dict(w, metadata=None):
-    """The per-entry encoder the whole-stack codec replaced, kept as its byte reference."""
+    """The per-entry encoder the whole-stack codec replaced, kept as its byte reference:
+    labels for a labelled projective witness with n <= d outcomes, else the stack."""
 
     def vector_to_pairs(v):
         return [[float(x.real), float(x.imag)] for x in v]
@@ -394,18 +436,34 @@ def reference_witness_to_dict(w, metadata=None):
     def matrix_to_pairs(m):
         return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
-    meta = dict(metadata or {})
     if isinstance(w, ProjectiveWitness):
         kind, ops = "projective", w.projectors
     else:
         kind, ops = "generalized", w.kraus
+    doc = {"kind": kind, "dimension": w.dimension}
+    doc.update(psi=vector_to_pairs(w.psi), phi=vector_to_pairs(w.phi))
+    if getattr(w, "labels", None) is not None and w.n_outcomes <= w.dimension:
+        doc.update(labels=[int(k) for k in w.labels], n_outcomes=w.n_outcomes)
+    else:
+        doc["operators"] = [matrix_to_pairs(op) for op in ops]
+    doc["metadata"] = dict(metadata or {})
+    return doc
+
+
+def stacked_pairs(a):
+    """[re, im] pairs as the encoder wrote them before it read a float view: one stacked copy."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def stacked_witness_to_dict(w, metadata=None):
+    """The encoder before labelled files: every witness, labelled or not, as its dense stack."""
     return {
-        "kind": kind,
+        "kind": w.kind,
         "dimension": w.dimension,
-        "psi": vector_to_pairs(w.psi),
-        "phi": vector_to_pairs(w.phi),
-        "operators": [matrix_to_pairs(op) for op in ops],
-        "metadata": meta,
+        "psi": stacked_pairs(w.psi),
+        "phi": stacked_pairs(w.phi),
+        "operators": stacked_pairs(w.operators),
+        "metadata": dict(metadata or {}),
     }
 
 
@@ -490,10 +548,10 @@ class TestWitnessIO:
         assert bits[0] == bits[1]
 
     def test_writer_joins_tokens_into_large_writes(self):
-        # json.dump writes each token separately: 138,121 writes for this witness, each
+        # json.dump writes each token separately: 120,071 writes for this witness, each
         # a system call on an unbuffered stdout.
-        n = 30
-        w = construct_projective(
+        n = 4000
+        w = construct_generalized(
             ScenarioTriple(0.05, 0.5 / n, OutcomeDistribution(np.full(n, 1.0 / n)))
         )
         meta = {"target": {"t": 0.05, "s": 0.5 / n, "p": [1.0 / n] * n}}
@@ -511,6 +569,65 @@ class TestWitnessIO:
         *full, last, newline = stream.sizes
         assert all(size >= 64 * 1024 for size in full) and last > 0 and newline == 1
         assert len(stream.sizes) <= len(stream.getvalue()) // (64 * 1024) + 2
+
+    def test_pairs_read_through_a_float_view(self, rng):
+        # The same nested lists as the stacked copy, -0.0 and inf parts included, for
+        # C-contiguous arrays and for views that are not.
+        stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        stack[0, 0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.inf, -math.inf)]
+        cases = [stack, stack.transpose(0, 2, 1), stack[:, ::2, 1:], stack[1, :, 0], stack[:0]]
+        for a in cases + [np.zeros(3, dtype=complex), np.array([-0.0 - 0.0j])]:
+            assert json.dumps(_to_pairs(a)) == json.dumps(stacked_pairs(a))
+        assert not stack.transpose(0, 2, 1).flags.c_contiguous
+        assert _to_pairs(stack)[0][0][2] == [math.inf, -math.inf]
+
+    @pytest.mark.parametrize(
+        "t, s, p", [(0.1, 0.3, (0.5, 0.3, 0.2)), (0.3, 0.3, (1.0,)), (0.0, 0.25, (0.25,) * 4)]
+    )
+    def test_stacked_projective_file_verifies_as_labelled(self, capsys, tmp_path, t, s, p):
+        # Files written before labels hold the 0/1 stack; they decode as labelled witnesses
+        # and write labels from then on.
+        sc = ScenarioTriple(t, s, OutcomeDistribution(p))
+        w = construct_projective(sc)
+        meta = {"target": {"t": t, "s": s, "p": list(p)}}
+        path = tmp_path / "stacked.json"
+        path.write_text(json.dumps(stacked_witness_to_dict(w, meta), indent=1) + "\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0 and "verification passed" in out, (out, err)
+        assert f"dimension: {w.dimension}  outcomes: {len(p)}" in out
+        stacked = load_witness(path)
+        assert np.array_equal(stacked.labels, w.labels) and stacked.n_outcomes == w.n_outcomes
+        assert witness_to_dict(stacked, meta) == witness_to_dict(w, meta)
+        assert "labels" in witness_to_dict(stacked) and "operators" not in witness_to_dict(stacked)
+
+    def test_dense_projective_file_keeps_its_stack(self, capsys, tmp_path, rng):
+        # A stack that is not an exact partition stays dense: the file holds operators.
+        d = 4
+        u = sample_unitary(d, rng)
+        projs = [u @ np.diag(m) @ u.conj().T for m in ([1, 1, 0, 0], [0, 0, 1, 1])]
+        w = ProjectiveWitness(sample_state(d, rng), sample_state(d, rng), projs)
+        assert w.labels is None
+        sc = evaluate_witness(w)
+        meta = {"target": {"t": sc.t, "s": sc.s, "p": list(sc.dist.probs)}}
+        doc = witness_to_dict(w, meta)
+        assert "labels" not in doc
+        assert json.dumps(doc) == json.dumps(stacked_witness_to_dict(w, meta))
+        path = tmp_path / "dense.json"
+        save_witness(w, path, meta)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0 and "verification passed" in out, (out, err)
+        w2 = load_witness(path)
+        assert w2.labels is None and np.array_equal(w2.operators, w.operators)
+
+    def test_labelled_witness_with_more_outcomes_than_dimension_writes_its_stack(self):
+        # Outcomes past the d-th are empty; such a witness writes its stack, which bounds
+        # n by the file's size, and decodes to the same labels.
+        w = ProjectiveWitness([1, 0], [0.6, 0.8], labels=[2, 0], n_outcomes=4)
+        doc = witness_to_dict(w)
+        assert "labels" not in doc and len(doc["operators"]) == 4
+        w2 = witness_from_dict(json.loads(json.dumps(doc)))
+        assert np.array_equal(w2.labels, [2, 0]) and w2.n_outcomes == 4
+        assert evaluate_witness(w2) == evaluate_witness(w)
 
 
 def run_captured(argv):
@@ -569,6 +686,22 @@ def test_wide_generalized_file_is_a_qubit(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 0 and err == "" and "verification passed" in out
     assert f"dimension: 2  outcomes: {WIDE_N}" in out
+
+
+def test_wide_projective_file_is_labelled(capsys, tmp_path):
+    # The 0/1 stack wrote 32 MB at n = 100 and would need about 16 GB at n = 1000.
+    path = tmp_path / "w.json"
+    p = ",".join([repr(1.0 / WIDE_N)] * WIDE_N)
+    argv = ["--t", "0.001", "--s", repr(0.5 / WIDE_N), "--p", p, "--kind", "projective"]
+    code, out, err = run(capsys, "construct", *argv, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.stat().st_size < 150_000
+    doc = json.loads(path.read_text())
+    assert "operators" not in doc and doc["labels"] == list(range(WIDE_N))
+    assert doc["dimension"] == doc["n_outcomes"] == WIDE_N
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == "" and "verification passed" in out
+    assert f"dimension: {WIDE_N}  outcomes: {WIDE_N}" in out
 
 
 def test_no_built_generalized_file_holds_negative_zero():
@@ -749,6 +882,11 @@ class TestCliInvariants:
         d = payload["dimension"]
         if where in ("psi", "phi"):
             payload[where][k % d][part] = bad
+        elif where == "operator" and "labels" in payload:
+            if part:
+                payload["n_outcomes"] = bad
+            else:
+                payload["labels"][k % d] = bad
         elif where == "operator":
             ops = payload["operators"]
             ops[k % len(ops)][k % d][(k // d) % d][part] = bad
