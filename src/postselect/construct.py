@@ -238,7 +238,7 @@ def construct_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
         kraus = np.array([[*zip(post, _rotate(post, 0.0, 1.0))]])
     else:
         roots = [*map(math.sqrt, sc.dist.probs)]
-        # Row i of V_k is post[i] a_k; + 0.0 turns a -0.0 product into +0.0.
+        # Row i of V_k is post[i] a_k, in one flat list; + 0.0 turns a -0.0 product into +0.0.
         a = [*zip(roots, _rotate(roots, 0.0, 1.0))]
-        kraus = np.array([[[f * r + 0.0, f * c + 0.0] for f in post] for r, c in a])
+        kraus = np.array([f * x + 0.0 for r, c in a for f in post for x in (r, c)]).reshape(-1, 2, 2)
     return GeneralizedWitness(np.array([1.0, 0.0]), np.array(phi), kraus)

@@ -127,7 +127,12 @@ def _array(value, name: str, shape: tuple[int | None, ...], kinds: str) -> np.nd
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probability vector over n >= 1 outcomes, from a sequence or ndarray of numbers."""
+    """Probability vector over n >= 1 outcomes, from a sequence or ndarray of numbers.
+
+    ``probs`` holds Python floats.  A 1-D float64 array is read with one ``tolist()``,
+    which already gives them; every other input goes through ``float()`` entry by entry
+    (the ``tolist()`` of a longdouble array gives ``np.longdouble``, not ``float``).
+    """
 
     probs: tuple[float, ...]
 
@@ -136,8 +141,9 @@ class OutcomeDistribution:
         entries = probs.tolist() if array else tuple(probs)  # one call, not one scalar at a time
         if _holds_non_number(probs if array else entries, 1):
             raise ValueError(f"probabilities must be numbers, not bools or strings: {entries!r}")
+        floats = array and probs.dtype == np.float64 and probs.ndim == 1
         try:
-            p = tuple(map(float, entries))
+            p = tuple(entries) if floats else tuple(map(float, entries))
         except TypeError as exc:
             raise ValueError(f"probabilities must be real numbers: {entries!r}: {exc}") from exc
         if len(p) < 1:
@@ -268,9 +274,9 @@ def _validate_kraus(a: np.ndarray) -> None:
     """
     d = a.shape[-1]
     flat = a.reshape(-1, d)
-    gram = flat.conj().T @ flat
-    gram.flat[:: d + 1] -= 1.0
-    if not np.abs(gram).max() <= EPS_UNIT:
+    gram = flat.conj().T @ flat  # a new C-contiguous array, so ravel() is a view
+    gram.ravel()[:: d + 1] -= 1.0
+    if not np.maximum.reduce(np.abs(gram), axis=None) <= EPS_UNIT:
         raise InvalidWitness("Kraus operators are not complete")
 
 
@@ -290,7 +296,7 @@ def _labels(labels, n_outcomes, d: int) -> tuple[np.ndarray, int]:
     except ValueError as exc:
         raise InvalidWitness(str(exc)) from exc
     a = _array(labels, "labels", (d,), "iu")
-    if not (a.min() >= 0 and a.max() < n):  # also refuses n < 1, as d >= 1
+    if not (np.minimum.reduce(a) >= 0 and np.maximum.reduce(a) < n):  # also refuses n < 1, as d >= 1
         raise InvalidWitness(f"labels have an outcome outside range({n})")
     a = a.astype(np.intp)  # a copy, whatever the input
     a.setflags(write=False)

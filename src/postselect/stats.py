@@ -43,13 +43,15 @@ def evaluate_witness(w: ProjectiveWitness | GeneralizedWitness) -> ScenarioTripl
     Raises DegeneratePostselection when S is numerically zero (empty ensemble).
     """
     amps = transition_amplitudes(w)
-    weights = np.abs(amps) ** 2
-    s = float(weights.sum())
+    # The ufuncs that ** 2 and .sum() call, without their wrappers: the same bits.
+    weights = np.abs(amps)
+    np.square(weights, out=weights)
+    s = float(np.add.reduce(weights))
     if s <= EPS_PROB:
         raise DegeneratePostselection(f"success probability {s!r} is numerically zero")
     t = min(1.0, float(abs(np.vdot(w.phi, w.psi)) ** 2))
     probs = weights / s
-    probs /= probs.sum()
+    probs /= np.add.reduce(probs)
     return ScenarioTriple(t, min(1.0, s), OutcomeDistribution(probs))
 
 

@@ -12,13 +12,16 @@ from postselect import (
     ProjectiveWitness,
     ScenarioTriple,
     construct_generalized,
+    construct_projective,
     diversity,
     diversity_profile,
     evaluate_witness,
 )
-from postselect.errors import DegeneratePostselection, InvalidWitness
+from postselect.core import EPS_PROB
+from postselect.errors import DegeneratePostselection, InfeasibleScenario, InvalidWitness
 from postselect.stats import transition_amplitudes
-from conftest import NON_REAL_PARAMS
+from postselect.witness_io import witness_from_dict, witness_to_dict
+from conftest import NON_REAL_PARAMS, random_distribution
 from samplers import sample_projective, sample_state
 
 ROOT_HALF = math.sqrt(0.5)
@@ -118,6 +121,74 @@ class TestEvaluateWitness:
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(InvalidWitness):
             GeneralizedWitness([1, 0], [0, 1], (np.diag([0.5, 0.5]),))
+
+
+def reference_evaluate(w):
+    """evaluate_witness's arithmetic written with ** 2 and the ndarray methods."""
+    weights = np.abs(transition_amplitudes(w)) ** 2
+    s = float(weights.sum())
+    t = min(1.0, float(abs(np.vdot(w.phi, w.psi)) ** 2))
+    probs = weights / s
+    probs /= probs.sum()
+    return t, min(1.0, s), probs.tolist()
+
+
+def built_witnesses(rng, count):
+    """Built projective and Kraus witnesses, n = 1..8, some outcomes zeroed, T in {0, 1, uniform}."""
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        dist = random_distribution(rng, n=n, allow_zeros=n > 1)
+        t = float(rng.choice([0.0, 1.0, rng.random()]))
+        cap = 1.0 / sum(map(math.sqrt, dist.probs)) ** 2  # above it no projective witness exists
+        s = float(rng.uniform(1e-6, cap if rng.random() < 0.5 else 1.0))
+        sc = ScenarioTriple(t, s, dist)
+        try:
+            yield construct_projective(sc)
+        except InfeasibleScenario:
+            pass
+        yield construct_generalized(sc)
+
+
+def test_evaluate_matches_reference_formula_bitwise():
+    rng = np.random.default_rng(7331)
+    kinds = {"projective": 0, "generalized": 0}
+    zeroed = 0
+    for built in built_witnesses(rng, 600):
+        for w in (built, witness_from_dict(witness_to_dict(built))):
+            t, s, probs = reference_evaluate(w)
+            if s <= EPS_PROB:
+                with pytest.raises(DegeneratePostselection):
+                    evaluate_witness(w)
+                continue
+            got = evaluate_witness(w)
+            assert got.t.hex() == t.hex() and got.s.hex() == s.hex(), w
+            assert list(map(float.hex, got.dist.probs)) == list(map(float.hex, probs)), w
+        kinds[built.kind] += 1
+        zeroed += 0.0 in got.dist.probs
+    assert kinds["projective"] > 80 and kinds["generalized"] == 600 and zeroed > 100, (kinds, zeroed)
+
+
+FLOAT_CASES = {
+    "float64": np.array([0.1, 0.2, 0.7]),
+    "float64-strided": np.array([0.1, 9.0, 0.2, 9.0, 0.7])[::2],
+    "float32": np.array([0.375, 0.125, 0.5], dtype=np.float32),
+    "longdouble": np.array([1, 2, 7], dtype=np.longdouble) / 10,
+    "int64": np.array([0, 1, 0], dtype=np.int64),
+    "tuple": (np.float32(0.5), np.longdouble(0.25), 0.25),
+    "list": [np.int64(1), 0.0],
+}
+
+
+@pytest.mark.parametrize("values", FLOAT_CASES.values(), ids=FLOAT_CASES.keys())
+def test_distribution_holds_python_floats(values):
+    probs = OutcomeDistribution(values).probs
+    assert [type(x) for x in probs] == [float] * len(values)
+    assert probs == tuple(float(x) for x in values)
+
+
+def test_two_dimensional_float_array_refused():
+    with pytest.raises(ValueError, match="probabilities must be real numbers"):
+        OutcomeDistribution(np.array([[0.5, 0.5]]))
 
 
 class TestDiversity:
