@@ -38,7 +38,8 @@ def _parse_probs(text: str) -> OutcomeDistribution:
         raise ValueError(f"cannot parse probabilities {text!r}: {exc}") from exc
     if not values:
         raise ValueError("empty probability list")
-    total = sum(values)
+    # fsum rounds once, so the order cannot decide; it raises only past an entry above 1 in size.
+    total = math.fsum(values) if max(map(abs, values)) <= 1.0 else sum(values)
     if not abs(total - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"probabilities {text!r} sum to {total!r}, more than 1e-9 away from 1")
     return OutcomeDistribution([v / total for v in values])

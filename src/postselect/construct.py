@@ -1,11 +1,11 @@
 """Constructive witnesses for feasible scenarios.
 
-Pipeline for the projective case: close a polygon over the amplitude
-magnitudes, drop the closing edge, factor the remaining complex numbers
-into a pair of unit vectors, label basis vector k with outcome k (the
-witness stores the labels, not an (n, n, n) projector stack).  The builder
-passes its own floats straight to the cores _close and _factor, which the
-public close_polygon and factor_amplitudes call once they have read their input.
+Pipeline for the projective case: close a polygon over the amplitude magnitudes (one
+refusal, PolygonViolation, before the split; ClosureFailure only on a residual), drop the
+closing edge, factor the remaining complex numbers into a pair of unit vectors, label
+basis vector k with outcome k (the witness stores the labels, not an (n, n, n) projector
+stack).  The builder passes its own floats straight to the cores _close and _factor,
+which the public close_polygon and factor_amplitudes call once they have read their input.
 The generalized case is a qubit for every n, closed form on float lists: psi = e_0,
 phi = sqrt(T) e_0 + sqrt(1 - T) e_1, phi' one axpy from phi, and V_k = |phi'><a_k| for
 every k, P(k) = 0 too, so every outcome leaves the same state phi', which decouples
@@ -49,26 +49,6 @@ class ClosedPolygon:
     zs: tuple[complex, ...]
 
 
-def _triangle_dirs(sums: list[float]) -> list[complex] | None:
-    """Unit directions u_i with sum_i sums[i] * u_i = 0, or None if no triangle."""
-    a, b, c = sums
-    top, total = max(sums), a + b + c
-    tol = EPS_FEAS * max(1.0, total)
-    if top <= tol:
-        return [1.0 + 0.0j] * 3
-    if top > total - top + tol:
-        return None
-    # Half-angle law of cosines for the turn from edge a to edge b: accurate for
-    # needle-shaped triangles, where the cos formula cancels.  u_c closes the sum.
-    sin_half = math.sqrt(max(0.0, (a + b - c) * (a + b + c)))
-    cos_half = math.sqrt(max(0.0, (c - a + b) * (c + a - b)))
-    phi = 2.0 * math.atan2(sin_half, cos_half)
-    ub = complex(math.cos(phi), math.sin(phi))
-    uc = -(a + b * ub)
-    m = abs(uc)
-    return [1.0 + 0.0j, ub, uc / m if m > 0.0 else 1.0 + 0.0j]
-
-
 def _close(xs: list[float], total: float) -> list[complex]:
     """close_polygon's core: z_k of magnitude xs[k] summing to 0, for n >= 1 xs summing to total."""
     top = max(xs)
@@ -79,12 +59,17 @@ def _close(xs: list[float], total: float) -> list[complex]:
     # cum[k] sums the first k of the others; B holds the first `cut` of them.
     cum = list(accumulate(rest, initial=0.0))
     cut = bisect_right(cum, 0.5 * total) - 1
-    sums = [top, cum[cut], cum[-1] - cum[cut]]
-    dirs = _triangle_dirs(sums)
-    if dirs is None:
-        raise ClosureFailure(f"group sums {sums} form no triangle")
-    by_index = [dirs[1]] * cut + [dirs[2]] * (len(rest) - cut)
-    by_index.insert(a, dirs[0])
+    b, c = cum[cut], cum[-1] - cum[cut]
+    # Half-angle law of cosines for the turn from edge A to edge B: accurate for
+    # needle-shaped triangles, where the cos formula cancels.  u_c closes the sum.
+    sin_half = math.sqrt(max(0.0, (top + b - c) * (top + b + c)))
+    cos_half = math.sqrt(max(0.0, (c - top + b) * (c + top - b)))
+    turn = 2.0 * math.atan2(sin_half, cos_half)
+    ub = complex(math.cos(turn), math.sin(turn))
+    uc = -(top + b * ub)
+    m = abs(uc)
+    by_index = [ub] * cut + [uc / m if m > 0.0 else 1.0 + 0.0j] * (len(rest) - cut)
+    by_index.insert(a, 1.0 + 0.0j)
     zs = list(map(operator.mul, xs, by_index))
     if abs(sum(zs)) > EPS_CLOSE * max(1.0, total):
         raise ClosureFailure(f"closure residual {abs(sum(zs))!r} for {xs}")
@@ -105,9 +90,10 @@ def close_polygon(xs) -> ClosedPolygon:
     pre-check (within its tolerance), B by the cut.  If the cut stops early,
     the next magnitude x has B + x > total / 2 and x <= x_1, so A + B >
     total / 2 and C < total / 2; else C = 0.  Only x <= x_1 is used, so
-    nothing is sorted.  ClosureFailure therefore signals a bug or a roundoff
-    blow-up, never an unlucky split.  Roundoff grows with the magnitudes, so
-    the residual bound EPS_CLOSE scales by max(1, total) like the pre-check.
+    nothing is sorted.  The pre-check's PolygonViolation is the one refusal;
+    ClosureFailure reports a residual |sum z_k| above EPS_CLOSE, a bug or a
+    roundoff blow-up, never an unlucky split.  Roundoff grows with the
+    magnitudes, so the residual bound scales by max(1, total) like the pre-check.
     Negative magnitudes, a bool, a string, a complex number, None or another
     non-number among them, or magnitudes whose sum is not finite (a NaN or
     an inf, or an overflow) raise ValueError.

@@ -150,7 +150,8 @@ class OutcomeDistribution:
             raise ValueError("distribution needs at least one outcome")
         if any(map(0.0.__gt__, p)):
             raise ValueError(f"negative probability in {p}")
-        total = sum(p)
+        # fsum rounds once, so the order cannot decide; it overflows only past an entry above 1.
+        total = math.fsum(p) if max(p) <= 1.0 else sum(p)
         # The entries are non-negative, so a NaN or inf among them makes the total non-finite.
         if not math.isfinite(total):
             raise ValueError(f"non-finite probability in {p}")

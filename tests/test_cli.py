@@ -418,6 +418,13 @@ class TestEntropy:
         assert code == 0
         assert out.strip().split("\n")[1].startswith("inf 2 ")
 
+    def test_long_list_summed_exactly(self, capsys):
+        # Summed left to right these add up to 0.999999999998641, 1.4e-12 short of 1.
+        p = ",".join(map(repr, [0.5] + [0.5 / 29999] * 29999))
+        code, out, _ = run(capsys, "entropy", "--p", p)
+        assert code == 0
+        assert out.split("\n")[1].startswith("0 30000 ")
+
     @pytest.mark.parametrize("q", ["nan", "-1", "abc"])
     def test_input_error_leaves_stdout_empty(self, capsys, q):
         # The header was printed before the order was refused.

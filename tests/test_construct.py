@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -90,10 +91,14 @@ class TestClosePolygon:
             [0.3, 0.4, 0.5],
             [1.0] + [1e-3] * 1000,
             [1e-3] * 500 + [1.0] + [1e-3] * 500,
+            [1e-300] * 3,
+            [1e-13] * 3,
+            [1e-13, 0.0, 1e-13],
         ],
         ids=[
             "ties", "tied-pairs", "half", "half-last", "half-within-tol", "half-within-tol-second",
             "zeros", "n1", "n2", "n3", "large-then-tiny", "tiny-large-tiny",
+            "subnormal-scale", "tiny-ties", "tiny-pair-with-zero",
         ],
     )
     def test_split_cases(self, xs):
@@ -101,6 +106,12 @@ class TestClosePolygon:
         closed = close_polygon(xs)
         assert np.allclose(np.abs(closed.zs), xs, rtol=1e-15, atol=0.0)
         assert abs(sum(closed.zs)) <= EPS_CLOSE * max(1.0, sum(xs))
+
+    @pytest.mark.parametrize("xs", [[1e-13] * 3, [1e-13, 0.0, 1e-13]], ids=["ties", "pair-with-zero"])
+    def test_tiny_magnitudes_close(self, xs):
+        # Magnitudes below EPS_FEAS still get the half-angle turn, so the sum closes
+        # relative to the perimeter, not only within the absolute EPS_CLOSE.
+        assert abs(sum(close_polygon(xs).zs)) <= 1e-15 * sum(xs)
 
     def test_degenerate_pair(self):
         closed = close_polygon([0.7, 0.7])
@@ -543,14 +554,10 @@ class TestBuilderChecks:
     SC = ScenarioTriple(0.3, 0.2, OutcomeDistribution((0.6, 0.3, 0.1)))
 
     def test_open_polygon_refused(self, monkeypatch):
-        # Every edge along +1 sums to the perimeter, not to 0.
-        monkeypatch.setattr(construct, "_triangle_dirs", lambda sums: [1.0 + 0.0j] * 3)
+        # With no turn, B runs along A and C against both: the sum is A + B - C, not 0.
+        no_turn = types.SimpleNamespace(**{**vars(math), "atan2": lambda y, x: 0.0})
+        monkeypatch.setattr(construct, "math", no_turn)
         with pytest.raises(ClosureFailure, match="closure residual"):
-            construct_projective(self.SC)
-
-    def test_group_sums_without_a_triangle_refused(self, monkeypatch):
-        monkeypatch.setattr(construct, "_triangle_dirs", lambda sums: None)
-        with pytest.raises(ClosureFailure, match="form no triangle"):
             construct_projective(self.SC)
 
     def test_factorization_residual_refused(self, monkeypatch):

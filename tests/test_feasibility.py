@@ -132,11 +132,20 @@ class TestChainSlacks:
     @pytest.mark.parametrize(
         "probs, message",
         [((0.5, 0.6), "probabilities sum to"), ((), "needs at least one outcome"),
-         ((0.5, 0.5 + 2e-12), "probabilities sum to")],
+         ((0.5, 0.5 + 2e-12), r"^probabilities sum to 1\.000000000002, not 1$")],
         ids=["sum-1.1", "empty", "sum-off-by-2e-12"],
     )
     def test_distribution_refused(self, probs, message):
         with pytest.raises(ValueError, match=message):
+            OutcomeDistribution(probs)
+
+    def test_long_distribution_summed_exactly(self):
+        # Summed left to right these add up to 0.999999999998641, 1.4e-12 short of 1, and
+        # with 2e-12 more in the first entry to 1.000000000000641, within EPS_PROB.
+        probs = [0.5] + [0.5 / 29999] * 29999
+        assert OutcomeDistribution(probs).n == 30000
+        probs[0] += 2e-12
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.000000000002, not 1$"):
             OutcomeDistribution(probs)
 
     def test_distribution_length_is_its_outcome_count(self):
