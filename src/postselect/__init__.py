@@ -22,7 +22,6 @@ from .core import (
 )
 from .stats import diversity, diversity_profile, evaluate_witness
 from .feasibility import (
-    ConeDecomposition,
     FeasibilityVerdict,
     check_dichotomic,
     check_generalized,
@@ -34,7 +33,6 @@ from .feasibility import (
     witness_distribution,
 )
 from .construct import (
-    ClosedPolygon,
     close_polygon,
     construct_generalized,
     construct_projective,
@@ -74,7 +72,6 @@ __all__ = [
     "diversity",
     "diversity_profile",
     "evaluate_witness",
-    "ConeDecomposition",
     "FeasibilityVerdict",
     "check_dichotomic",
     "check_generalized",
@@ -84,7 +81,6 @@ __all__ = [
     "check_ts_region",
     "cone_decompose",
     "witness_distribution",
-    "ClosedPolygon",
     "close_polygon",
     "construct_generalized",
     "construct_projective",

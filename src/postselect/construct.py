@@ -1,11 +1,11 @@
 """Constructive witnesses for feasible scenarios.
 
 Pipeline for the projective case: close a polygon over the amplitude magnitudes (one
-refusal, PolygonViolation, before the split; ClosureFailure only on a residual), drop the
-closing edge, factor the remaining complex numbers into a pair of unit vectors, label
-basis vector k with outcome k (the witness stores the labels, not an (n, n, n) projector
-stack).  The builder passes its own floats straight to the cores _close and _factor,
-which the public close_polygon and factor_amplitudes call once they have read their input.
+refusal, PolygonViolation, before the split; ClosureFailure only on a residual; the turn
+uses sides scaled by a power of two), drop the closing edge, factor the rest into a pair
+of unit vectors, label basis vector k with outcome k (the witness stores the labels, not
+an (n, n, n) projector stack).  The builder passes its own floats to the cores _close and
+_factor, which the public close_polygon (a tuple) and factor_amplitudes call after checks.
 The generalized case is a qubit for every n, closed form on float lists: psi = e_0,
 phi = sqrt(T) e_0 + sqrt(1 - T) e_1, phi' one axpy from phi, and V_k = |phi'><a_k| for
 every k, P(k) = 0 too, so every outcome leaves the same state phi', which decouples
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -42,13 +41,6 @@ from .feasibility import check_projective_raw
 EPS_CLOSE = 1e-11
 
 
-@dataclass(frozen=True)
-class ClosedPolygon:
-    """Complex numbers of prescribed magnitudes summing to zero."""
-
-    zs: tuple[complex, ...]
-
-
 def _close(xs: list[float], total: float) -> list[complex]:
     """close_polygon's core: z_k of magnitude xs[k] summing to 0, for n >= 1 xs summing to total."""
     top = max(xs)
@@ -60,10 +52,13 @@ def _close(xs: list[float], total: float) -> list[complex]:
     cum = list(accumulate(rest, initial=0.0))
     cut = bisect_right(cum, 0.5 * total) - 1
     b, c = cum[cut], cum[-1] - cum[cut]
-    # Half-angle law of cosines for the turn from edge A to edge B: accurate for
-    # needle-shaped triangles, where the cos formula cancels.  u_c closes the sum.
-    sin_half = math.sqrt(max(0.0, (top + b - c) * (top + b + c)))
-    cos_half = math.sqrt(max(0.0, (c - top + b) * (c + top - b)))
+    # Half-angle law of cosines for the turn from edge A to edge B: accurate for needle-
+    # shaped triangles, where the cos formula cancels.  The sides are scaled exactly by
+    # 2**-e, top in [2**(e-1), 2**e), so no product under- or overflows.  u_c closes the sum.
+    e = math.frexp(top)[1]
+    ta, tb, tc = math.ldexp(top, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    sin_half = math.sqrt(max(0.0, (ta + tb - tc) * (ta + tb + tc)))
+    cos_half = math.sqrt(max(0.0, (tc - ta + tb) * (tc + ta - tb)))
     turn = 2.0 * math.atan2(sin_half, cos_half)
     ub = complex(math.cos(turn), math.sin(turn))
     uc = -(top + b * ub)
@@ -76,8 +71,8 @@ def _close(xs: list[float], total: float) -> list[complex]:
     return zs
 
 
-def close_polygon(xs) -> ClosedPolygon:
-    """Find complex z_k with |z_k| = x_k and sum_k z_k = 0.
+def close_polygon(xs) -> tuple[complex, ...]:
+    """The complex z_k, as a tuple, with |z_k| = x_k and sum_k z_k = 0.
 
     Possible exactly when the polygon inequalities x_k <= sum_{j != k} x_j
     hold.  The magnitudes are split into three groups, each sharing its
@@ -106,9 +101,7 @@ def close_polygon(xs) -> ClosedPolygon:
     total = sum(xs)
     if not (math.isfinite(total) and min(xs, default=0.0) >= 0.0):
         raise ValueError(f"magnitudes must be non-negative numbers with a finite sum: {entries}")
-    if not xs:
-        return ClosedPolygon(zs=())
-    return ClosedPolygon(zs=tuple(_close(xs, total)))
+    return tuple(_close(xs, total)) if xs else ()
 
 
 def _factor_real(rs: list[float]) -> tuple[list[float], list[float]]:

@@ -5,7 +5,8 @@ as satisfied, and a NaN slack counts as violated.  Verdicts report every
 violated constraint, not just the first, so region maps can color by
 violation type.  Every projective chain check goes through chain_slacks;
 check_projective_raw alone keeps the literal per-outcome form, as the
-reference the chain is checked against.
+reference the chain is checked against.  The scalar checkers take sum_k
+sqrt(P(k)) with math.fsum, so their verdicts do not depend on outcome order.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ def _verdict(slack: dict[str, float]) -> FeasibilityVerdict:
     return FeasibilityVerdict(not violated, violated, slack)
 
 
-@dataclass(frozen=True)
-class ConeDecomposition:
-    """Non-negative coefficients over the extreme rays of the polygon cone."""
-
-    lambdas: tuple[float, ...]
-
-
 def chain_slacks(root_ts, root_sum, root_max, root_s):
     """Slacks of the projective chain 2/sqrt(D_inf) - sqrt(D_1/2) <= sqrt(T/S)
     <= sqrt(D_1/2) <= 1/sqrt(S).
@@ -77,7 +71,7 @@ def check_projective_raw(sc: ScenarioTriple) -> FeasibilityVerdict:
     """
     root_ts = math.sqrt(sc.t / sc.s)
     sq = sqrt_probs(sc.dist)
-    total = sum(sq)
+    total = math.fsum(sq)
     return _verdict(
         {
             MAX_OUTCOME_POLYGON: min([root_ts + (total - x) - x for x in sq]),
@@ -91,7 +85,7 @@ def check_projective_chain(sc: ScenarioTriple) -> FeasibilityVerdict:
     """Projective feasibility in the diversity-index chain form (chain_slacks)."""
     sq = sqrt_probs(sc.dist)
     return _verdict(
-        chain_slacks(math.sqrt(sc.t / sc.s), sum(sq), max(sq), math.sqrt(sc.s))
+        chain_slacks(math.sqrt(sc.t / sc.s), math.fsum(sq), max(sq), math.sqrt(sc.s))
     )
 
 
@@ -169,8 +163,8 @@ def check_ternary_disk(p: OutcomeDistribution) -> bool:
     return bool(ternary_disk_slack(*p.probs) >= -EPS_FEAS)
 
 
-def cone_decompose(p: OutcomeDistribution) -> ConeDecomposition:
-    """Express sqrt(P) as a non-negative combination of the polygon-cone extreme rays.
+def cone_decompose(p: OutcomeDistribution) -> tuple[float, ...]:
+    """The non-negative coefficients of sqrt(P) over the polygon-cone extreme rays.
 
     The m-th extreme ray has coordinates y^m_j = 1 + (2-n) delta_{jm}, so the
     ray matrix is J + (2-n) I and the system solves in closed form:
@@ -183,13 +177,12 @@ def cone_decompose(p: OutcomeDistribution) -> ConeDecomposition:
     if n < 2:
         raise ValueError("cone decomposition needs n >= 2")
     sq = np.array(sqrt_probs(p))
-    total = sq.sum()
+    total = math.fsum(sq)
     if not chain_slacks(0.0, total, sq.max(), 1.0)[LOWER_CHAIN] >= -EPS_FEAS:
         raise PolygonViolation(f"polygon inequalities fail for {p.probs}")
     if n == 2:
         raise SingularSystem("extreme-ray system is singular for n = 2")
-    lambdas = (total - 2.0 * sq) / (2.0 * (n - 2))
-    return ConeDecomposition(lambdas=tuple(lambdas.tolist()))
+    return tuple(((total - 2.0 * sq) / (2.0 * (n - 2))).tolist())
 
 
 def witness_distribution(t: float, s: float, n: int) -> OutcomeDistribution:

@@ -73,8 +73,8 @@ class TestClosePolygon:
                 close_polygon(xs)
             return
         closed = close_polygon(xs)
-        assert np.allclose(np.abs(closed.zs), xs, atol=1e-11)
-        assert abs(sum(closed.zs)) <= 1e-10 * max(1.0, total)
+        assert np.allclose(np.abs(closed), xs, atol=1e-11)
+        assert abs(sum(closed)) <= 1e-10 * max(1.0, total)
 
     @pytest.mark.parametrize(
         "xs",
@@ -92,33 +92,47 @@ class TestClosePolygon:
             [1.0] + [1e-3] * 1000,
             [1e-3] * 500 + [1.0] + [1e-3] * 500,
             [1e-300] * 3,
+            [5e-324] * 3,
             [1e-13] * 3,
             [1e-13, 0.0, 1e-13],
         ],
         ids=[
             "ties", "tied-pairs", "half", "half-last", "half-within-tol", "half-within-tol-second",
             "zeros", "n1", "n2", "n3", "large-then-tiny", "tiny-large-tiny",
-            "subnormal-scale", "tiny-ties", "tiny-pair-with-zero",
+            "subnormal-scale", "least-subnormal", "tiny-ties", "tiny-pair-with-zero",
         ],
     )
     def test_split_cases(self, xs):
         # Each group sum is at most half the total, so the three edges always close.
         closed = close_polygon(xs)
-        assert np.allclose(np.abs(closed.zs), xs, rtol=1e-15, atol=0.0)
-        assert abs(sum(closed.zs)) <= EPS_CLOSE * max(1.0, sum(xs))
+        assert np.allclose(np.abs(closed), xs, rtol=1e-15, atol=0.0)
+        assert abs(sum(closed)) <= EPS_CLOSE * max(1.0, sum(xs))
 
-    @pytest.mark.parametrize("xs", [[1e-13] * 3, [1e-13, 0.0, 1e-13]], ids=["ties", "pair-with-zero"])
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1e-13] * 3,
+            [1e-13, 0.0, 1e-13],
+            [1e-300] * 3,
+            [1e-170, 1e-170, 1.5e-170],
+            [1e160] * 3,
+            [1e300] * 3,
+        ],
+        ids=["ties", "pair-with-zero", "ties-1e-300", "needle-1e-170", "ties-1e160", "ties-1e300"],
+    )
     def test_tiny_magnitudes_close(self, xs):
         # Magnitudes below EPS_FEAS still get the half-angle turn, so the sum closes
-        # relative to the perimeter, not only within the absolute EPS_CLOSE.
-        assert abs(sum(close_polygon(xs).zs)) <= 1e-15 * sum(xs)
+        # relative to the perimeter, not only within the absolute EPS_CLOSE.  Far from
+        # 1 the turn's products would underflow (below ~1e-162) or overflow (from
+        # ~1e154) unless the sides are scaled first.
+        assert abs(sum(close_polygon(xs))) <= 1e-15 * sum(xs)
 
     def test_degenerate_pair(self):
         closed = close_polygon([0.7, 0.7])
-        assert abs(sum(closed.zs)) <= 1e-12
+        assert abs(sum(closed)) <= 1e-12
 
     def test_all_zero(self):
-        assert np.allclose(np.abs(close_polygon([0.0, 0.0, 0.0]).zs), 0.0)
+        assert np.allclose(np.abs(close_polygon([0.0, 0.0, 0.0])), 0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -168,10 +182,10 @@ class TestClosePolygon:
                 close_polygon(xs)
 
     def test_reads_arrays_and_iterables(self):
-        want = close_polygon([0.5, 0.3, 0.4]).zs
+        want = close_polygon([0.5, 0.3, 0.4])
         zero_d = [np.array(0.5), np.array(0.3), np.array(0.4)]
         for xs in (np.array([0.5, 0.3, 0.4]), (0.5, 0.3, 0.4), iter([0.5, 0.3, 0.4]), zero_d):
-            assert close_polygon(xs).zs == want
+            assert close_polygon(xs) == want
 
     def test_residual_scales_with_total(self):
         # Seeded input (n = 284, total 2e4) whose roundoff residual, about
@@ -179,8 +193,8 @@ class TestClosePolygon:
         rng = np.random.default_rng(1152)
         xs = rng.dirichlet(np.ones(int(rng.integers(200, 301)))) * 2e4
         closed = close_polygon(xs)
-        assert np.allclose(np.abs(closed.zs), xs, rtol=1e-13, atol=0.0)
-        assert abs(sum(closed.zs)) <= EPS_CLOSE * sum(xs)
+        assert np.allclose(np.abs(closed), xs, rtol=1e-13, atol=0.0)
+        assert abs(sum(closed)) <= EPS_CLOSE * sum(xs)
 
 
 class TestFactorAmplitudes:
@@ -605,7 +619,7 @@ def test_builder_agrees_with_public_pipeline():
     for sc in scenarios:
         xs = [math.sqrt(sc.s * p) for p in sc.dist.probs] + [math.sqrt(sc.t)]
         saturated += math.fsum(xs[:-1]) >= 1.0 - 1e-9
-        psi, phi = factor_amplitudes(close_polygon(xs).zs[: sc.n])
+        psi, phi = factor_amplitudes(close_polygon(xs)[: sc.n])
         w = construct_projective(sc)
         assert np.abs(w.psi - psi).max() <= 1e-14, sc
         assert np.abs(w.phi - phi).max() <= 1e-14, sc

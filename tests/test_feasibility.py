@@ -1,9 +1,13 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import reference
 from postselect import (
+    EPS_FEAS,
+    EPS_PROB,
     OutcomeDistribution,
     ScenarioTriple,
     check_dichotomic,
@@ -13,11 +17,14 @@ from postselect import (
     check_ternary_disk,
     check_ts_region,
     cone_decompose,
+    construct_projective,
     emit_ts_region,
+    evaluate_witness,
     witness_distribution,
 )
 from postselect.errors import PolygonViolation, RegionViolation, SingularSystem
 from postselect.feasibility import (
+    MAX_OUTCOME_POLYGON,
     S_BOUND,
     LOWER_CHAIN,
     _row_sum,
@@ -75,6 +82,59 @@ class TestProjectiveChain:
 
     def test_t_too_large(self):
         assert not check_projective_chain(scenario(0.9, 0.1, (0.5, 0.5))).feasible
+
+
+def long_tailed(rng, n):
+    """Dirichlet(1/2) P on n outcomes in descending order, so that a left-to-right
+    sum of sqrt(P) adds its many small roots to a large partial sum."""
+    return OutcomeDistribution(np.sort(rng.dirichlet(np.full(n, 0.5)))[::-1].tolist())
+
+
+def face_s(dist):
+    """S on the SBound face, 1/(sum_k sqrt(P(k)))^2, with the sum correctly rounded."""
+    return 1.0 / math.fsum(map(math.sqrt, dist.probs)) ** 2
+
+
+class TestExactRootSums:
+    """The checkers' and cone_decompose's sums of sqrt(P) do not depend on summation order."""
+
+    @pytest.mark.parametrize("n, draws", [(10**3, 4), (10**4, 2), (10**5, 1)])
+    def test_slacks_match_the_60_digit_reference(self, n, draws):
+        # Summed left to right, the slacks were off by up to 7e-13 at n = 10**4 and
+        # 4.6e-12 at 10**5, more than EPS_FEAS itself.
+        rng = np.random.default_rng(n)
+        for _ in range(draws):
+            dist = long_tailed(rng, n)
+            t, s = float(rng.uniform()), face_s(dist)
+            sc = ScenarioTriple(t, s, dist)
+            roots = reference.roots(dist.probs)
+            want = reference.chain_slacks(t, s, roots)
+            # The raw form's smallest polygon slack is the largest outcome's, LowerChain.
+            raw = check_projective_raw(sc).slack
+            raw[LOWER_CHAIN] = raw.pop(MAX_OUTCOME_POLYGON)
+            for got in (raw, check_projective_chain(sc).slack):
+                assert set(got) == set(want)
+                for tag, value in got.items():
+                    assert abs(Decimal(value) - want[tag]) <= Decimal(EPS_FEAS) / 10, (n, tag)
+            # cone_decompose's lambda_m is (sum_k sqrt(P(k)) - 2 sqrt(P(m))) / (2 (n - 2)).
+            lambdas, total = cone_decompose(dist), sum(roots)
+            for m in (0, n - 1):
+                got = Decimal(lambdas[m]) * (2 * (n - 2))
+                assert abs(got - (total - 2 * roots[m])) <= Decimal(EPS_FEAS) / 10, (n, m)
+
+    def test_face_triples_are_accepted_and_built(self):
+        # T = S on the SBound face at n = 10**5; the exact slacks lie within 2.5e-14 of 0.
+        # Summed left to right, draws 1, 4, 5 and 7 read -3.2e-12 to -1.3e-12 and were
+        # refused.  Building takes about 0.1 s at this n, so the first two are built.
+        rng = np.random.default_rng(18)
+        for i in range(8):
+            dist = long_tailed(rng, 10**5)
+            s = face_s(dist)
+            sc = ScenarioTriple(s, s, dist)
+            assert check_projective_raw(sc).feasible and check_projective_chain(sc).feasible, i
+            if i < 2:
+                out = evaluate_witness(construct_projective(sc))
+                assert out.t == pytest.approx(s, abs=1e-9) and out.s == pytest.approx(s, abs=1e-9)
 
 
 class TestChainSlacks:
@@ -143,8 +203,10 @@ class TestChainSlacks:
         # Summed left to right these add up to 0.999999999998641, 1.4e-12 short of 1, and
         # with 2e-12 more in the first entry to 1.000000000000641, within EPS_PROB.
         probs = [0.5] + [0.5 / 29999] * 29999
+        assert abs(reference.probability_total(probs) - 1) <= Decimal(EPS_PROB)
         assert OutcomeDistribution(probs).n == 30000
         probs[0] += 2e-12
+        assert abs(reference.probability_total(probs) - 1) > Decimal(EPS_PROB)
         with pytest.raises(ValueError, match=r"^probabilities sum to 1\.000000000002, not 1$"):
             OutcomeDistribution(probs)
 
@@ -332,8 +394,8 @@ class TestDichotomic:
 
 class TestConeDecomposition:
     def test_uniform_three_outcomes(self):
-        dec = cone_decompose(OutcomeDistribution((1 / 3, 1 / 3, 1 / 3)))
-        assert np.allclose(dec.lambdas, math.sqrt(1 / 3) / 2, atol=1e-12)
+        lambdas = cone_decompose(OutcomeDistribution((1 / 3, 1 / 3, 1 / 3)))
+        assert np.allclose(lambdas, math.sqrt(1 / 3) / 2, atol=1e-12)
 
     def test_n1_refused(self):
         # One ray, and sqrt(P) = (1) breaks its polygon inequality.
@@ -355,10 +417,10 @@ class TestConeDecomposition:
             sq = np.sqrt(dist.probs)
             if sq.max() > sq.sum() - sq.max():
                 continue
-            dec = cone_decompose(dist)
+            lambdas = cone_decompose(dist)
             rays = np.ones((n, n)) + (2.0 - n) * np.eye(n)
-            assert np.max(np.abs(rays @ np.array(dec.lambdas) - sq)) <= 1e-10
-            assert min(dec.lambdas) >= -1e-12
+            assert np.max(np.abs(rays @ np.array(lambdas) - sq)) <= 1e-10
+            assert min(lambdas) >= -1e-12
 
 
 class TestWitnessDistribution:

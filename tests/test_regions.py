@@ -55,21 +55,21 @@ def reference_region_csv(grid) -> str:
 def reference_region_svg(grid) -> str:
     """The SVG as first written, one f-string per rect and per polyline point."""
     ax_x, ax_y = grid.axes[0], grid.axes[1]
-    w = ax_x.hi - ax_x.lo
-    h = ax_y.hi - ax_y.lo
+    lo, hi = 0.0, 1.0  # every axis spans the unit interval
+    w = h = hi - lo
     cw = w / ax_x.resolution
     ch = h / ax_y.resolution
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{ax_x.lo:g} {ax_y.lo:g} {w:g} {h:g}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{lo:g} {lo:g} {w:g} {h:g}" '
         f'width="640" height="640" preserveAspectRatio="xMidYMid meet">\n',
-        f'<g transform="translate(0,{(ax_y.lo + ax_y.hi):g}) scale(1,-1)">\n',
-        f'<rect x="{ax_x.lo:g}" y="{ax_y.lo:g}" width="{w:g}" height="{h:g}" fill="white"/>\n',
+        f'<g transform="translate(0,{(lo + hi):g}) scale(1,-1)">\n',
+        f'<rect x="{lo:g}" y="{lo:g}" width="{w:g}" height="{h:g}" fill="white"/>\n',
     ]
     table = grid.feasible.reshape(ax_x.resolution, ax_y.resolution).astype(np.int8)
     step = np.diff(np.pad(table, ((0, 0), (1, 1))), axis=1)
     rows, starts = np.nonzero(step == 1)
     ends = np.nonzero(step == -1)[1]
-    xs, ys, heights = ax_x.lo + rows * cw, ax_y.lo + starts * ch, (ends - starts) * ch
+    xs, ys, heights = lo + rows * cw, lo + starts * ch, (ends - starts) * ch
     for x, y, height in zip(xs.tolist(), ys.tolist(), heights.tolist()):
         out.append(
             f'<rect x="{x:.6g}" y="{y:.6g}" width="{cw:.6g}" height="{height:.6g}" '
@@ -146,8 +146,7 @@ def mesh_violated(emit, args, axes) -> tuple[tuple[str, ...], np.ndarray]:
 def svg_cells(grid) -> tuple[np.ndarray, int]:
     """The (r0, r1) cell mask that the SVG's grey rects cover, and the rect count."""
     ax_x, ax_y = grid.axes
-    cw = (ax_x.hi - ax_x.lo) / ax_x.resolution
-    ch = (ax_y.hi - ax_y.lo) / ax_y.resolution
+    cw, ch = 1.0 / ax_x.resolution, 1.0 / ax_y.resolution
     buf = io.StringIO()
     write_region_svg(grid, buf)
     rects = list(ET.fromstring(buf.getvalue()).iter("{http://www.w3.org/2000/svg}rect"))
@@ -156,8 +155,8 @@ def svg_cells(grid) -> tuple[np.ndarray, int]:
     for rect in rects[1:]:
         assert rect.get("fill") == "#b0b0b0"
         assert float(rect.get("width")) == pytest.approx(cw, rel=1e-5)
-        i = round((float(rect.get("x")) - ax_x.lo) / cw)
-        j0 = round((float(rect.get("y")) - ax_y.lo) / ch)
+        i = round(float(rect.get("x")) / cw)
+        j0 = round(float(rect.get("y")) / ch)
         j1 = j0 + round(float(rect.get("height")) / ch)
         assert 0 <= j0 < j1 <= ax_y.resolution
         covered[i, j0:j1] += 1
@@ -222,7 +221,7 @@ class TestBitmask:
 
     @pytest.mark.parametrize("dtype", [bool, np.float64, np.int64])
     def test_rejects_a_bitmask_that_is_not_uint8(self, dtype):
-        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 4))
+        axes = (Axis("x", 3), Axis("y", 4))
         with pytest.raises(ValueError, match="uint8"):
             RegionGrid(axes, ("a", "b"), np.zeros(12, dtype=dtype))
         RegionGrid(axes, ("a", "b"), np.zeros(12, dtype=np.uint8))
@@ -232,14 +231,14 @@ class TestBitmask:
         ids=["short", "long", "nine-tags"],
     )
     def test_rejects_a_bitmask_of_the_wrong_length_or_too_many_tags(self, size, tags):
-        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 4))
+        axes = (Axis("x", 3), Axis("y", 4))
         with pytest.raises(ValueError, match="does not match cell count or tags"):
             RegionGrid(axes, tags, np.zeros(size, dtype=np.uint8))
         RegionGrid(axes, tags[:8], np.zeros(12, dtype=np.uint8))
 
     def test_rejects_a_bit_that_names_no_tag(self):
         # Bit 2 with two tags would index the next column of the CSV's table.
-        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 4))
+        axes = (Axis("x", 3), Axis("y", 4))
         violated = np.zeros(12, dtype=np.uint8)
         violated[5] = 4
         with pytest.raises(ValueError, match="names no tag"):
@@ -288,7 +287,7 @@ class TestRowBlocks:
         The last first-axis row lies in the last block, a partial one unless the
         block's rows divide the resolution.
         """
-        x0 = Axis("x", 0.0, 1.0, resolution).centers()[-1]
+        x0 = Axis("x", resolution).centers()[-1]
         monkeypatch.setattr(feasibility, kernel, nan_on_row(getattr(feasibility, kernel), x0))
         grid = emit(*args, resolution)
         tags, violated = full_grid_violated(emit, args, grid.axes)
@@ -464,7 +463,7 @@ class TestSerialization:
         assert same, f"first difference: {bad}"
 
     def test_csv_streams_one_write_per_first_axis_row(self):
-        axes = (Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 5))
+        axes = (Axis("x", 3), Axis("y", 5))
         violated = np.arange(15, dtype=np.uint8) % 4
         for grid in (RegionGrid(axes, ("a", "b"), violated), emit_ternary(40)):
             r0, r1 = (ax.resolution for ax in grid.axes)
