@@ -230,6 +230,6 @@ def witness_distribution(t: float, s: float, n: int) -> OutcomeDistribution:
     theta = math.atan(math.sqrt(k - 1)) - math.acos(target / math.sqrt(k))
     b, a = math.cos(theta) ** 2, math.sin(theta) ** 2 / (k - 1)
     probs = [b] + [a] * (k - 1) + [0.0] * (n - k)
-    total = sum(probs)
+    total = math.fsum(probs)
     probs = [x / total for x in probs]
     return OutcomeDistribution(probs)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import reference
 from postselect import OutcomeDistribution, ScenarioTriple, default_rng
+from postselect.witness_io import witness_to_dict
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py and
 # echoed after the run so the report survives pytest's output capture.
@@ -81,3 +83,15 @@ def random_feasible_scenario(rng, n=None):
     root_ts = float(rng.uniform(lower, root_d_half))
     t = min(1.0, root_ts**2 * s)
     return ScenarioTriple(t, s, dist)
+
+
+# How far evaluate_witness may lie from reference.evaluate_document on T, S and each P(k),
+# for S >= 1e-6 as in every sweep compared.  The largest gap seen was 2.9e-15, on a Kraus
+# witness of acceptance 04's stream; the projective sweeps (n <= 200) and n = 1000 stay
+# below 4.6e-16.  Smaller S widens the gap (test_cli.reference_target_deviation).
+REFERENCE_BOUND = 1e-14
+
+
+def reference_deviation(w, out) -> float:
+    """Largest gap between out = evaluate_witness(w) and the reference on w's document."""
+    return reference.document_deviation(witness_to_dict(w), out.t, out.s, out.dist.probs)

@@ -33,7 +33,7 @@ from postselect import (
 )
 from postselect.feasibility import OUTSIDE_SIMPLEX, check_ternary_disk
 from postselect.regions import INSCRIBED_DISK_FRACTION
-from conftest import random_feasible_scenario, random_scenario
+from conftest import REFERENCE_BOUND, random_feasible_scenario, random_scenario, reference_deviation
 
 
 def report(ident, name, ok, detail=""):
@@ -84,38 +84,47 @@ def test_02_necessity_fuzz():
 
 
 def test_03_sufficiency_round_trip():
+    # Every tenth witness is also evaluated by tests/reference.py from its document.
     rng = default_rng(303)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(10_000):
+    worst = worst_reference = 0.0
+    for i in range(10_000):
         sc = random_feasible_scenario(rng)
-        out = evaluate_witness(construct_projective(sc))
+        w = construct_projective(sc)
+        out = evaluate_witness(w)
         dev = max(
             abs(out.t - sc.t),
             abs(out.s - sc.s),
             max(abs(a - b) for a, b in zip(out.dist.probs, sc.dist.probs)),
         )
         worst = max(worst, dev)
+        if i % 10 == 0:
+            worst_reference = max(worst_reference, reference_deviation(w, out))
     worst_boundary = 0.0
-    for _ in range(500):
+    for i in range(500):
         n = int(rng.integers(2, 7))
         dist = OutcomeDistribution(rng.dirichlet(np.ones(n)))
         root_d_half = float(np.sqrt(dist.probs).sum())
         s = 1.0 / root_d_half**2
         sc = ScenarioTriple(min(1.0, root_d_half**2 * s), s, dist)
-        out = evaluate_witness(construct_projective(sc))
+        w = construct_projective(sc)
+        out = evaluate_witness(w)
         dev = max(
             abs(out.t - sc.t),
             abs(out.s - sc.s),
             max(abs(a - b) for a, b in zip(out.dist.probs, sc.dist.probs)),
         )
         worst_boundary = max(worst_boundary, dev)
+        if i % 10 == 0:
+            worst_reference = max(worst_reference, reference_deviation(w, out))
     elapsed = time.perf_counter() - t0
     report(
         3,
         "projective sufficiency round-trip",
-        worst <= 1e-9 and worst_boundary <= 1e-8 and elapsed < 30.0,
-        f"worst {worst:.2e}, boundary worst {worst_boundary:.2e}, {elapsed:.1f}s",
+        worst <= 1e-9 and worst_boundary <= 1e-8 and worst_reference <= REFERENCE_BOUND
+        and elapsed < 30.0,
+        f"worst {worst:.2e}, boundary worst {worst_boundary:.2e}, "
+        f"reference {worst_reference:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -124,10 +133,13 @@ def test_04_generalized_universality():
     worst = 0.0
     worst_complete = 0.0
     worst_collinear = 0.0
-    for _ in range(10_000):
+    worst_reference = 0.0  # every tenth witness, evaluated by tests/reference.py
+    for i in range(10_000):
         sc = random_scenario(rng, allow_zeros=True)
         w = construct_generalized(sc)
         out = evaluate_witness(w)
+        if i % 10 == 0:
+            worst_reference = max(worst_reference, reference_deviation(w, out))
         worst = max(
             worst,
             abs(out.t - sc.t),
@@ -151,9 +163,10 @@ def test_04_generalized_universality():
     report(
         4,
         "generalized universality",
-        worst <= 1e-9 and worst_complete <= 1e-10 and worst_collinear <= 1e-9,
+        worst <= 1e-9 and worst_complete <= 1e-10 and worst_collinear <= 1e-9
+        and worst_reference <= REFERENCE_BOUND,
         f"round-trip {worst:.2e}, completeness {worst_complete:.2e}, "
-        f"collinearity {worst_collinear:.2e}",
+        f"collinearity {worst_collinear:.2e}, reference {worst_reference:.2e}",
     )
 
 

@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from postselect import (
     evaluate_witness,
 )
 import postselect
+import reference
 from postselect import cli
 from postselect.cli import main
 from postselect.errors import ClosureFailure
@@ -64,6 +66,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_target_deviation(path, out):
+    """The witness file's (T, S, P) by tests/reference.py must be what verify printed, within
+    verify's 1e-9; returns their largest deviation from the file's metadata.target.
+
+    Not to 1e-14: an amplitude of size sqrt(S) is a sum of O(1) terms, so near
+    S = EPS_PROB evaluate_witness's P(k) carries their cancellation (1.6e-12 at S = 1e-10).
+    """
+    doc = json.loads(Path(path).read_text())
+    t, s, probs = reference.evaluate_document(doc)
+    fields = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    printed = [fields["T"], fields["S"], *fields["P"].strip("()").split(",")]
+    assert len(printed) == len(probs) + 2, out
+    for text, want in zip(printed, [t, s, *probs]):
+        assert abs(Decimal(text) - want) <= Decimal("1e-9"), (text, want)
+    target = doc["metadata"]["target"]
+    return reference.document_deviation(doc, target["t"], target["s"], target["p"])
 
 
 class TestCheck:
@@ -151,6 +171,7 @@ class TestConstructVerify:
         assert code == 0
         assert "verification passed" in out
         assert "kind: projective" in out
+        assert reference_target_deviation(path, out) <= 1e-9
 
     def test_generalized_round_trip(self, capsys, tmp_path):
         path = tmp_path / "w.json"
@@ -165,6 +186,7 @@ class TestConstructVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "kind: generalized" in out
+        assert reference_target_deviation(path, out) <= 1e-9
 
     def test_construct_infeasible_exit_one(self, capsys):
         code, _, err = run(
@@ -209,6 +231,7 @@ class TestConstructVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert "FAILED" in out
+        assert reference_target_deviation(path, out) > 1e-9
 
     @pytest.mark.parametrize(
         "edit",
@@ -260,7 +283,7 @@ class TestConstructVerify:
             (lambda doc: doc.update(n_outcomes=4), "projective"),
             (lambda doc: doc.update(n_outcomes=10**400), "projective"),
             (lambda doc: doc.update(n_outcomes=3.0), "projective"),
-            (lambda doc: doc.update(operators=stacked_pairs(DIAGONAL_STACK)), "projective"),
+            (lambda doc: doc.update(operators=reference_pairs(DIAGONAL_STACK)), "projective"),
             (lambda doc: [doc.pop("labels"), doc.pop("n_outcomes")], "projective"),
             (lambda doc: doc.pop("n_outcomes"), "projective"),
             (lambda doc: doc.update(labels=[0, 1], n_outcomes=2), "generalized"),
@@ -433,45 +456,29 @@ class TestEntropy:
         assert err.startswith("error: ")
 
 
-def reference_witness_to_dict(w, metadata=None):
+def reference_pairs(a):
+    """[re, im] pairs entry by entry, nested as a is."""
+    if a.ndim > 1:
+        return [reference_pairs(x) for x in a]
+    return [[float(x.real), float(x.imag)] for x in a]
+
+
+def reference_witness_to_dict(w, metadata=None, labels=True):
     """The per-entry encoder the whole-stack codec replaced, kept as its byte reference:
-    labels for a labelled projective witness with n <= d outcomes, else the stack."""
-
-    def vector_to_pairs(v):
-        return [[float(x.real), float(x.imag)] for x in v]
-
-    def matrix_to_pairs(m):
-        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
+    labels for a labelled projective witness with n <= d outcomes, else the stack.
+    With labels=False it writes every witness as its stack, as files did before labels."""
     if isinstance(w, ProjectiveWitness):
         kind, ops = "projective", w.projectors
     else:
         kind, ops = "generalized", w.kraus
     doc = {"kind": kind, "dimension": w.dimension}
-    doc.update(psi=vector_to_pairs(w.psi), phi=vector_to_pairs(w.phi))
-    if getattr(w, "labels", None) is not None and w.n_outcomes <= w.dimension:
+    doc.update(psi=reference_pairs(w.psi), phi=reference_pairs(w.phi))
+    if labels and getattr(w, "labels", None) is not None and w.n_outcomes <= w.dimension:
         doc.update(labels=[int(k) for k in w.labels], n_outcomes=w.n_outcomes)
     else:
-        doc["operators"] = [matrix_to_pairs(op) for op in ops]
+        doc["operators"] = [reference_pairs(op) for op in ops]
     doc["metadata"] = dict(metadata or {})
     return doc
-
-
-def stacked_pairs(a):
-    """[re, im] pairs as the encoder wrote them before it read a float view: one stacked copy."""
-    return np.stack([a.real, a.imag], -1).tolist()
-
-
-def stacked_witness_to_dict(w, metadata=None):
-    """The encoder before labelled files: every witness, labelled or not, as its dense stack."""
-    return {
-        "kind": w.kind,
-        "dimension": w.dimension,
-        "psi": stacked_pairs(w.psi),
-        "phi": stacked_pairs(w.phi),
-        "operators": stacked_pairs(w.operators),
-        "metadata": dict(metadata or {}),
-    }
 
 
 class TestWitnessIO:
@@ -548,6 +555,7 @@ class TestWitnessIO:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 0 and "verification passed" in out, (out, err)
         assert f"dimension: {len(p)}" in out
+        assert reference_target_deviation(path, out) <= 1e-9
         legacy = load_witness(path)
         assert not np.array_equal(legacy.operators, w.operators)
         got, want = evaluate_witness(legacy), evaluate_witness(w)
@@ -578,13 +586,13 @@ class TestWitnessIO:
         assert len(stream.sizes) <= len(stream.getvalue()) // (64 * 1024) + 2
 
     def test_pairs_read_through_a_float_view(self, rng):
-        # The same nested lists as the stacked copy, -0.0 and inf parts included, for
+        # The same nested lists as the per-entry pairs, -0.0 and inf parts included, for
         # C-contiguous arrays and for views that are not.
         stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
         stack[0, 0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.inf, -math.inf)]
         cases = [stack, stack.transpose(0, 2, 1), stack[:, ::2, 1:], stack[1, :, 0], stack[:0]]
         for a in cases + [np.zeros(3, dtype=complex), np.array([-0.0 - 0.0j])]:
-            assert json.dumps(_to_pairs(a)) == json.dumps(stacked_pairs(a))
+            assert json.dumps(_to_pairs(a)) == json.dumps(reference_pairs(a))
         assert not stack.transpose(0, 2, 1).flags.c_contiguous
         assert _to_pairs(stack)[0][0][2] == [math.inf, -math.inf]
 
@@ -598,10 +606,11 @@ class TestWitnessIO:
         w = construct_projective(sc)
         meta = {"target": {"t": t, "s": s, "p": list(p)}}
         path = tmp_path / "stacked.json"
-        path.write_text(json.dumps(stacked_witness_to_dict(w, meta), indent=1) + "\n")
+        path.write_text(json.dumps(reference_witness_to_dict(w, meta, labels=False), indent=1) + "\n")
         code, out, err = run(capsys, "verify", str(path))
         assert code == 0 and "verification passed" in out, (out, err)
         assert f"dimension: {w.dimension}  outcomes: {len(p)}" in out
+        assert reference_target_deviation(path, out) <= 1e-9
         stacked = load_witness(path)
         assert np.array_equal(stacked.labels, w.labels) and stacked.n_outcomes == w.n_outcomes
         assert witness_to_dict(stacked, meta) == witness_to_dict(w, meta)
@@ -618,11 +627,12 @@ class TestWitnessIO:
         meta = {"target": {"t": sc.t, "s": sc.s, "p": list(sc.dist.probs)}}
         doc = witness_to_dict(w, meta)
         assert "labels" not in doc
-        assert json.dumps(doc) == json.dumps(stacked_witness_to_dict(w, meta))
+        assert json.dumps(doc) == json.dumps(reference_witness_to_dict(w, meta))
         path = tmp_path / "dense.json"
         save_witness(w, path, meta)
         code, out, err = run(capsys, "verify", str(path))
         assert code == 0 and "verification passed" in out, (out, err)
+        assert reference_target_deviation(path, out) <= 1e-9
         w2 = load_witness(path)
         assert w2.labels is None and np.array_equal(w2.operators, w.operators)
 
@@ -693,6 +703,7 @@ def test_wide_generalized_file_is_a_qubit(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 0 and err == "" and "verification passed" in out
     assert f"dimension: 2  outcomes: {WIDE_N}" in out
+    assert reference_target_deviation(path, out) <= 1e-9
 
 
 def test_wide_projective_file_is_labelled(capsys, tmp_path):
@@ -709,6 +720,7 @@ def test_wide_projective_file_is_labelled(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 0 and err == "" and "verification passed" in out
     assert f"dimension: {WIDE_N}  outcomes: {WIDE_N}" in out
+    assert reference_target_deviation(path, out) <= 1e-9
 
 
 def test_no_built_generalized_file_holds_negative_zero():
@@ -848,6 +860,7 @@ class TestCliInvariants:
     @example(0.4, 0.7, [0.9, 0.0, 0.1], False, "generalized")
     @example(0.5, 1e-20, [0.5, 0.5], False, "generalized")
     @example(2e-12, 2e-12, [1.0], False, "projective")
+    @example(0.5, 1e-10, [1.0, 0.5], True, "generalized")
     @settings(max_examples=150, deadline=None)
     def test_construct(self, tmp_path_factory, t, s, p, normalize, kind):
         if normalize and all(math.isfinite(x) for x in p) and sum(map(abs, p)) > 0:
@@ -861,6 +874,7 @@ class TestCliInvariants:
             path.write_text(out)
             code, out, err = run_captured(["verify", str(path)])
             assert code == 0 and "verification passed" in out, (argv, out, err)
+            assert reference_target_deviation(path, out) <= 1e-9
 
     @given(
         st.sampled_from(BUILT_WITNESSES),
@@ -916,3 +930,4 @@ class TestCliInvariants:
         assert code == (1 if missed else 0 if ignored else 2)
         if ignored:
             assert "verification passed" in out
+            assert reference_target_deviation(path, out) <= 1e-9

@@ -32,9 +32,11 @@ from postselect.errors import (
 from conftest import (
     NON_REAL,
     NON_REAL_PARAMS,
+    REFERENCE_BOUND,
     random_distribution,
     random_feasible_scenario,
     random_scenario,
+    reference_deviation,
 )
 
 
@@ -406,77 +408,28 @@ def test_numerically_zero_success_probability_refused(build):
     assert_reproduces(sc, build(sc), tol=1e-12)
 
 
-def gram_schmidt_generalized(sc):
-    """The Gram-Schmidt form of construct_generalized, kept as its reference.
-
-    Returns (psi, phi, Kraus stack) on a qubit: each orthogonal direction is one
-    Gram-Schmidt step against a basis vector, and every state is renormalized.
-    For n >= 2, V_k = |phi'><a_k| with a_k = (sqrt(P(k)), c_k) and c the unit
-    vector orthogonal to sqrt(P); for n = 1, V_0 = |phi'><e_0| + |u><e_1| with u
-    orthogonal to phi'.
-    """
-
-    def orthogonal_unit(v):
-        k = int(np.argmin(np.abs(v)))
-        e = np.zeros(v.size, dtype=complex)
-        e[k] = 1.0
-        w = e - np.vdot(v, e) * v
-        return w / np.linalg.norm(w)
-
-    psi = np.array([1.0, 0.0], dtype=complex)
-    phi = math.sqrt(sc.t) * psi + math.sqrt(1.0 - sc.t) * orthogonal_unit(psi)
-    phi /= np.linalg.norm(phi)
-    post = math.sqrt(sc.s) * phi + math.sqrt(1.0 - sc.s) * orthogonal_unit(phi)
-    post /= np.linalg.norm(post)
-    if sc.n == 1:
-        return psi, phi, np.stack([post, orthogonal_unit(post)], axis=1)[None]
-    roots = np.sqrt(np.array(sc.dist.probs, dtype=complex))
-    a = np.stack([roots, orthogonal_unit(roots)], axis=1)  # row k is a_k
-    stack = np.array([np.outer(post, a_k.conj()) for a_k in a])
-    return psi, phi, stack
-
-
-def fancy_index_stack(sc):
-    """construct_generalized's Kraus stack as zeros plus one fancy-index write of its
-    nonzero products, as a reference: every zero entry is +0.0."""
-    phi = np.array([math.sqrt(sc.t), math.sqrt(1.0 - sc.t)])
-    post = numpy_rotate(phi, math.sqrt(sc.s), math.sqrt(1.0 - sc.s))
-    if sc.n == 1:
-        a = np.eye(2)[:1]  # column 0 of V_0 is phi'; column 1 is written below
-    else:
-        roots = np.sqrt(sc.dist.probs)
-        a = np.stack([roots, numpy_rotate(roots, 0.0, 1.0)], axis=1)
-    products = post[None, :, None] * a[:, None, :]
-    nonzero = products != 0.0
-    kraus = np.zeros((sc.n, 2, 2), dtype=complex)
-    kraus[nonzero] = products[nonzero]
-    if sc.n == 1:
-        kraus[0, :, 1] = numpy_rotate(post, 0.0, 1.0)
-    return kraus
-
-
 class TestConstructGeneralized:
+    """numpy_generalized, below, is the one reference that the builder is compared with."""
+
     def test_stack_matches_fancy_index_form(self):
-        # Values and the sign of every zero: a -0.0 would print as -0.0 in a witness file.
+        # Bytes pin the sign of every zero: a -0.0 would print as -0.0 in a witness file.
         rng = np.random.default_rng(1801)
         negative, zeroed = 0, 0
         for _ in range(3000):
             n = int(rng.integers(1, 7))
             sc = random_scenario(rng, n=n, allow_zeros=n > 1)
-            got, want = construct_generalized(sc).operators, fancy_index_stack(sc)
-            assert got.shape == (n, 2, 2)
-            assert np.array_equal(got, want), sc
-            for part in ("real", "imag"):
-                signs = np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
-                assert np.array_equal(*signs), sc
+            got = assert_matches_numpy_form(sc)
+            assert got.operators.shape == (n, 2, 2)
             # Column 0 of V_k is phi' sqrt(P(k)): a zero outcome times a negative phi'
             # entry is where a plain product would write -0.0.
             if 0.0 in sc.dist.probs:
                 zeroed += 1
-                negative += bool((got[:, :, 0].real < 0.0).any())
+                negative += bool((got.operators[:, :, 0].real < 0.0).any())
         assert negative > 100 and zeroed > 200, (negative, zeroed)
 
     def test_matches_gram_schmidt_form(self):
+        # numpy_rotate is one Gram-Schmidt step against a basis vector. Families:
+        # one-hot P, P with its first n // 2 outcomes zeroed, S = 1 and T in {0, 1}.
         rng = np.random.default_rng(1601)
         scenarios = []
         for n in range(1, 7):
@@ -493,11 +446,7 @@ class TestConstructGeneralized:
             scenarios += [ScenarioTriple(t, s, dists[-1]) for t in (0.0, 1.0) for s in (0.3, 1.0)]
         assert sum(0.0 in sc.dist.probs for sc in scenarios) > 50
         for sc in scenarios:
-            w = construct_generalized(sc)
-            psi, phi, stack = gram_schmidt_generalized(sc)
-            for got, want in ((w.psi, psi), (w.phi, phi), (w.operators, stack)):
-                assert np.abs(got - want).max() <= 1e-12, sc
-            assert_reproduces(sc, w, tol=1e-9)
+            assert assert_matches_numpy_form(sc) is not None, sc
 
     def test_any_scenario_round_trip(self, rng):
         for _ in range(400):
@@ -623,6 +572,7 @@ def test_builder_agrees_with_public_pipeline():
         w = construct_projective(sc)
         assert np.abs(w.psi - psi).max() <= 1e-14, sc
         assert np.abs(w.phi - phi).max() <= 1e-14, sc
+        assert reference_deviation(w, evaluate_witness(w)) <= REFERENCE_BOUND, sc
         assert_reproduces(sc, w, tol=1e-9)
     assert saturated > 100
 
@@ -654,6 +604,22 @@ def numpy_generalized(sc: ScenarioTriple) -> GeneralizedWitness:
     return GeneralizedWitness(psi, phi, kraus)
 
 
+def assert_matches_numpy_form(sc: ScenarioTriple):
+    """Assert that construct_generalized and numpy_generalized give sc the same bytes,
+    or both refuse it; return the built witness, or None when refused."""
+    try:
+        want = numpy_generalized(sc)
+    except DegeneratePostselection:
+        with pytest.raises(DegeneratePostselection):
+            construct_generalized(sc)
+        return None
+    got = construct_generalized(sc)
+    for a, b in ((got.psi, want.psi), (got.phi, want.phi), (got.operators, want.operators)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), sc
+    assert_reproduces(sc, got, tol=1e-9)
+    return got
+
+
 def test_generalized_matches_numpy_form_bytewise():
     rng = np.random.default_rng(2002)
     built = refused = zeroed = 0
@@ -663,16 +629,9 @@ def test_generalized_matches_numpy_form_bytewise():
         t = float(rng.choice([0.0, 1.0, rng.random(), rng.random()]))
         s = float(rng.choice([1.0, 2e-12, 1e-13, 1e-6 + (1.0 - 1e-6) * rng.random()]))
         sc = ScenarioTriple(t, s, dist)
-        try:
-            want = numpy_generalized(sc)
-        except DegeneratePostselection:
-            with pytest.raises(DegeneratePostselection):
-                construct_generalized(sc)
+        if assert_matches_numpy_form(sc) is None:
             refused += 1
             continue
-        got = construct_generalized(sc)
-        for a, b in ((got.psi, want.psi), (got.phi, want.phi), (got.operators, want.operators)):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), sc
         built += 1
         zeroed += 0.0 in sc.dist.probs
     assert built > 1500 and refused > 300 and zeroed > 200, (built, refused, zeroed)

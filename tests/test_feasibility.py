@@ -1,5 +1,9 @@
+import ast
 import math
+import sys
+from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,19 @@ class TestExactRootSums:
             if i < 2:
                 out = evaluate_witness(construct_projective(sc))
                 assert out.t == pytest.approx(s, abs=1e-9) and out.s == pytest.approx(s, abs=1e-9)
+
+
+def test_reference_imports_only_the_standard_library():
+    # The package is checked against tests/reference.py, so the reference may share none
+    # of its code: no postselect, no NumPy, no relative import.
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    names += [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert names and {name.split(".")[0] for name in names} <= sys.stdlib_module_names, names
 
 
 class TestChainSlacks:
@@ -479,6 +496,24 @@ class TestWitnessDistribution:
         # as 1.0 - p, the small outcome lost its last bits and the polygon check failed.
         dist = witness_distribution(t, s, 2)
         assert check_projective_raw(ScenarioTriple(t, s, dist)).feasible
+
+    @pytest.mark.parametrize("n, draws", [(10**4, 6), (10**5, 3)])
+    def test_long_distributions_sit_on_the_upper_chain(self, n, draws):
+        # The S < T branch puts P on the face sum_k sqrt(P(k)) = sqrt(T/S).  Normalized by a
+        # left-to-right sum, P missed it by up to 8e-11 at n = 10**5, and the checker or
+        # OutcomeDistribution refused 33 of 40 such draws at n = 10**4 and 38 of 40 at 10**5.
+        rng = np.random.default_rng(n)
+        for _ in range(draws):
+            s = rng.uniform(1 / n, 2 / n)
+            t = min(1.0, s * rng.uniform(n / 2, n))
+            dist = witness_distribution(t, s, n)
+            assert check_projective_raw(ScenarioTriple(t, s, dist)).feasible, (t, s)
+            counts = Counter(dist.probs)  # b, a and 0: three values
+            exact = sum(map(Decimal.__mul__, reference.roots(counts), counts.values()))
+            face = exact - (Decimal(t) / Decimal(s)).sqrt()
+            assert abs(face) <= Decimal(EPS_FEAS) / 10, (t, s, face)
+            root_sum = math.fsum(map(math.sqrt, dist.probs))
+            assert abs(Decimal(root_sum) - exact) <= Decimal(EPS_FEAS) / 10, (t, s)
 
     def test_region_nonempty_everywhere(self, rng):
         # Every point of the (T, S) region is realized by some distribution.

@@ -21,7 +21,7 @@ from postselect.core import EPS_PROB
 from postselect.errors import DegeneratePostselection, InfeasibleScenario, InvalidWitness
 from postselect.stats import transition_amplitudes
 from postselect.witness_io import witness_from_dict, witness_to_dict
-from conftest import NON_REAL_PARAMS, random_distribution
+from conftest import NON_REAL_PARAMS, REFERENCE_BOUND, random_distribution, reference_deviation
 from samplers import sample_projective, sample_state
 
 ROOT_HALF = math.sqrt(0.5)
@@ -161,6 +161,8 @@ def test_evaluate_matches_reference_formula_bitwise():
                     evaluate_witness(w)
                 continue
             got = evaluate_witness(w)
+            # reference_evaluate shares transition_amplitudes; tests/reference.py shares nothing.
+            assert reference_deviation(w, got) <= REFERENCE_BOUND, w
             assert got.t.hex() == t.hex() and got.s.hex() == s.hex(), w
             assert list(map(float.hex, got.dist.probs)) == list(map(float.hex, probs)), w
         kinds[built.kind] += 1
