@@ -60,6 +60,12 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _unit_pair(b: int, d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, phi): the complex view of one (2, b, 2d) normal draw, rows scaled by `_unit_rows`."""
+    psi, phi = (_unit_rows(z) for z in rng.standard_normal((2, b, 2 * d)).view(complex))
+    return psi, phi
+
+
 def _shape(d, n=1) -> tuple[int, int]:
     """(d, n) as integers with 1 <= n <= d, else ValueError; n = 1 checks d alone."""
     d, n = _count(d, "d"), _count(n, "n")
@@ -186,11 +192,15 @@ def fuzz_projective(d: int, n: int, samples: int, rng: np.random.Generator) -> F
     witness_digest is the SHA-256 of its psi, phi and labels bytes.
 
     Draws run in blocks of max(1, BLOCK_CELLS // d) rows.  Each block draws psi
-    and phi as the complex view of one (2, b, 2d) normal draw, then its labels.
-    Every row sum (norms, the total behind T, S and the slack kernel's sum of
-    sqrt(P)) adds whole columns in index order (`feasibility._row_sum`), and
-    every row maximum compares whole columns, so no value depends on how NumPy
-    lays out a reduction.  Nothing is grouped at n = d.  At n = 1, S is still
+    and phi as the complex view of one (2, b, 2d) normal draw, then its labels;
+    psi and phi are freed once the contributions exist, before the labels are
+    drawn.  A block with a violation re-draws its psi and phi for the witness
+    digest from the stream state saved before its normal draw, on a second
+    generator, so rng ends where it would with no violation.  Every row sum
+    (norms, the total behind T, S and the slack kernel's sum of sqrt(P)) adds
+    whole columns in index order (`feasibility._row_sum`), and every row
+    maximum compares whole columns, so no value depends on how NumPy lays out
+    a reduction.  Nothing is grouped at n = d.  At n = 1, S is still
     grouped: `_group`'s `np.bincount` adds each row in index order too.
     """
     samples = _count(samples, "samples", 1)
@@ -211,12 +221,18 @@ def _fuzz_block(
     """Draw and check one block of b rows for `fuzz_projective`; return its discarded count.
 
     Adds the block's cells to counts and appends its violations.  No array outlives
-    the block, and each is dropped, or overwritten in place, after its last use.
+    the block, and each is dropped, or overwritten in place, after its last use;
+    psi and phi go before the labels are drawn.  A flagged block re-draws them
+    for hashing from the stream state saved before its normal draw, on a
+    generator of its own, so rng advances as it does for a block with none.
     """
-    psi, phi = (_unit_rows(z) for z in rng.standard_normal((2, b, 2 * d)).view(complex))
+    state = rng.bit_generator.state
+    psi, phi = _unit_pair(b, d, rng)
+    # Per-column amplitude contributions <phi|e_j><e_j|psi>, formed out of place:
+    # `*=` into phi can change the last bit of T.
+    contrib = np.conjugate(phi, out=phi) * psi
+    del psi, phi
     labels = _random_labels(b, d, n, rng)
-    # Per-column amplitude contributions <phi|e_j><e_j|psi>.
-    contrib = phi.conj() * psi
     t = np.abs(_row_sum(contrib)) ** 2
     # |amplitude|^2 per outcome; at n = d each column is one outcome's amplitude.
     amps = contrib if n == d else _group(contrib, _flat_index(labels, n), n)
@@ -235,6 +251,10 @@ def _fuzz_block(
     min_slack = reduce(np.minimum, slacks.values())
     flagged = np.flatnonzero(~(min_slack >= -FUZZ_EPS))
     origins = flagged if kept == b else np.flatnonzero(keep)[flagged]
+    if flagged.size:
+        redraw = np.random.Generator(type(rng.bit_generator)())
+        redraw.bit_generator.state = state
+        psi, phi = _unit_pair(b, d, redraw)
     for i, orig in zip(flagged, origins):
         h = hashlib.sha256()
         for arr in (psi[orig], phi[orig], labels[orig]):
