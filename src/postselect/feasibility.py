@@ -114,6 +114,8 @@ def projective_raw_slack_arrays(t: np.ndarray, s: np.ndarray, probs: np.ndarray)
 
 def check_generalized(sc: ScenarioTriple) -> FeasibilityVerdict:
     """Generalized-measurement feasibility: every valid triple is realizable."""
+    if not isinstance(sc, ScenarioTriple):
+        raise ValueError(f"sc must be a ScenarioTriple, got {type(sc).__name__}")
     return FeasibilityVerdict(feasible=True, violated=(), slack={})
 
 

@@ -25,7 +25,6 @@ bounds the n-entry arrays that evaluating it allocates, as a stack's does.
 from __future__ import annotations
 
 import json
-from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -105,11 +104,8 @@ def witness_from_dict(data: dict[str, Any]) -> _Witness:
 
 
 def _write_witness(w, stream, metadata: dict[str, Any] | None = None) -> None:
-    """Write json.dumps(w's document, indent=1) + "\n" to a text stream in chunks."""
-    tokens = json.JSONEncoder(indent=1).iterencode(witness_to_dict(w, metadata))
-    # 2^16 tokens of at least one character each: every write but the last holds >= 64 KiB.
-    while chunk := "".join(islice(tokens, 1 << 16)):
-        stream.write(chunk)
+    """Write w's document to a text stream as json.dumps(doc, indent=1), then a newline."""
+    stream.write(json.dumps(witness_to_dict(w, metadata), indent=1))
     stream.write("\n")
 
 

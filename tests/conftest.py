@@ -85,6 +85,12 @@ def random_feasible_scenario(rng, n=None):
     return ScenarioTriple(t, s, dist)
 
 
+def triple_deviation(out, sc) -> float:
+    """Largest |difference| between two scenario triples' T, S and P(k)."""
+    gaps = np.abs(np.subtract(out.dist.probs, sc.dist.probs)).max()
+    return max(abs(out.t - sc.t), abs(out.s - sc.s), float(gaps))
+
+
 # How far evaluate_witness may lie from reference.evaluate_document on T, S and each P(k),
 # for S >= 1e-6 as in every sweep compared.  The largest gap seen was 2.9e-15, on a Kraus
 # witness of acceptance 04's stream; the projective sweeps (n <= 200) and n = 1000 stay

@@ -33,7 +33,8 @@ from postselect import (
 )
 from postselect.feasibility import OUTSIDE_SIMPLEX, check_ternary_disk
 from postselect.regions import INSCRIBED_DISK_FRACTION
-from conftest import REFERENCE_BOUND, random_feasible_scenario, random_scenario, reference_deviation
+from conftest import REFERENCE_BOUND, random_feasible_scenario, random_scenario
+from conftest import reference_deviation, triple_deviation
 
 
 def report(ident, name, ok, detail=""):
@@ -92,12 +93,7 @@ def test_03_sufficiency_round_trip():
         sc = random_feasible_scenario(rng)
         w = construct_projective(sc)
         out = evaluate_witness(w)
-        dev = max(
-            abs(out.t - sc.t),
-            abs(out.s - sc.s),
-            max(abs(a - b) for a, b in zip(out.dist.probs, sc.dist.probs)),
-        )
-        worst = max(worst, dev)
+        worst = max(worst, triple_deviation(out, sc))
         if i % 10 == 0:
             worst_reference = max(worst_reference, reference_deviation(w, out))
     worst_boundary = 0.0
@@ -109,12 +105,7 @@ def test_03_sufficiency_round_trip():
         sc = ScenarioTriple(min(1.0, root_d_half**2 * s), s, dist)
         w = construct_projective(sc)
         out = evaluate_witness(w)
-        dev = max(
-            abs(out.t - sc.t),
-            abs(out.s - sc.s),
-            max(abs(a - b) for a, b in zip(out.dist.probs, sc.dist.probs)),
-        )
-        worst_boundary = max(worst_boundary, dev)
+        worst_boundary = max(worst_boundary, triple_deviation(out, sc))
         if i % 10 == 0:
             worst_reference = max(worst_reference, reference_deviation(w, out))
     elapsed = time.perf_counter() - t0
@@ -140,12 +131,7 @@ def test_04_generalized_universality():
         out = evaluate_witness(w)
         if i % 10 == 0:
             worst_reference = max(worst_reference, reference_deviation(w, out))
-        worst = max(
-            worst,
-            abs(out.t - sc.t),
-            abs(out.s - sc.s),
-            max(abs(a - b) for a, b in zip(out.dist.probs, sc.dist.probs)),
-        )
+        worst = max(worst, triple_deviation(out, sc))
         d = w.dimension
         total = sum(v.conj().T @ v for v in w.kraus)
         worst_complete = max(worst_complete, float(np.max(np.abs(total - np.eye(d)))))

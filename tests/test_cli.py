@@ -152,40 +152,36 @@ class TestCheck:
         assert (code, out, err) == (1, "", "error: closure residual 1.0\n")
 
 
+# Two targets that both kinds build: a fair coin at T = 0, and three outcomes.
+HALF = ("--t", "0", "--s", "0.5", "--p", "0.5,0.5")
+THIRDS = ("--t", "0.1", "--s", "0.3", "--p", "0.5,0.3,0.2")
+
+
+def verify_edited(capsys, tmp_path, edit, *argv):
+    """`construct *argv` into tmp_path/w.json, apply `edit` to its document, then `verify` it."""
+    path = tmp_path / "w.json"
+    run(capsys, "construct", *argv, "--out", str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return run(capsys, "verify", str(path))
+
+
 # The three diagonal projectors of a qutrit: the stack form of labels [0, 1, 2].
 DIAGONAL_STACK = np.eye(3)[:, :, None] * np.eye(3)
 
 
 class TestConstructVerify:
-    def test_projective_round_trip(self, capsys, tmp_path):
+    @pytest.mark.parametrize("kind", ["projective", "generalized"])
+    def test_round_trip(self, capsys, tmp_path, kind):
+        argv = HALF if kind == "projective" else ("--t", "0.3", "--s", "0.2", "--p", "0.6,0.3,0.1")
         path = tmp_path / "w.json"
-        code, _, _ = run(
-            capsys,
-            "construct",
-            "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
-            "--kind", "projective",
-            "--out", str(path),
-        )
+        code, _, _ = run(capsys, "construct", *argv, "--kind", kind, "--out", str(path))
         assert code == 0
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "verification passed" in out
-        assert "kind: projective" in out
-        assert reference_target_deviation(path, out) <= 1e-9
-
-    def test_generalized_round_trip(self, capsys, tmp_path):
-        path = tmp_path / "w.json"
-        code, _, _ = run(
-            capsys,
-            "construct",
-            "--t", "0.3", "--s", "0.2", "--p", "0.6,0.3,0.1",
-            "--kind", "generalized",
-            "--out", str(path),
-        )
-        assert code == 0
-        code, out, _ = run(capsys, "verify", str(path))
-        assert code == 0
-        assert "kind: generalized" in out
+        assert f"kind: {kind}" in out
         assert reference_target_deviation(path, out) <= 1e-9
 
     def test_construct_infeasible_exit_one(self, capsys):
@@ -198,11 +194,7 @@ class TestConstructVerify:
         assert "infeasible" in err
 
     def test_stdout_payload_is_json(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
-            "--kind", "projective",
-        )
+        code, out, _ = run(capsys, "construct", *HALF, "--kind", "projective")
         assert code == 0
         payload = json.loads(out)
         assert payload["kind"] == "projective"
@@ -211,7 +203,7 @@ class TestConstructVerify:
     @pytest.mark.parametrize("kind", ["projective", "generalized"])
     def test_out_file_holds_stdout_bytes(self, capsys, tmp_path, kind):
         path = tmp_path / "w.json"
-        argv = ["construct", "--t", "0.1", "--s", "0.3", "--p", "0.5,0.3,0.2", "--kind", kind]
+        argv = ["construct", *THIRDS, "--kind", kind]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         code, _, _ = run(capsys, *argv, "--out", str(path))
@@ -219,19 +211,11 @@ class TestConstructVerify:
         assert path.read_bytes() == out.encode()
 
     def test_verify_detects_tampering(self, capsys, tmp_path):
-        path = tmp_path / "w.json"
-        run(
-            capsys,
-            "construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
-            "--kind", "projective", "--out", str(path),
-        )
-        payload = json.loads(path.read_text())
-        payload["metadata"]["target"]["s"] = 0.4
-        path.write_text(json.dumps(payload))
-        code, out, _ = run(capsys, "verify", str(path))
+        edit = lambda doc: doc["metadata"]["target"].update(s=0.4)
+        code, out, _ = verify_edited(capsys, tmp_path, edit, *HALF, "--kind", "projective")
         assert code == 1
         assert "FAILED" in out
-        assert reference_target_deviation(path, out) > 1e-9
+        assert reference_target_deviation(tmp_path / "w.json", out) > 1e-9
 
     @pytest.mark.parametrize(
         "edit",
@@ -243,32 +227,20 @@ class TestConstructVerify:
         ids=["missing-t", "short-p", "nan-s"],
     )
     def test_verify_rejects_malformed_target(self, capsys, tmp_path, edit):
-        path = tmp_path / "w.json"
-        run(
-            capsys,
-            "construct", "--t", "0.1", "--s", "0.3", "--p", "0.5,0.3,0.2",
-            "--kind", "projective", "--out", str(path),
+        code, out, err = verify_edited(
+            capsys, tmp_path, lambda doc: edit(doc["metadata"]["target"]), *THIRDS,
+            "--kind", "projective",
         )
-        payload = json.loads(path.read_text())
-        edit(payload["metadata"]["target"])
-        path.write_text(json.dumps(payload))
-        code, out, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "invalid witness" in err and "metadata.target" in err
         assert "passed" not in out
 
     def test_verify_rejects_corrupt_witness(self, capsys, tmp_path):
-        path = tmp_path / "w.json"
-        run(
-            capsys,
-            "construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
-            "--kind", "projective", "--out", str(path),
-        )
-        payload = json.loads(path.read_text())
-        assert "operators" not in payload and payload["labels"] == [0, 1]
-        payload["labels"][0] = 2
-        path.write_text(json.dumps(payload))
-        code, _, err = run(capsys, "verify", str(path))
+        def edit(doc):
+            assert "operators" not in doc and doc["labels"] == [0, 1]
+            doc["labels"][0] = 2
+
+        code, _, err = verify_edited(capsys, tmp_path, edit, *HALF, "--kind", "projective")
         assert code == 2
         assert "invalid witness" in err
 
@@ -297,13 +269,7 @@ class TestConstructVerify:
         ],
     )
     def test_verify_rejects_malformed_measurement(self, capsys, tmp_path, edit, kind):
-        path = tmp_path / "w.json"
-        argv = ["construct", "--t", "0.1", "--s", "0.3", "--p", "0.5,0.3,0.2", "--kind", kind]
-        run(capsys, *argv, "--out", str(path))
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        code, out, err = run(capsys, "verify", str(path))
+        code, out, err = verify_edited(capsys, tmp_path, edit, *THIRDS, "--kind", kind)
         assert code == 2 and out == "", (out, err)
         assert err.startswith("invalid witness: ") and "Traceback" not in err
 
@@ -330,36 +296,21 @@ class TestConstructVerify:
         ids=["missing-psi", "metadata-list", "unknown-kind", "unhashable-kind"],
     )
     def test_verify_rejects_malformed_document(self, capsys, tmp_path, edit, message):
-        path = tmp_path / "w.json"
-        run(
-            capsys,
-            "construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
-            "--kind", "generalized", "--out", str(path),
-        )
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        code, out, err = run(capsys, "verify", str(path))
+        code, out, err = verify_edited(capsys, tmp_path, edit, *HALF, "--kind", "generalized")
         assert code == 2 and out == ""
         assert err == f"invalid witness: {message}\n"
 
-    @pytest.mark.parametrize("where", ["labels", "n_outcomes", "psi"])
-    def test_verify_rejects_nan_entry(self, capsys, tmp_path, where):
-        path = tmp_path / "w.json"
-        run(
-            capsys,
-            "construct", "--t", "0", "--s", "0.5", "--p", "0.5,0.5",
-            "--kind", "projective", "--out", str(path),
-        )
-        payload = json.loads(path.read_text())
-        entry, key = {
-            "labels": (payload["labels"], 1),
-            "n_outcomes": (payload, "n_outcomes"),
-            "psi": (payload["psi"][0], 0),
-        }[where]
-        entry[key] = float("nan")
-        path.write_text(json.dumps(payload))
-        code, out, err = run(capsys, "verify", str(path))
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["labels"].__setitem__(1, math.nan),
+            lambda doc: doc.update(n_outcomes=math.nan),
+            lambda doc: doc["psi"][0].__setitem__(0, math.nan),
+        ],
+        ids=["labels", "n_outcomes", "psi"],
+    )
+    def test_verify_rejects_nan_entry(self, capsys, tmp_path, edit):
+        code, out, err = verify_edited(capsys, tmp_path, edit, *HALF, "--kind", "projective")
         assert code == 2
         assert "invalid witness" in err
         assert "non-finite probability" not in err and "passed" not in out
@@ -690,36 +641,26 @@ def dense_generalized(sc):
 WIDE_N = 1000
 
 
-def test_wide_generalized_file_is_a_qubit(capsys, tmp_path):
-    # The (n, n, n) stack wrote 32 MB at n = 100 and would need about 16 GB at n = 1000.
+@pytest.mark.parametrize("kind", ["generalized", "projective"])
+def test_wide_file(capsys, tmp_path, kind):
+    # Kraus witnesses are qubits and projective files hold labels; either 0/1 or (n, n, n)
+    # stack wrote 32 MB at n = 100 and would need about 16 GB at n = 1000.
     path = tmp_path / "w.json"
     p = ",".join([repr(1.0 / WIDE_N)] * WIDE_N)
-    argv = ["--t", "0.001", "--s", repr(0.5 / WIDE_N), "--p", p, "--kind", "generalized"]
+    argv = ["--t", "0.001", "--s", repr(0.5 / WIDE_N), "--p", p, "--kind", kind]
     code, out, err = run(capsys, "construct", *argv, "--out", str(path))
     assert (code, out, err) == (0, "", "")
-    assert path.stat().st_size < 300_000
     doc = json.loads(path.read_text())
-    assert doc["dimension"] == 2 and len(doc["operators"]) == WIDE_N
+    if kind == "generalized":
+        assert path.stat().st_size < 300_000
+        assert doc["dimension"] == 2 and len(doc["operators"]) == WIDE_N
+    else:
+        assert path.stat().st_size < 150_000
+        assert "operators" not in doc and doc["labels"] == list(range(WIDE_N))
+        assert doc["dimension"] == doc["n_outcomes"] == WIDE_N
     code, out, err = run(capsys, "verify", str(path))
     assert code == 0 and err == "" and "verification passed" in out
-    assert f"dimension: 2  outcomes: {WIDE_N}" in out
-    assert reference_target_deviation(path, out) <= 1e-9
-
-
-def test_wide_projective_file_is_labelled(capsys, tmp_path):
-    # The 0/1 stack wrote 32 MB at n = 100 and would need about 16 GB at n = 1000.
-    path = tmp_path / "w.json"
-    p = ",".join([repr(1.0 / WIDE_N)] * WIDE_N)
-    argv = ["--t", "0.001", "--s", repr(0.5 / WIDE_N), "--p", p, "--kind", "projective"]
-    code, out, err = run(capsys, "construct", *argv, "--out", str(path))
-    assert (code, out, err) == (0, "", "")
-    assert path.stat().st_size < 150_000
-    doc = json.loads(path.read_text())
-    assert "operators" not in doc and doc["labels"] == list(range(WIDE_N))
-    assert doc["dimension"] == doc["n_outcomes"] == WIDE_N
-    code, out, err = run(capsys, "verify", str(path))
-    assert code == 0 and err == "" and "verification passed" in out
-    assert f"dimension: {WIDE_N}  outcomes: {WIDE_N}" in out
+    assert f"dimension: {doc['dimension']}  outcomes: {WIDE_N}" in out
     assert reference_target_deviation(path, out) <= 1e-9
 
 

@@ -37,6 +37,7 @@ from conftest import (
     random_feasible_scenario,
     random_scenario,
     reference_deviation,
+    triple_deviation,
 )
 
 
@@ -360,12 +361,7 @@ class TestWideProjective:
             tracemalloc.stop()
         assert peak < 100 * 2**20
         assert w.n_outcomes == WIDE_N and w.dimension == WIDE_N
-        dev = max(
-            abs(out.t - sc.t),
-            abs(out.s - sc.s),
-            float(np.abs(np.subtract(out.dist.probs, sc.dist.probs)).max()),
-        )
-        assert dev <= 1e-9
+        assert triple_deviation(out, sc) <= 1e-9
 
     def test_swapped_keeps_labels(self, no_stack):
         w = construct_projective(wide_uniform_scenario())
@@ -390,12 +386,7 @@ def test_wide_generalized_is_a_qubit(n):
         tracemalloc.stop()
     assert peak < 2**20
     assert w.dimension == 2 and w.operators.shape == (n, 2, 2)
-    dev = max(
-        abs(out.t - sc.t),
-        abs(out.s - sc.s),
-        float(np.abs(np.subtract(out.dist.probs, sc.dist.probs)).max()),
-    )
-    assert dev <= 1e-9
+    assert triple_deviation(out, sc) <= 1e-9
 
 
 @pytest.mark.parametrize("build", [construct_projective, construct_generalized])
@@ -411,7 +402,7 @@ def test_numerically_zero_success_probability_refused(build):
 class TestConstructGeneralized:
     """numpy_generalized, below, is the one reference that the builder is compared with."""
 
-    def test_stack_matches_fancy_index_form(self):
+    def test_zeroed_outcomes_match_numpy_form_bytewise(self):
         # Bytes pin the sign of every zero: a -0.0 would print as -0.0 in a witness file.
         rng = np.random.default_rng(1801)
         negative, zeroed = 0, 0
@@ -427,7 +418,7 @@ class TestConstructGeneralized:
                 negative += bool((got.operators[:, :, 0].real < 0.0).any())
         assert negative > 100 and zeroed > 200, (negative, zeroed)
 
-    def test_matches_gram_schmidt_form(self):
+    def test_edge_families_match_numpy_form(self):
         # numpy_rotate is one Gram-Schmidt step against a basis vector. Families:
         # one-hot P, P with its first n // 2 outcomes zeroed, S = 1 and T in {0, 1}.
         rng = np.random.default_rng(1601)

@@ -297,6 +297,12 @@ class TestGeneralized:
             sc = random_scenario(rng)
             assert check_generalized(sc).feasible
 
+    @pytest.mark.parametrize("bad", [None, "x", (0.5, 0.5)], ids=["None", "str", "tuple"])
+    def test_rejects_what_is_not_a_scenario(self, bad):
+        name = type(bad).__name__
+        with pytest.raises(ValueError, match=f"^sc must be a ScenarioTriple, got {name}$"):
+            check_generalized(bad)
+
 
 class TestTsRegion:
     def test_polarizer_boundary(self):

@@ -41,6 +41,15 @@ from conftest import NON_REAL_PARAMS, column_sums
 from samplers import _complex_normal, _haar, sample_projective, sample_state, sample_unitary
 
 
+def bin_cells(counts: np.ndarray, t, s, probs, n: int) -> None:
+    """Add kept draws to flat counts as fuzz_projective bins them: (T, S) cells, then at
+    n = 3 the ternary slice's (P_0, P_1) cells, for draws with T below GRID_STEP."""
+    cells = [_cell(t, s)]
+    if n == 3:
+        cells.append(NBINS * NBINS + _cell(probs[t < GRID_STEP, 0], probs[t < GRID_STEP, 1]))
+    counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+
+
 def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:
     """Reference sampler: the fuzz's batch code with a Haar basis u per draw.
 
@@ -66,11 +75,7 @@ def haar_basis_cells(d: int, n: int, samples: int, rng) -> np.ndarray:
         s = weights.sum(axis=1)
         keep = s > S_DISCARD
         t, s, probs = np.minimum(t[keep], 1.0), np.minimum(s[keep], 1.0), weights[keep] / s[keep, None]
-        cells = [_cell(t, s)]
-        if n == 3:
-            near_zero_t = t < GRID_STEP
-            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
-        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+        bin_cells(counts, t, s, probs, n)
     return counts
 
 
@@ -127,11 +132,7 @@ def axis_reduction_fuzz(d: int, n: int, samples: int, rng, shift: float = 0.0):
                     violated=tags,
                 )
             )
-        cells = [_cell(t_k, s_k)]
-        if n == 3:
-            near_zero_t = t_k < GRID_STEP
-            cells.append(NBINS * NBINS + _cell(probs[near_zero_t, 0], probs[near_zero_t, 1]))
-        counts += np.bincount(np.concatenate(cells), minlength=counts.size)
+        bin_cells(counts, t_k, s_k, probs, n)
     return counts, discarded, tuple(violations)
 
 

@@ -22,14 +22,7 @@ from postselect import (
     emit_ts_region,
 )
 from postselect import feasibility, regions
-from postselect.feasibility import (
-    MAX_OUTCOME_POLYGON,
-    OUTSIDE_SIMPLEX,
-    S_BOUND,
-    dichotomic_slacks,
-    ternary_disk_slack,
-    ts_region_slacks,
-)
+from postselect.feasibility import MAX_OUTCOME_POLYGON, OUTSIDE_SIMPLEX, S_BOUND
 from postselect.regions import (
     CELLS,
     INSCRIBED_DISK_FRACTION,
@@ -84,32 +77,6 @@ def reference_region_svg(grid) -> str:
     return "".join(out) + "</g>\n</svg>\n"
 
 
-def full_grid_violated(emit, args, axes) -> tuple[tuple[str, ...], np.ndarray]:
-    """Tags and bitmask as the emitters first built them, from one full-grid slack pass.
-
-    The kernels see the whole (r0, 1) and (1, r1) axes, and each tag's mask is
-    broadcast to the full grid before its bit is set.  They are looked up on
-    `feasibility` at call time, so a patched kernel reaches both sides.
-    """
-    x, y = np.ix_(*[ax.centers() for ax in axes])
-    if emit is emit_ternary:
-        z = 1.0 - x - y
-        disk = feasibility.ternary_disk_slack(x, y, np.maximum(z, 0.0))
-        slacks = {MAX_OUTCOME_POLYGON: disk, OUTSIDE_SIMPLEX: z}
-    elif emit is emit_ps_region:
-        slacks = {S_BOUND: feasibility.dichotomic_slacks(x, 0.0, y)[S_BOUND]}
-    elif emit is emit_pt_sections:
-        slacks = feasibility.dichotomic_slacks(x, y, args[0])
-    else:
-        slacks = feasibility.ts_region_slacks(x, y, args[0])
-    shape = (x.size, y.size)
-    bits = [
-        np.broadcast_to(~(arr >= -EPS_FEAS), shape).astype(np.uint8) << k
-        for k, arr in enumerate(slacks.values())
-    ]
-    return tuple(slacks), np.bitwise_or.reduce(bits).reshape(-1)
-
-
 def nan_on_row(kernel, x0):
     """`kernel` with every slack it returns set to NaN where its first argument is x0."""
 
@@ -123,24 +90,26 @@ def nan_on_row(kernel, x0):
 
 
 def mesh_violated(emit, args, axes) -> tuple[tuple[str, ...], np.ndarray]:
-    """Tags and bitmask from the slack kernels evaluated on the full (N,) meshgrid."""
+    """Tags and bitmask from the slack kernels evaluated on the full (N,) meshgrid.
+
+    The kernels are looked up on `feasibility` at call time, so a patched kernel
+    reaches both this reference and the emitters.
+    """
     x, y = (g.reshape(-1) for g in np.meshgrid(*[ax.centers() for ax in axes], indexing="ij"))
     if emit is emit_ternary:
         z = 1.0 - x - y
-        disk = ternary_disk_slack(x, y, np.maximum(z, 0.0))
-        bad = {MAX_OUTCOME_POLYGON: ~(disk >= -EPS_FEAS), OUTSIDE_SIMPLEX: z < -EPS_FEAS}
+        disk = feasibility.ternary_disk_slack(x, y, np.maximum(z, 0.0))
+        slacks = {MAX_OUTCOME_POLYGON: disk, OUTSIDE_SIMPLEX: z}
+    elif emit is emit_ps_region:
+        slacks = {S_BOUND: feasibility.dichotomic_slacks(x, 0.0, y)[S_BOUND]}
+    elif emit is emit_pt_sections:
+        slacks = feasibility.dichotomic_slacks(x, y, args[0])
     else:
-        if emit is emit_ps_region:
-            slacks = {S_BOUND: dichotomic_slacks(x, 0.0, y)[S_BOUND]}
-        elif emit is emit_pt_sections:
-            slacks = dichotomic_slacks(x, y, args[0])
-        else:
-            slacks = ts_region_slacks(x, y, args[0])
-        bad = {tag: ~(arr >= -EPS_FEAS) for tag, arr in slacks.items()}
+        slacks = feasibility.ts_region_slacks(x, y, args[0])
     violated = np.zeros(x.shape, dtype=np.uint8)
-    for k, mask in enumerate(bad.values()):
-        violated |= mask.astype(np.uint8) << k
-    return tuple(bad), violated
+    for k, arr in enumerate(slacks.values()):
+        violated |= (~(arr >= -EPS_FEAS)).astype(np.uint8) << k
+    return tuple(slacks), violated
 
 
 def svg_cells(grid) -> tuple[np.ndarray, int]:
@@ -282,7 +251,7 @@ class TestRowBlocks:
 
     @staticmethod
     def check_blocks(monkeypatch, emit, args, kernel, resolution):
-        """The blocked grid equals the full-grid pass, with the last row's slacks all NaN.
+        """The blocked grid equals the meshgrid pass, with the last row's slacks all NaN.
 
         The last first-axis row lies in the last block, a partial one unless the
         block's rows divide the resolution.
@@ -290,7 +259,7 @@ class TestRowBlocks:
         x0 = Axis("x", resolution).centers()[-1]
         monkeypatch.setattr(feasibility, kernel, nan_on_row(getattr(feasibility, kernel), x0))
         grid = emit(*args, resolution)
-        tags, violated = full_grid_violated(emit, args, grid.axes)
+        tags, violated = mesh_violated(emit, args, grid.axes)
         assert grid.tags == tags
         assert np.array_equal(grid.violated, violated)
         nan_bits = 1 if emit is emit_ternary else (1 << len(tags)) - 1
